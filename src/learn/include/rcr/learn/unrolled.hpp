@@ -4,8 +4,9 @@
 // per-step penalty rho_k and over-relaxation alpha_k are *learnable*
 // parameters instead of hand-picked constants.  Because the QP Hessian is
 // diagonal-plus-rank-one, each step's x-update is a closed-form
-// Sherman-Morrison solve -- the whole head is O(K n) with no factorization,
-// so it can run inside the per-cell solve path.
+// Sherman-Morrison solve (opt::dpr1_solve, the same routine the structured
+// box-QP factor runs) -- the whole head is O(K n) with no factorization, so
+// it can run inside the per-cell solve path.
 //
 // The head refines a starting point (typically the MLP's projected output)
 // rather than replacing the exact solver: its output is still only a warm

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "rcr/opt/admm.hpp"
+
 namespace rcr::learn {
 
 UnrolledParams UnrolledParams::plain(std::size_t k, double rho) {
@@ -58,23 +60,14 @@ void unrolled_admm_run(const PowerQp& qp, const UnrolledParams& params,
     if (k > 0) rescale_dual(u, n, rho_prev, rho);
     rho_prev = rho;
 
-    // x-update: (diag(curv) + c 11^T + rho I) x = rho (z - u) - slope.
-    // Sherman-Morrison with S = diag(curv + rho):
-    //   x = S^-1 b - (c 1^T S^-1 b) / (1 + c 1^T S^-1 1) S^-1 1.
-    double s_inv_b = 0.0;
+    // x-update: (diag(curv) + c 11^T + rho I) x = rho (z - u) - slope, the
+    // O(n) Sherman-Morrison solve the structured box-QP factor runs.
     double s_inv_1 = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double s = qp.curv[i] + rho;
-      const double b = rho * (z[i] - u[i]) - qp.slope[i];
-      x[i] = b / s;
-      s_inv_b += x[i];
-      s_inv_1 += 1.0 / s;
+      x[i] = rho * (z[i] - u[i]) - qp.slope[i];
+      s_inv_1 += 1.0 / (qp.curv[i] + rho);
     }
-    const double gamma = (c * s_inv_b) / (1.0 + c * s_inv_1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double s = qp.curv[i] + rho;
-      x[i] -= gamma / s;
-    }
+    opt::dpr1_solve(qp.curv, rho, c, s_inv_1, x, x, n);
 
     for (std::size_t i = 0; i < n; ++i) {
       const double xh = alpha * x[i] + (1.0 - alpha) * z[i];

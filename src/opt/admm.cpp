@@ -1,7 +1,9 @@
 #include "rcr/opt/admm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -26,21 +28,69 @@ Vec soft_threshold(const Vec& v, double kappa) {
   return out;
 }
 
+void dpr1_solve(const double* d, double shift, double c, double sum_inv,
+                const double* b, double* x, std::size_t n) {
+  // Sherman-Morrison with S = diag(d + shift):
+  //   x = S^-1 b - (c 1^T S^-1 b) / (1 + c 1^T S^-1 1) S^-1 1.
+  double s_inv_b = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = b[i] / (d[i] + shift);
+    s_inv_b += x[i];
+  }
+  const double gamma = (c * s_inv_b) / (1.0 + c * sum_inv);
+  for (std::size_t i = 0; i < n; ++i) x[i] -= gamma / (d[i] + shift);
+}
+
+namespace {
+
+// Exact diagonal-plus-rank-one test on P: every off-diagonal entry bitwise
+// equal to one constant c >= 0, every d_i = P_ii - c + rho + ridge finite
+// and positive, and sum_i 1/d_i finite.  Fills `out` and returns true only
+// when P qualifies; anything else keeps the dense LU path.
+bool detect_dpr1(const Matrix& p, double rho, double ridge,
+                 BoxQpFactor::Dpr1& out) {
+  const std::size_t n = p.rows();
+  if (n == 0 || p.cols() != n) return false;
+  const double c = n > 1 ? p(0, 1) : 0.0;
+  if (!(c >= 0.0) || !std::isfinite(c)) return false;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j && bits(p(i, j)) != bits(c)) return false;
+  Vec d(n);
+  double sum_inv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = p(i, i) - c + rho + ridge;
+    if (!(d[i] > 0.0) || !std::isfinite(d[i])) return false;
+    sum_inv += 1.0 / d[i];
+  }
+  if (!std::isfinite(sum_inv)) return false;
+  out.d = std::move(d);
+  out.c = c;
+  out.sum_inv = sum_inv;
+  return true;
+}
+
+}  // namespace
+
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
                                                  double ridge, bool mixed) {
-  // x-update solves (P + rho I) x = rho (z - u) - q; factor once.  The
-  // shifted matrix is moved straight into the decomposition -- no second
+  // x-update solves (P + rho I) x = rho (z - u) - q; factor once.  A
+  // diagonal-plus-rank-one P keeps only its O(n) Sherman-Morrison operator.
+  // Otherwise the shifted matrix is moved straight into the LU -- no second
   // copy beyond the one the factorization itself owns (the mixed path keeps
   // one fp64 copy for residual evaluation during refinement).
-  Matrix m = p;
-  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
   robust::Result<BoxQpFactor> out;
-  if (mixed) {
-    out.value.mixed = true;
-    out.value.pshift = m;
-    num::float_lu_into(out.value.pshift, out.value.factor_f);
+  if (mixed || !detect_dpr1(p, rho, ridge, out.value.dpr1)) {
+    Matrix m = p;
+    for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
+    if (mixed) {
+      out.value.mixed = true;
+      out.value.pshift = m;
+      num::float_lu_into(out.value.pshift, out.value.factor_f);
+    }
+    out.value.factor = num::lu_decompose(std::move(m));
   }
-  out.value.factor = num::lu_decompose(std::move(m));
   out.value.rho = rho;
   if (robust::faults::enabled() &&
       robust::faults::should_inject("admm.factor.singular"))
@@ -208,6 +258,9 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
       } else {
         result.refine_iterations += static_cast<std::size_t>(refined);
       }
+    } else if (factor.structured()) {
+      dpr1_solve(factor.dpr1.d.data(), 0.0, factor.dpr1.c,
+                 factor.dpr1.sum_inv, rhs.data(), x.data(), n);
     } else {
       factor.factor.solve_into(rhs, x);
     }
@@ -254,8 +307,20 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
     result.status = robust::make_status(robust::StatusCode::kNonConverged,
                                         "max_iterations exhausted");
   result.x = z;  // feasible by construction
-  result.objective = 0.5 * num::quad_form(result.x, p, result.x) +
-                     num::dot(q, result.x);
+  if (factor.structured()) {
+    // x^T P x = sum_i (P_ii - c) x_i^2 + c (1^T x)^2.
+    const double c = factor.dpr1.c;
+    double quad = 0.0;
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      quad += (p(i, i) - c) * z[i] * z[i];
+      total += z[i];
+    }
+    result.objective = 0.5 * (quad + c * total * total) + num::dot(q, z);
+  } else {
+    result.objective = 0.5 * num::quad_form(result.x, p, result.x) +
+                       num::dot(q, result.x);
+  }
   if (warm != nullptr) {
     // Chainable state on a clean exit; cleared after a poisoned iterate so
     // the next solve cold-starts instead of inheriting the corruption.

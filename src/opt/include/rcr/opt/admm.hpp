@@ -36,28 +36,47 @@ struct AdmmOptions {
   bool mixed_precision = false;
 };
 
-/// Cached x-update operator for admm_box_qp: the LU factors of P + rho I.
-/// Build once with prefactor_box_qp and reuse across solves with the same P
-/// and rho -- repeated calls then skip the per-call matrix copy and
-/// refactorization entirely.
+/// Cached x-update operator for admm_box_qp.  Build once with
+/// prefactor_box_qp and reuse across solves with the same P and rho.  When P
+/// is diagonal-plus-rank-one -- every off-diagonal entry bitwise equal to
+/// one constant c >= 0, as in the serve per-cell power QP -- only the O(n)
+/// Sherman-Morrison operator `dpr1` is kept (O(n^2) to build, O(n) per
+/// x-update); otherwise, and always when mixed, the LU of P + rho I.
 struct BoxQpFactor {
-  num::LuDecomposition factor;  ///< LU of P + rho I.
+  num::LuDecomposition factor;  ///< LU of P + rho I (dense path only).
   double rho = 0.0;             ///< The rho the factor was built with.
   /// Mixed-precision extension (populated when built with mixed=true): the
   /// shifted matrix in fp64 for residual evaluation plus its fp32 factor.
   bool mixed = false;
   Matrix pshift;          ///< P + (rho + ridge) I.
   num::FloatLu factor_f;  ///< fp32 LU of pshift.
+  struct Dpr1 {
+    Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
+    double c = 0.0;       ///< The common off-diagonal entry of P.
+    double sum_inv = 0.0; ///< sum_i 1 / d_i, ascending.
+  } dpr1;
+
+  /// True when the x-update runs in O(n) on the structured operator.
+  bool structured() const { return !dpr1.d.empty(); }
 };
+
+/// O(n) Sherman-Morrison solve of (diag(d_i + shift) + c 11^T) x = b, given
+/// sum_inv = sum_i 1 / (d_i + shift) in ascending order; `x` may alias `b`.
+/// The operation order (x_i = b_i / s_i, ascending sum, gamma = (c sum x) /
+/// (1 + c sum_inv), x_i -= gamma / s_i) is fixed: the learned head's golden
+/// weights are trained through it.  Shared by admm_box_qp's structured
+/// x-update and learn::unrolled_admm_run (its per-step rho is `shift`).
+void dpr1_solve(const double* d, double shift, double c, double sum_inv,
+                const double* b, double* x, std::size_t n);
 
 /// Factor P + rho I for the box-QP x-update.  Throws std::runtime_error when
 /// P + rho I is singular (P not PSD).  `mixed` additionally builds the fp32
 /// factor consumed by AdmmOptions::mixed_precision.
 BoxQpFactor prefactor_box_qp(const Matrix& p, double rho, bool mixed = false);
 
-/// Non-throwing factor: status kSingular (with the factor left unusable)
-/// instead of the throw.  `ridge` adds an extra diagonal shift beyond rho
-/// (the escalating-regularization retry path).
+/// Non-throwing factor: status kSingular (with the factor left unusable, on
+/// both paths) instead of the throw.  `ridge` adds an extra diagonal shift
+/// beyond rho (the escalating-regularization retry path).
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
                                                  double ridge = 0.0,
                                                  bool mixed = false);
@@ -111,7 +130,8 @@ struct AdmmResult {
 /// Box-constrained QP:
 ///   minimize (1/2) x^T P x + q^T x   subject to  lo <= x <= hi.
 /// P must be symmetric PSD.  Splitting: x unconstrained quadratic prox
-/// (factorized once), z clamped to the box.
+/// (factorized once; O(n) per iteration on a diagonal-plus-rank-one P, see
+/// BoxQpFactor), z clamped to the box.
 ///
 /// Runtime numerical failures no longer throw: a singular P + rho I walks
 /// the escalating-ridge / rho-backoff ladder (`max_factor_retries`), and a
@@ -122,7 +142,8 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 
 /// Box-QP with a prefactored operator (see prefactor_box_qp).
 /// `factor.rho` must match `options.rho`; throws std::invalid_argument
-/// otherwise.  Iterations are allocation-free once warm.
+/// otherwise.  Iterations are allocation-free once warm; a structured factor
+/// also evaluates the final objective in O(n).
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options = {});

@@ -84,7 +84,8 @@ ThreadPool& locked_pool(std::size_t total) {
 
 ThreadPool& global_pool() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
-  return locked_pool(default_thread_count());
+  // RCR_THREADS is read only when the pool is created, not on every lookup.
+  return g_pool ? *g_pool : locked_pool(default_thread_count());
 }
 
 void set_global_threads(std::size_t total) {

@@ -7,7 +7,11 @@
 // tick * num_cells + cell) rather than wall-clock order: which entry gets
 // evicted then depends only on the workload, never on thread scheduling, so
 // a soak run produces bit-identical cache behavior for every RCR_THREADS
-// setting (ties broken by smaller key).
+// setting (ties broken by smaller key).  Each shard keeps a recency index
+// next to its map -- a binary min-heap on (stamp, key) whose entries know
+// their heap slot -- so a stamp refresh re-keys it and an eviction pops its
+// root in O(log n), instead of a linear scan over the whole shard.  The
+// victim is exactly the scan's: (stamp, key) pairs are distinct.
 //
 // Deterministic stamps alone are not enough under eviction pressure: with
 // in-place mutation, whether a concurrent get()'s stamp refresh lands
@@ -84,7 +88,7 @@ class ShardedLruCache {
     if (deferred_)
       shard.pending.push_back(PendingOp{stamp, key, false, V{}});
     else
-      it->second.stamp = stamp;
+      restamp(shard, it->second, stamp);
     out = it->second.value;
     ++shard.hits;
     obs::counter_add("rcr.serve.cache.hits");
@@ -130,7 +134,7 @@ class ShardedLruCache {
           apply_put(shard, op.key, op.stamp, std::move(op.value));
         } else {
           auto it = shard.map.find(op.key);
-          if (it != shard.map.end()) it->second.stamp = op.stamp;
+          if (it != shard.map.end()) restamp(shard, it->second, op.stamp);
         }
       }
       shard.pending.clear();
@@ -144,6 +148,7 @@ class ShardedLruCache {
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
       shard->map.clear();
+      shard->heap.clear();
       shard->pending.clear();
     }
   }
@@ -166,8 +171,15 @@ class ShardedLruCache {
 
  private:
   struct Entry {
-    std::uint64_t stamp = 0;
     V value{};
+    std::size_t slot = 0;  ///< Position in the shard's recency heap.
+  };
+  /// Recency-heap node; `entry` points into the shard map, whose node
+  /// addresses survive rehashing and the erasure of other keys.
+  struct HeapNode {
+    std::uint64_t stamp = 0;
+    std::uint64_t key = 0;
+    Entry* entry = nullptr;
   };
   struct PendingOp {
     std::uint64_t stamp = 0;
@@ -178,6 +190,7 @@ class ShardedLruCache {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Entry> map;
+    std::vector<HeapNode> heap;  ///< Min-heap on (stamp, key) over map.
     std::vector<PendingOp> pending;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -190,25 +203,71 @@ class ShardedLruCache {
                  V value) {
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second.stamp = stamp;
       it->second.value = std::move(value);
+      restamp(shard, it->second, stamp);
       return;
     }
     if (shard.map.size() >= per_shard_capacity_) {
-      auto victim = shard.map.begin();
-      for (auto cur = shard.map.begin(); cur != shard.map.end(); ++cur) {
-        if (cur->second.stamp < victim->second.stamp ||
-            (cur->second.stamp == victim->second.stamp &&
-             cur->first < victim->first))
-          victim = cur;
+      // The heap root is the smallest (stamp, key): the LRU victim.
+      shard.map.erase(shard.heap.front().key);
+      const HeapNode last = shard.heap.back();
+      shard.heap.pop_back();
+      if (!shard.heap.empty()) {
+        place(shard, 0, last);
+        sift_down(shard, 0);
       }
-      shard.map.erase(victim);
       ++shard.evictions;
       obs::counter_add("rcr.serve.cache.evictions");
     }
-    shard.map.emplace(key, Entry{stamp, std::move(value)});
+    Entry& entry =
+        shard.map.emplace(key, Entry{std::move(value), 0}).first->second;
+    shard.heap.push_back(HeapNode{stamp, key, &entry});
+    entry.slot = shard.heap.size() - 1;
+    sift_up(shard, entry.slot);
     ++shard.insertions;
     obs::counter_add("rcr.serve.cache.insertions");
+  }
+
+  /// Move `entry` to recency `stamp` and re-key the heap.
+  static void restamp(Shard& shard, Entry& entry, std::uint64_t stamp) {
+    shard.heap[entry.slot].stamp = stamp;
+    sift_up(shard, entry.slot);
+    sift_down(shard, entry.slot);
+  }
+
+  static bool older(const HeapNode& a, const HeapNode& b) {
+    return a.stamp != b.stamp ? a.stamp < b.stamp : a.key < b.key;
+  }
+
+  static void place(Shard& shard, std::size_t i, const HeapNode& node) {
+    shard.heap[i] = node;
+    node.entry->slot = i;
+  }
+
+  static void sift_up(Shard& shard, std::size_t i) {
+    const HeapNode node = shard.heap[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!older(node, shard.heap[parent])) break;
+      place(shard, i, shard.heap[parent]);
+      i = parent;
+    }
+    place(shard, i, node);
+  }
+
+  static void sift_down(Shard& shard, std::size_t i) {
+    const std::size_t n = shard.heap.size();
+    const HeapNode node = shard.heap[i];
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && older(shard.heap[child + 1], shard.heap[child]))
+        ++child;
+      if (!older(shard.heap[child], node)) break;
+      place(shard, i, shard.heap[child]);
+      i = child;
+    }
+    place(shard, i, node);
   }
 
   Shard& shard_for(std::uint64_t key) {

@@ -1,0 +1,216 @@
+// Differential oracle for the structured box-QP factor.
+//
+// When P is diagonal-plus-rank-one (every off-diagonal entry bitwise equal
+// to one constant c >= 0), prefactor_box_qp keeps an O(n) Sherman-Morrison
+// operator instead of an LU.  These tests pin that path against the dense
+// LU solve of the same P (a BoxQpFactor holding lu_decompose(P + rho I)),
+// and pin that every near-miss input stays on the LU path.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
+
+#include "rcr/numerics/decompositions.hpp"
+#include "rcr/numerics/rng.hpp"
+#include "rcr/opt/admm.hpp"
+
+namespace rcr::opt {
+namespace {
+
+struct BoxQp {
+  Matrix p;
+  Vec q, lo, hi;
+};
+
+enum class Curvature { kRandom, kNearZero };
+
+/// P = diag(curv) + c 11^T built the way the serve tick builds it: fill
+/// with c, then add the curvature on the diagonal.
+BoxQp random_dpr1(std::size_t n, double c, Curvature kind, num::Rng& rng) {
+  BoxQp b;
+  b.p = Matrix(n, n, c);
+  b.q.resize(n);
+  b.lo.resize(n);
+  b.hi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double curv = kind == Curvature::kNearZero
+                            ? (i % 3 == 0 ? 0.0 : 1e-12 * rng.uniform())
+                            : 0.05 + 2.0 * rng.uniform();
+    b.p(i, i) += curv;
+    b.q[i] = rng.normal();
+    b.lo[i] = -0.1 - rng.uniform();
+    b.hi[i] = 0.1 + rng.uniform();
+  }
+  return b;
+}
+
+/// The dense reference: the LU of P + rho I, exactly what the LU path of
+/// try_prefactor_box_qp stores.
+BoxQpFactor lu_factor(const Matrix& p, double rho) {
+  Matrix m = p;
+  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho;
+  BoxQpFactor f;
+  f.factor = num::lu_decompose(std::move(m));
+  f.rho = rho;
+  return f;
+}
+
+double max_rel_diff(const Vec& a, const Vec& b) {
+  double diff = 0.0;
+  double scale = 1.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return diff / scale;
+}
+
+TEST(AdmmStructured, AgreesWithDenseLuOnRandomDpr1Problems) {
+  num::Rng rng(2024);
+  AdmmOptions opts;
+  opts.tolerance = 1e-12;
+  opts.max_iterations = 200000;
+  for (const std::size_t n : {2u, 12u, 48u, 192u}) {
+    for (const double c : {0.0, 0.3, 4.0}) {
+      for (const Curvature kind : {Curvature::kRandom, Curvature::kNearZero}) {
+        for (const bool warm_start : {false, true}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " c=" + std::to_string(c) +
+                       " near_zero=" +
+                       std::to_string(kind == Curvature::kNearZero) +
+                       " warm=" + std::to_string(warm_start));
+          const BoxQp b = random_dpr1(n, c, kind, rng);
+          const BoxQpFactor fast = prefactor_box_qp(b.p, opts.rho);
+          ASSERT_TRUE(fast.structured());
+          EXPECT_EQ(fast.dpr1.c, c);
+          const BoxQpFactor dense = lu_factor(b.p, opts.rho);
+          ASSERT_FALSE(dense.structured());
+
+          AdmmWarmState warm_fast;
+          AdmmWarmState warm_dense;
+          if (warm_start) {
+            for (std::size_t i = 0; i < n; ++i) {
+              warm_fast.z.push_back(b.lo[i] + (b.hi[i] - b.lo[i]) *
+                                                  rng.uniform());
+              warm_fast.u.push_back(0.1 * rng.normal());
+            }
+            warm_dense = warm_fast;
+          }
+          const AdmmResult rf =
+              admm_box_qp(b.p, fast, b.q, b.lo, b.hi, opts,
+                          warm_start ? &warm_fast : nullptr);
+          const AdmmResult rd =
+              admm_box_qp(b.p, dense, b.q, b.lo, b.hi, opts,
+                          warm_start ? &warm_dense : nullptr);
+          EXPECT_EQ(rf.converged, rd.converged);
+          EXPECT_EQ(rf.status.code, rd.status.code);
+          EXPECT_EQ(rf.warm_use, rd.warm_use);
+          ASSERT_EQ(rf.x.size(), n);
+          EXPECT_LE(max_rel_diff(rf.x, rd.x), 1e-9);
+          EXPECT_NEAR(rf.objective, rd.objective,
+                      1e-9 * (1.0 + std::abs(rd.objective)));
+        }
+      }
+    }
+  }
+}
+
+TEST(AdmmStructured, FixedIterationTrajectoriesAgree) {
+  // Run both operators for the same fixed number of iterations (a negative
+  // tolerance never converges): the iterates, not just the optima, agree.
+  num::Rng rng(7);
+  AdmmOptions opts;
+  opts.tolerance = -1.0;
+  opts.max_iterations = 40;
+  for (const std::size_t n : {2u, 12u, 48u, 192u}) {
+    const BoxQp b = random_dpr1(n, 1.5, Curvature::kRandom, rng);
+    const AdmmResult rf = admm_box_qp(
+        b.p, prefactor_box_qp(b.p, opts.rho), b.q, b.lo, b.hi, opts);
+    const AdmmResult rd =
+        admm_box_qp(b.p, lu_factor(b.p, opts.rho), b.q, b.lo, b.hi, opts);
+    EXPECT_EQ(rf.iterations, rd.iterations);
+    EXPECT_EQ(rf.status.code, rd.status.code);
+    EXPECT_LE(max_rel_diff(rf.x, rd.x), 1e-9) << "n=" << n;
+  }
+}
+
+TEST(AdmmStructured, RidgeShiftsTheStructuredDiagonal) {
+  num::Rng rng(11);
+  const BoxQp b = random_dpr1(12, 0.5, Curvature::kRandom, rng);
+  const robust::Result<BoxQpFactor> f =
+      try_prefactor_box_qp(b.p, 1.0, /*ridge=*/1e-6);
+  ASSERT_TRUE(f.status.ok());
+  ASSERT_TRUE(f.value.structured());
+  double sum_inv = 0.0;
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(f.value.dpr1.d[i], b.p(i, i) - 0.5 + 1.0 + 1e-6);
+    sum_inv += 1.0 / f.value.dpr1.d[i];
+  }
+  EXPECT_EQ(f.value.dpr1.sum_inv, sum_inv);
+}
+
+TEST(AdmmStructured, NearMissesStayOnTheLuPath) {
+  num::Rng rng(5);
+  const std::size_t n = 12;
+  const double rho = 1.0;
+  const BoxQp base = random_dpr1(n, 0.8, Curvature::kRandom, rng);
+  ASSERT_TRUE(prefactor_box_qp(base.p, rho).structured());
+
+  BoxQp perturbed = base;  // one off-diagonal pair, one ulp apart
+  perturbed.p(3, 7) = std::nextafter(0.8, 1.0);
+  perturbed.p(7, 3) = perturbed.p(3, 7);
+  BoxQp asymmetric = base;  // a single entry, not mirrored
+  asymmetric.p(n - 1, 0) = 0.9;
+  BoxQp negative = base;  // c < 0 with a dominant diagonal (still PD)
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      negative.p(i, j) = i == j ? 20.0 : -0.5;
+
+  AdmmOptions opts;
+  for (const BoxQp* b : {&perturbed, &asymmetric, &negative}) {
+    const BoxQpFactor f = prefactor_box_qp(b->p, rho);
+    EXPECT_FALSE(f.structured());
+    // And the LU path is the one it always was: bit-identical to a
+    // hand-built LU factor.
+    const AdmmResult r = admm_box_qp(b->p, f, b->q, b->lo, b->hi, opts);
+    const AdmmResult ref =
+        admm_box_qp(b->p, lu_factor(b->p, rho), b->q, b->lo, b->hi, opts);
+    EXPECT_EQ(r.iterations, ref.iterations);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(r.x[i], ref.x[i]) << i;
+    EXPECT_EQ(r.objective, ref.objective);
+  }
+  // The mixed-precision factor always takes the dense path.
+  EXPECT_FALSE(prefactor_box_qp(base.p, rho, /*mixed=*/true).structured());
+  // A non-positive shifted diagonal (P not PSD along a coordinate) too.
+  BoxQp indefinite = base;
+  indefinite.p(2, 2) = 0.8 - 5.0;
+  EXPECT_FALSE(try_prefactor_box_qp(indefinite.p, rho).value.structured());
+}
+
+TEST(AdmmStructured, Dpr1SolveMatchesDenseSolve) {
+  num::Rng rng(13);
+  const std::size_t n = 9;
+  const double c = 0.7;
+  const double shift = 0.25;
+  Vec d(n), b(n);
+  Matrix m(n, n, c);
+  double sum_inv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = 0.1 + rng.uniform();
+    b[i] = rng.normal();
+    m(i, i) += d[i] + shift;
+    sum_inv += 1.0 / (d[i] + shift);
+  }
+  Vec x(n);
+  dpr1_solve(d.data(), shift, c, sum_inv, b.data(), x.data(), n);
+  const Vec ref = num::lu_decompose(m).solve(b);
+  EXPECT_LE(max_rel_diff(x, ref), 1e-12);
+  // In place (x aliasing b) is the same computation.
+  Vec inplace = b;
+  dpr1_solve(d.data(), shift, c, sum_inv, inplace.data(), inplace.data(), n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(inplace[i], x[i]);
+}
+
+}  // namespace
+}  // namespace rcr::opt

@@ -418,16 +418,26 @@ TEST(Chaos, PsoQuarantinesNanParticlesDeterministically) {
 }
 
 TEST(Chaos, AdmmSingularFactorWalksTheRidgeLadder) {
-  faults::ScopedFaults scope(spec_for("admm.factor.singular", ",max=1"));
-  RCR_CHAOS_TRACE();
   num::Rng rng(3);
-  const num::Matrix p = opt::random_psd(4, 4, rng) + num::Matrix::identity(4);
+  // A dense P (LU factor) and a diagonal-plus-rank-one P (structured
+  // factor): an injected singular factor walks the same ladder on both.
+  const num::Matrix dense =
+      opt::random_psd(4, 4, rng) + num::Matrix::identity(4);
+  num::Matrix dpr1(4, 4, 0.5);
+  for (std::size_t i = 0; i < 4; ++i) dpr1(i, i) += 1.0 + rng.uniform();
+  ASSERT_TRUE(opt::prefactor_box_qp(dpr1, 1.0).structured());
   const Vec q = rng.normal_vec(4);
-  const opt::AdmmResult r =
-      opt::admm_box_qp(p, q, Vec(4, -1.0), Vec(4, 1.0));
-  EXPECT_TRUE(r.status.usable()) << r.status.to_string();
-  EXPECT_FALSE(r.status.trail.empty()) << r.status.to_string();
-  EXPECT_TRUE(robust::all_finite(r.x));
+  const num::Matrix* inputs[] = {&dense, &dpr1};
+  for (const num::Matrix* p : inputs) {
+    faults::ScopedFaults scope(spec_for("admm.factor.singular", ",max=1"));
+    RCR_CHAOS_TRACE();
+    const opt::AdmmResult r =
+        opt::admm_box_qp(*p, q, Vec(4, -1.0), Vec(4, 1.0));
+    EXPECT_EQ(faults::injection_count("admm.factor.singular"), 1u);
+    EXPECT_TRUE(r.status.usable()) << r.status.to_string();
+    EXPECT_FALSE(r.status.trail.empty()) << r.status.to_string();
+    EXPECT_TRUE(robust::all_finite(r.x));
+  }
 }
 
 TEST(Chaos, SdpKktInjectionDrivesLeastSquaresRecovery) {

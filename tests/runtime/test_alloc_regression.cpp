@@ -130,31 +130,40 @@ TEST(AllocRegression, AdmmBoxQpAllocsIndependentOfIterationCount) {
   rt::ForceSerialGuard serial;
   num::Rng rng(31);
   const std::size_t n = 24;
-  Matrix p = random_matrix(n, n, rng);
-  p = num::multiply_at_b(p, p);
-  for (std::size_t i = 0; i < n; ++i) p(i, i) += 1.0;
+  // A dense PSD P (LU x-update) and a diagonal-plus-rank-one P (the O(n)
+  // structured x-update): both loops must be allocation-free.
+  Matrix dense = random_matrix(n, n, rng);
+  dense = num::multiply_at_b(dense, dense);
+  for (std::size_t i = 0; i < n; ++i) dense(i, i) += 1.0;
+  Matrix dpr1(n, n, 0.75);
+  for (std::size_t i = 0; i < n; ++i) dpr1(i, i) += 0.1 + rng.uniform();
   const Vec q = rng.normal_vec(n);
   const Vec lo(n, -1.0);
   const Vec hi(n, 1.0);
-  rcr::opt::AdmmOptions opts;
-  // Negative tolerance: the convergence test can never pass (residuals are
-  // >= 0), so the solver runs exactly max_iterations.
-  opts.tolerance = -1.0;
-  const rcr::opt::BoxQpFactor factor = rcr::opt::prefactor_box_qp(p, opts.rho);
 
-  auto allocs_for = [&](std::size_t iterations) {
-    opts.max_iterations = iterations;
-    rcr::opt::admm_box_qp(p, factor, q, lo, hi, opts);  // warm
-    const rt::AllocDelta delta;
-    const rcr::opt::AdmmResult res =
-        rcr::opt::admm_box_qp(p, factor, q, lo, hi, opts);
-    EXPECT_EQ(res.iterations, iterations);
-    return delta.delta();
-  };
+  for (const Matrix* p : {&dense, &dpr1}) {
+    rcr::opt::AdmmOptions opts;
+    // Negative tolerance: the convergence test can never pass (residuals
+    // are >= 0), so the solver runs exactly max_iterations.
+    opts.tolerance = -1.0;
+    const rcr::opt::BoxQpFactor factor =
+        rcr::opt::prefactor_box_qp(*p, opts.rho);
+    EXPECT_EQ(factor.structured(), p == &dpr1);
 
-  const std::uint64_t short_run = allocs_for(10);
-  const std::uint64_t long_run = allocs_for(200);
-  EXPECT_EQ(short_run, long_run);
+    auto allocs_for = [&](std::size_t iterations) {
+      opts.max_iterations = iterations;
+      rcr::opt::admm_box_qp(*p, factor, q, lo, hi, opts);  // warm
+      const rt::AllocDelta delta;
+      const rcr::opt::AdmmResult res =
+          rcr::opt::admm_box_qp(*p, factor, q, lo, hi, opts);
+      EXPECT_EQ(res.iterations, iterations);
+      return delta.delta();
+    };
+
+    const std::uint64_t short_run = allocs_for(10);
+    const std::uint64_t long_run = allocs_for(200);
+    EXPECT_EQ(short_run, long_run);
+  }
 }
 
 TEST(AllocRegression, AdmmLassoAllocsIndependentOfIterationCount) {
