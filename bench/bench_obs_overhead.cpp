@@ -114,16 +114,10 @@ int main() {
     problem.a_eq.push_back(Matrix::identity(n));
     problem.b_eq.push_back(1.0);
     const std::string size = "n=" + std::to_string(n);
-    // The structured fast path (PR 6): Schur-complement KKT solve,
-    // warm-started projection, rotation skipping, and a reused workspace.
-    // The overhead contract must hold on the configuration production
-    // actually runs -- the dense cold path both inflated ns/op ~15x and
-    // buried the obs cost under ~2000 allocs/op of solver noise.
+    // A reused workspace keeps solver allocations from burying the obs
+    // cost being measured.
     rcr::opt::SdpOptions options;
     options.max_iterations = smoke ? 500 : 2000;
-    options.exploit_structure = true;
-    options.warm_start_projection = true;
-    options.projection_rotation_threshold = 1e-9;
     rcr::opt::SdpWorkspace ws;
     const auto solve = [&] { rcr::opt::solve_sdp(problem, options, ws); };
 

@@ -1,4 +1,4 @@
-// SIMD kernel layer + structure-exploiting solver fast paths.
+// SIMD kernel layer + the solvers built on it.
 //
 // Two layers of measurement:
 //
@@ -6,19 +6,10 @@
 //             timed on the active dispatch table and again under
 //             ForceScalarGuard -- the intra-run vectorization gain.
 //   solvers   the obs-bench ADMM / SDP workload (same Rng(7) draw, same
-//             sizes) in its default configuration and in the opt-in fast
-//             configurations: mixed-precision refinement for the box-QP,
-//             and structured KKT + warm-started thresholded PSD projection
-//             + workspace reuse for the SDP.
+//             sizes): the box-QP, and the SDP through a reused workspace.
 //
-// When a previous harness JSON is reachable (RCR_BENCH_BASELINE, default
-// BENCH_perf_obs.json), matching records gain "speedup_vs" against it; the
-// headline sdp_admm/fast record is additionally compared against the
-// sdp_admm/off baseline (or this run's own off measurement when no file is
-// present) -- the number the >= 4x acceptance gate reads.  Writes
-// BENCH_perf_simd.json.
+// Writes BENCH_perf_simd.json.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "harness.hpp"
@@ -69,11 +60,6 @@ int main() {
               smoke ? ", smoke" : "");
 
   rcr::bench::Harness h("simd_kernels");
-  const char* base_env = std::getenv("RCR_BENCH_BASELINE");
-  const std::string base_path =
-      base_env != nullptr ? base_env : "BENCH_perf_obs.json";
-  if (h.set_baseline(base_path, base_path))
-    std::printf("baseline: %s\n\n", base_path.c_str());
 
   DisarmObs off;
   Rng rng(7);
@@ -141,10 +127,9 @@ int main() {
     }
   }
 
-  // --- solver layer: the obs-bench workload, default vs fast configs -----
+  // --- solver layer: the obs-bench workload -----------------------------
   // Same generator stream as bench_obs_overhead (Rng(7), box-QP drawn
-  // first) so the sdp_admm/off record here is directly comparable to the
-  // pre-optimization baseline JSON.
+  // first) so the records here are directly comparable to its off legs.
   {
     const std::size_t n = smoke ? 24 : 64;
     const Matrix p = rcr::opt::random_psd(n, n, rng) + Matrix::identity(n);
@@ -152,12 +137,8 @@ int main() {
     const Vec lo(n, -1.0), hi(n, 1.0);
     const std::string size = "n=" + std::to_string(n);
 
-    h.run("admm_boxqp/off", size, reps,
+    h.run("admm_boxqp", size, reps,
           [&] { rcr::opt::admm_box_qp(p, q, lo, hi); });
-    rcr::opt::AdmmOptions mixed;
-    mixed.mixed_precision = true;
-    h.run("admm_boxqp/mixed", size, reps,
-          [&] { rcr::opt::admm_box_qp(p, q, lo, hi, mixed); });
   }
   {
     const std::size_t n = smoke ? 6 : 12;
@@ -168,34 +149,13 @@ int main() {
     const std::string size = "n=" + std::to_string(n);
     rcr::opt::SdpOptions options;
     options.max_iterations = smoke ? 500 : 2000;
-
-    const rcr::bench::Record& offrec =
-        h.run("sdp_admm/off", size, reps,
-              [&] { rcr::opt::solve_sdp(problem, options); });
-    const double off_ns = offrec.ns_op;
-
-    rcr::opt::SdpOptions fast = options;
-    fast.exploit_structure = true;
-    fast.warm_start_projection = true;
-    fast.projection_rotation_threshold = 1e-9;
     rcr::opt::SdpWorkspace ws;
     bool converged = true;
-    rcr::bench::Record& fastrec =
-        h.run("sdp_admm/fast", size, reps, [&] {
-          converged = rcr::opt::solve_sdp(problem, fast, ws).converged;
-        });
-    // The acceptance gate compares the combined fast path against the
-    // pre-optimization default; fall back to this run's own off record
-    // when no baseline file is attached.
-    double gate_base = 0.0;
-    for (const auto& e : rcr::bench::load_baseline(base_path))
-      if (e.kernel == "sdp_admm/off" && e.size == size) gate_base = e.ns_op;
-    fastrec.baseline_ns = gate_base > 0.0 ? gate_base : off_ns;
-
-    std::printf("sdp_admm/fast %s: %.2fx vs baseline %.0f ns/op, "
-                "%.1f allocs/op, converged=%d\n\n",
-                size.c_str(), fastrec.speedup_vs(), fastrec.baseline_ns,
-                fastrec.allocs_op, converged ? 1 : 0);
+    const rcr::bench::Record& rec = h.run("sdp_admm", size, reps, [&] {
+      converged = rcr::opt::solve_sdp(problem, options, ws).converged;
+    });
+    std::printf("sdp_admm %s: %.0f ns/op, %.1f allocs/op, converged=%d\n\n",
+                size.c_str(), rec.ns_op, rec.allocs_op, converged ? 1 : 0);
   }
 
   h.print_table();

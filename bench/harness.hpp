@@ -4,19 +4,15 @@
 // the rcr_allocprobe counting allocator, optional serial-vs-parallel split),
 // prints an aligned table, and writes machine-readable JSON:
 //
-//   {"bench": "<name>", "threads": N, "smoke": 0|1, "baseline": "...",
+//   {"bench": "<name>", "threads": N, "smoke": 0|1,
 //    "results": [{"kernel": "...", "size": "...", "ns_op": ...,
 //                 "allocs_op": ..., "serial_ms": ..., "parallel_ms": ...,
-//                 "speedup": ..., "baseline_ns_op": ..., "speedup_vs": ...},
+//                 "speedup": ...},
 //                ...],
 //    "metrics": [{"name": "...", "kind": "...", "value": ..., "count": ...}]}
 //
 // serial_ms/parallel_ms/speedup are present only for records measured with
-// run_serial_parallel().  "baseline"/"baseline_ns_op"/"speedup_vs" appear
-// only after set_baseline() attached a previous run's JSON: each record
-// whose kernel+size matches a baseline entry reports how many times faster
-// it runs than that entry (speedup_vs = baseline ns_op / current ns_op).
-// "metrics" appears only when the rcr::obs registry
+// run_serial_parallel().  "metrics" appears only when the rcr::obs registry
 // is armed at export time: the bench's solver telemetry (iteration counts,
 // fallback degradations, queue depths) rides along with the timings so a
 // perf regression can be cross-checked against behavioural drift.  Set
@@ -53,82 +49,16 @@ struct Record {
   double allocs_op = 0.0;   ///< Heap allocations per op (steady state).
   double serial_ms = -1.0;  ///< < 0 when no serial/parallel split measured.
   double parallel_ms = -1.0;
-  double baseline_ns = -1.0;  ///< Matched baseline ns/op; < 0 when unmatched.
 
   double speedup() const {
     return (serial_ms >= 0.0 && parallel_ms > 0.0) ? serial_ms / parallel_ms
                                                    : 0.0;
   }
-  /// How many times faster than the attached baseline (0 when unmatched).
-  double speedup_vs() const {
-    return (baseline_ns > 0.0 && ns_op > 0.0) ? baseline_ns / ns_op : 0.0;
-  }
 };
-
-/// One kernel+size timing lifted from a previous run's JSON.
-struct BaselineEntry {
-  std::string kernel;
-  std::string size;
-  double ns_op = 0.0;
-};
-
-/// Parse the "results" records out of a harness-written JSON file.  A
-/// deliberately narrow string scan -- it reads exactly what write_json
-/// emits (keys in emission order), which spares the benches a JSON
-/// dependency.  Returns an empty vector when the file is missing.
-inline std::vector<BaselineEntry> load_baseline(const std::string& path) {
-  std::vector<BaselineEntry> out;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return out;
-  std::string text;
-  char chunk[4096];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-    text.append(chunk, got);
-  std::fclose(f);
-
-  const std::string kkernel = "{\"kernel\":\"";
-  const std::string ksize = "\"size\":\"";
-  const std::string kns = "\"ns_op\":";
-  std::size_t pos = 0;
-  while ((pos = text.find(kkernel, pos)) != std::string::npos) {
-    BaselineEntry e;
-    std::size_t start = pos + kkernel.size();
-    std::size_t end = text.find('"', start);
-    if (end == std::string::npos) break;
-    e.kernel = text.substr(start, end - start);
-    start = text.find(ksize, end);
-    if (start == std::string::npos) break;
-    start += ksize.size();
-    end = text.find('"', start);
-    if (end == std::string::npos) break;
-    e.size = text.substr(start, end - start);
-    start = text.find(kns, end);
-    if (start == std::string::npos) break;
-    e.ns_op = std::strtod(text.c_str() + start + kns.size(), nullptr);
-    out.push_back(std::move(e));
-    pos = end;
-  }
-  return out;
-}
 
 class Harness {
  public:
   explicit Harness(std::string name) : name_(std::move(name)) {}
-
-  /// Attach a previous run's JSON as the comparison baseline.  Records
-  /// (already collected or measured afterwards) with a matching kernel+size
-  /// gain baseline_ns / speedup_vs, the table gains a "vs-base" column, and
-  /// the JSON carries the baseline label.  Returns false (and clears any
-  /// previous baseline) when the file is missing or holds no records.
-  bool set_baseline(const std::string& path, std::string label) {
-    baseline_ = load_baseline(path);
-    baseline_label_ = baseline_.empty() ? std::string() : std::move(label);
-    for (Record& r : records_) r.baseline_ns = baseline_ns_for(r);
-    return !baseline_.empty();
-  }
-
-  bool has_baseline() const { return !baseline_.empty(); }
 
   /// Best wall-clock seconds for one invocation of `fn` over `reps` runs.
   static double time_best_of(int reps, const std::function<void()>& fn) {
@@ -160,7 +90,6 @@ class Harness {
     rec.size = size;
     rec.ns_op = 1e9 * time_best_of(reps, fn);
     rec.allocs_op = allocs_per_op(reps, fn);
-    rec.baseline_ns = baseline_ns_for(rec);
     records_.push_back(std::move(rec));
     return records_.back();
   }
@@ -181,7 +110,6 @@ class Harness {
     rec.parallel_ms = 1e3 * parallel_s;
     rec.ns_op = 1e9 * parallel_s;
     rec.allocs_op = allocs_per_op(reps, fn);
-    rec.baseline_ns = baseline_ns_for(rec);
     records_.push_back(std::move(rec));
     return records_.back();
   }
@@ -189,10 +117,8 @@ class Harness {
   const std::vector<Record>& records() const { return records_; }
 
   void print_table() const {
-    std::printf("%-26s %-14s %14s %12s %12s %12s %9s", "kernel", "size",
+    std::printf("%-26s %-14s %14s %12s %12s %12s %9s\n", "kernel", "size",
                 "ns/op", "allocs/op", "serial(ms)", "parallel(ms)", "speedup");
-    if (has_baseline()) std::printf(" %9s", "vs-base");
-    std::printf("\n");
     for (const Record& r : records_) {
       std::printf("%-26s %-14s %14.0f %12.1f ", r.kernel.c_str(),
                   r.size.c_str(), r.ns_op, r.allocs_op);
@@ -202,12 +128,6 @@ class Harness {
       } else {
         std::printf("%12s %12s %9s", "-", "-", "-");
       }
-      if (has_baseline()) {
-        if (r.baseline_ns > 0.0)
-          std::printf(" %8.2fx", r.speedup_vs());
-        else
-          std::printf(" %9s", "-");
-      }
       std::printf("\n");
     }
   }
@@ -216,10 +136,8 @@ class Harness {
     char buf[256];
     std::string json = "{\"bench\":\"" + name_ + "\",\"threads\":" +
                        std::to_string(rt::global_threads()) +
-                       ",\"smoke\":" + (smoke_mode() ? "1" : "0");
-    if (!baseline_label_.empty())
-      json += ",\"baseline\":\"" + baseline_label_ + "\"";
-    json += ",\"results\":[";
+                       ",\"smoke\":" + (smoke_mode() ? "1" : "0") +
+                       ",\"results\":[";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       std::snprintf(buf, sizeof(buf),
@@ -233,12 +151,6 @@ class Harness {
                       ",\"serial_ms\":%.4f,\"parallel_ms\":%.4f,"
                       "\"speedup\":%.3f",
                       r.serial_ms, r.parallel_ms, r.speedup());
-        json += buf;
-      }
-      if (r.baseline_ns > 0.0) {
-        std::snprintf(buf, sizeof(buf),
-                      ",\"baseline_ns_op\":%.1f,\"speedup_vs\":%.3f",
-                      r.baseline_ns, r.speedup_vs());
         json += buf;
       }
       json += "}";
@@ -278,16 +190,8 @@ class Harness {
   }
 
  private:
-  double baseline_ns_for(const Record& rec) const {
-    for (const BaselineEntry& e : baseline_)
-      if (e.kernel == rec.kernel && e.size == rec.size) return e.ns_op;
-    return -1.0;
-  }
-
   std::string name_;
   std::vector<Record> records_;
-  std::vector<BaselineEntry> baseline_;
-  std::string baseline_label_;
 };
 
 }  // namespace rcr::bench

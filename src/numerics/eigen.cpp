@@ -36,11 +36,10 @@ namespace {
 // contiguous rows).  The per-rotation update order matches the original
 // solver exactly -- strided column update, then the two m rows, then the two
 // vt rows -- and rotate_pair is lane-independent, so the result is
-// bit-identical to the pre-SIMD loop on every path.  rot_thresh > 0 adds
-// the opt-in skip of near-converged off-diagonals (warm-started projection
-// fast path); 0 preserves legacy behavior.
-void jacobi_sweeps(Matrix& m, Matrix& vt, double scale, int max_sweeps,
-                   double rot_thresh, double off_tol) {
+// bit-identical to the pre-SIMD loop on every path.  Sweeps stop once
+// sqrt(sum of squared off-diagonals) falls to 1e-14 * scale * n.
+void jacobi_sweeps(Matrix& m, Matrix& vt, double scale, int max_sweeps) {
+  constexpr double kOffTolerance = 1e-14;
   const std::size_t n = m.rows();
   const simd::Kernels& K = simd::active();
   double* pm = m.data().data();
@@ -49,15 +48,13 @@ void jacobi_sweeps(Matrix& m, Matrix& vt, double scale, int max_sweeps,
     double off = 0.0;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j) off += m(i, j) * m(i, j);
-    if (std::sqrt(off) <= off_tol * scale * static_cast<double>(n)) break;
+    if (std::sqrt(off) <= kOffTolerance * scale * static_cast<double>(n))
+      break;
 
-    std::size_t rotations = 0;
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
         const double apq = m(p, q);
         if (std::abs(apq) <= 1e-300) continue;
-        if (rot_thresh > 0.0 && std::abs(apq) <= rot_thresh * scale) continue;
-        ++rotations;
         const double theta = (m(q, q) - m(p, p)) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                          (std::abs(theta) + std::sqrt(theta * theta + 1.0));
@@ -74,10 +71,6 @@ void jacobi_sweeps(Matrix& m, Matrix& vt, double scale, int max_sweeps,
         K.rotate_pair(pv + p * n, pv + q * n, c, s, n);
       }
     }
-    // Every remaining off-diagonal is under the rotation threshold: more
-    // sweeps would only rescan the same skips.  (Without a threshold a
-    // rotation-free sweep implies every |apq| <= 1e-300, converged too.)
-    if (rotations == 0) break;
   }
 }
 
@@ -133,7 +126,7 @@ void eigen_sym_into(const Matrix& a, EigenWorkspace& ws,
   ws.m = a;
   ws.m.symmetrize();
   identity_into(ws.vt, n);
-  jacobi_sweeps(ws.m, ws.vt, scale, max_sweeps, 0.0, 1e-14);
+  jacobi_sweeps(ws.m, ws.vt, scale, max_sweeps);
   sort_spectrum(ws.m, ws.lambda, ws.order);
 
   out.eigenvalues.resize(n);
@@ -154,6 +147,7 @@ EigenDecomposition eigen_symmetric(const Matrix& a, int max_sweeps) {
 
 void project_psd_into(const Matrix& a, PsdProjectWorkspace& ws, Matrix& out,
                       const PsdProjectOptions& opts) {
+  constexpr int kProjectSweeps = 64;
   const std::size_t n = a.rows();
   const bool warm = opts.warm_start && ws.has_basis && ws.basis.rows() == n;
   if (!warm) {
@@ -166,8 +160,7 @@ void project_psd_into(const Matrix& a, PsdProjectWorkspace& ws, Matrix& out,
     const double scale = 1.0 + ws.m.max_abs();
     ws.m.symmetrize();
     identity_into(ws.vt, n);
-    jacobi_sweeps(ws.m, ws.vt, scale, opts.max_sweeps,
-                  opts.rotation_threshold, opts.off_tolerance);
+    jacobi_sweeps(ws.m, ws.vt, scale, kProjectSweeps);
   } else {
     // Warm path: rotate A into the previous eigenbasis W (rows of basis).
     // S = W A W^T is near-diagonal when A moved little since the last call
@@ -182,8 +175,7 @@ void project_psd_into(const Matrix& a, PsdProjectWorkspace& ws, Matrix& out,
     multiply_abt_into(ws.t2, ws.basis, ws.m);
     const double scale = 1.0 + ws.m.max_abs();
     ws.vt = ws.basis;
-    jacobi_sweeps(ws.m, ws.vt, scale, opts.max_sweeps,
-                  opts.rotation_threshold, opts.off_tolerance);
+    jacobi_sweeps(ws.m, ws.vt, scale, kProjectSweeps);
   }
   sort_spectrum(ws.m, ws.lambda, ws.order);
   reconstruct_from_vt(ws.vt, ws.lambda, ws.order, 0.0, out);

@@ -5,8 +5,8 @@
 // The `_into` workspace variants write the same bits the allocating
 // counterparts return (DESIGN.md Sec. 7), so iterative callers -- the ADMM
 // SDP projection above all -- can run allocation-free once warm without
-// changing results.  Bits change only through explicit PsdProjectOptions
-// opt-ins (warm-started eigenbasis, rotation threshold).
+// changing results.  Bits change only through the explicit
+// PsdProjectOptions::warm_start opt-in (warm-started eigenbasis).
 #pragma once
 
 #include <cstddef>
@@ -44,20 +44,13 @@ struct EigenWorkspace {
 void eigen_sym_into(const Matrix& a, EigenWorkspace& ws,
                     EigenDecomposition& out, int max_sweeps = 64);
 
-/// Tuning knobs for project_psd_into.  The defaults reproduce project_psd
-/// bit-for-bit; every field that can change bits is an explicit opt-in.
+/// Options for project_psd_into.  The default reproduces project_psd
+/// bit-for-bit.
 struct PsdProjectOptions {
   /// Reuse the previous call's eigenbasis: rotate the input into that frame
   /// (where it is near-diagonal when consecutive inputs are close, as in
   /// ADMM) before sweeping.  Changes rounding, not the projection contract.
   bool warm_start = false;
-  /// When > 0, skip rotations with |a_pq| <= threshold * scale.  Opt-in
-  /// early exit on already-converged off-diagonals.
-  double rotation_threshold = 0.0;
-  /// Sweep convergence cutoff on sqrt(sum of squared off-diagonals),
-  /// relative to scale * n.
-  double off_tolerance = 1e-14;
-  int max_sweeps = 64;
 };
 
 /// State carried between project_psd_into calls.
@@ -77,8 +70,8 @@ struct PsdProjectWorkspace {
 };
 
 /// Workspace variant of project_psd.  With default options the output is
-/// bit-identical to project_psd; warm_start/rotation_threshold trade bit
-/// reproducibility for fewer sweeps (ADMM projection fast path).
+/// bit-identical to project_psd; warm_start trades bit reproducibility for
+/// fewer sweeps (the ADMM SDP projection).
 void project_psd_into(const Matrix& a, PsdProjectWorkspace& ws, Matrix& out,
                       const PsdProjectOptions& opts = {});
 

@@ -74,21 +74,15 @@ bool detect_dpr1(const Matrix& p, double rho, double ridge,
 }  // namespace
 
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
-                                                 double ridge, bool mixed) {
+                                                 double ridge) {
   // x-update solves (P + rho I) x = rho (z - u) - q; factor once.  A
   // diagonal-plus-rank-one P keeps only its O(n) Sherman-Morrison operator.
   // Otherwise the shifted matrix is moved straight into the LU -- no second
-  // copy beyond the one the factorization itself owns (the mixed path keeps
-  // one fp64 copy for residual evaluation during refinement).
+  // copy beyond the one the factorization itself owns.
   robust::Result<BoxQpFactor> out;
-  if (mixed || !detect_dpr1(p, rho, ridge, out.value.dpr1)) {
+  if (!detect_dpr1(p, rho, ridge, out.value.dpr1)) {
     Matrix m = p;
     for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
-    if (mixed) {
-      out.value.mixed = true;
-      out.value.pshift = m;
-      num::float_lu_into(out.value.pshift, out.value.factor_f);
-    }
     out.value.factor = num::lu_decompose(std::move(m));
   }
   out.value.rho = rho;
@@ -103,8 +97,8 @@ robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
   return out;
 }
 
-BoxQpFactor prefactor_box_qp(const Matrix& p, double rho, bool mixed) {
-  robust::Result<BoxQpFactor> r = try_prefactor_box_qp(p, rho, 0.0, mixed);
+BoxQpFactor prefactor_box_qp(const Matrix& p, double rho) {
+  robust::Result<BoxQpFactor> r = try_prefactor_box_qp(p, rho);
   if (!r.status.ok())
     throw std::runtime_error("admm_box_qp: P + rho I singular (P not PSD?)");
   return std::move(r.value);
@@ -116,8 +110,7 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
   // ridge, then rho backoff (x10) with the ridge ladder re-run.  Every
   // failed rung is recorded in the degradation trail.
   robust::Status recovery;
-  robust::Result<BoxQpFactor> factor =
-      try_prefactor_box_qp(p, options.rho, 0.0, options.mixed_precision);
+  robust::Result<BoxQpFactor> factor = try_prefactor_box_qp(p, options.rho);
   AdmmOptions effective = options;
   if (!factor.status.ok() && options.max_factor_retries > 0) {
     const double ridge0 = 1e-10 * (1.0 + p.max_abs());
@@ -129,7 +122,7 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
       recovery.note("factor failed (" + factor.status.detail +
                     "); retrying with rho=" + std::to_string(rho) +
                     " ridge=" + std::to_string(ridge));
-      factor = try_prefactor_box_qp(p, rho, ridge, options.mixed_precision);
+      factor = try_prefactor_box_qp(p, rho, ridge);
       if (factor.status.ok()) {
         effective.rho = rho;
         break;
@@ -187,11 +180,6 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
 
   obs::Span span("admm.box_qp");
 
-  if (options.mixed_precision && !factor.mixed)
-    throw std::invalid_argument(
-        "admm_box_qp: mixed_precision requires a factor built with "
-        "prefactor_box_qp(p, rho, /*mixed=*/true)");
-
   Vec x(n, 0.0);
   Vec z = num::clamp(Vec(n, 0.0), lo, hi);
   Vec u(n, 0.0);
@@ -218,19 +206,6 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
   // performs no heap allocations.
   Vec rhs(n);
   Vec z_prev(n);
-  num::RefineWorkspace refine_ws;
-  // Refinement drives the x-update residual to fp64 roundoff territory,
-  // well under any tolerance the outer loop checks against.
-  constexpr double kRefineTol = 1e-12;
-  constexpr int kRefineMaxIters = 8;
-
-  // fp32 can underflow to singular on matrices fp64 handles fine: degrade
-  // to the fp64 path with a note rather than failing.
-  const bool use_mixed =
-      options.mixed_precision && factor.mixed && !factor.factor_f.singular;
-  if (options.mixed_precision && !use_mixed)
-    result.status.note("fp32 factor singular; running fp64 x-updates");
-  bool refine_stall_noted = false;
   const double scale = 1.0 + num::norm_inf(q);
   const bool faults_on = robust::faults::enabled();
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
@@ -243,22 +218,7 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
     }
     for (std::size_t i = 0; i < n; ++i)
       rhs[i] = options.rho * (z[i] - u[i]) - q[i];
-    if (use_mixed) {
-      const int refined =
-          num::refine_solve(factor.pshift, factor.factor_f, rhs, x,
-                            kRefineTol, kRefineMaxIters, refine_ws);
-      if (refined < 0) {
-        // Stalled below the refinement target: redo this solve in fp64.
-        factor.factor.solve_into(rhs, x);
-        if (!refine_stall_noted) {
-          result.status.note("refinement stalled at iteration " +
-                             std::to_string(it) + "; fp64 fallback");
-          refine_stall_noted = true;
-        }
-      } else {
-        result.refine_iterations += static_cast<std::size_t>(refined);
-      }
-    } else if (factor.structured()) {
+    if (factor.structured()) {
       dpr1_solve(factor.dpr1.d.data(), 0.0, factor.dpr1.c,
                  factor.dpr1.sum_inv, rhs.data(), x.data(), n);
     } else {
@@ -333,8 +293,6 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
   }
   obs::counter_add("rcr.admm.solves");
   obs::counter_add("rcr.admm.iterations", result.iterations);
-  if (result.refine_iterations > 0)
-    obs::counter_add("rcr.admm.refine_iters", result.refine_iterations);
   span.attr("iterations", static_cast<double>(result.iterations));
   span.attr("converged", result.converged ? 1.0 : 0.0);
   span.attr("objective", result.objective);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include "rcr/numerics/decompositions.hpp"
-#include "rcr/numerics/mixed.hpp"
 #include "rcr/opt/quadratic.hpp"
 #include "rcr/opt/warm.hpp"
 #include "rcr/robust/budget.hpp"
@@ -28,12 +27,6 @@ struct AdmmOptions {
   /// Recovery ladder for a singular P + rho I: escalating diagonal ridge,
   /// then rho backoff (x10) with the ridge ladder re-run.  0 disables.
   std::size_t max_factor_retries = 4;
-  /// Opt-in mixed-precision x-update: fp32 triangular solves corrected by
-  /// fp64 iterative refinement (num::refine_solve).  Requires a factor
-  /// built with mixed=true.  Off by default; the fp64 path is bit-identical
-  /// with this off.  Iterations where refinement stalls fall back to the
-  /// fp64 factor transparently (see AdmmResult::refine_iterations).
-  bool mixed_precision = false;
 };
 
 /// Cached x-update operator for admm_box_qp.  Build once with
@@ -41,15 +34,10 @@ struct AdmmOptions {
 /// is diagonal-plus-rank-one -- every off-diagonal entry bitwise equal to
 /// one constant c >= 0, as in the serve per-cell power QP -- only the O(n)
 /// Sherman-Morrison operator `dpr1` is kept (O(n^2) to build, O(n) per
-/// x-update); otherwise, and always when mixed, the LU of P + rho I.
+/// x-update); otherwise the LU of P + rho I.
 struct BoxQpFactor {
   num::LuDecomposition factor;  ///< LU of P + rho I (dense path only).
   double rho = 0.0;             ///< The rho the factor was built with.
-  /// Mixed-precision extension (populated when built with mixed=true): the
-  /// shifted matrix in fp64 for residual evaluation plus its fp32 factor.
-  bool mixed = false;
-  Matrix pshift;          ///< P + (rho + ridge) I.
-  num::FloatLu factor_f;  ///< fp32 LU of pshift.
   struct Dpr1 {
     Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
     double c = 0.0;       ///< The common off-diagonal entry of P.
@@ -70,16 +58,14 @@ void dpr1_solve(const double* d, double shift, double c, double sum_inv,
                 const double* b, double* x, std::size_t n);
 
 /// Factor P + rho I for the box-QP x-update.  Throws std::runtime_error when
-/// P + rho I is singular (P not PSD).  `mixed` additionally builds the fp32
-/// factor consumed by AdmmOptions::mixed_precision.
-BoxQpFactor prefactor_box_qp(const Matrix& p, double rho, bool mixed = false);
+/// P + rho I is singular (P not PSD).
+BoxQpFactor prefactor_box_qp(const Matrix& p, double rho);
 
 /// Non-throwing factor: status kSingular (with the factor left unusable, on
 /// both paths) instead of the throw.  `ridge` adds an extra diagonal shift
 /// beyond rho (the escalating-regularization retry path).
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
-                                                 double ridge = 0.0,
-                                                 bool mixed = false);
+                                                 double ridge = 0.0);
 
 /// Cached x-update operator for admm_lasso: the LU factors of A^T A + rho I.
 /// The Gram product is the dominant setup cost; building it once amortizes
@@ -120,9 +106,6 @@ struct AdmmResult {
   /// expiry, kSingular/kDegraded through the factor-recovery ladder.  The
   /// trail records every recovery step taken.
   robust::Status status;
-  /// Total fp64 refinement corrections across all iterations (0 unless
-  /// mixed_precision ran).
-  std::size_t refine_iterations = 0;
   /// Disposition of the warm state handed to this solve (kCold when none).
   WarmUse warm_use = WarmUse::kCold;
 };

@@ -14,7 +14,6 @@
 
 #include "rcr/numerics/decompositions.hpp"
 #include "rcr/numerics/eigen.hpp"
-#include "rcr/numerics/mixed.hpp"
 #include "rcr/opt/quadratic.hpp"
 #include "rcr/opt/warm.hpp"
 #include "rcr/robust/budget.hpp"
@@ -43,30 +42,9 @@ struct SdpOptions {
   /// its best PSD-projected iterate with status kDeadlineExpired.
   robust::Budget budget;
   /// Recovery ladder for a degenerate (rank-deficient) constraint system:
-  /// escalating diagonal ridge on the KKT matrix.  0 disables, in which
+  /// escalating diagonal ridge on the Schur complement.  0 disables, in which
   /// case a singular KKT system yields status kSingular immediately.
   std::size_t max_kkt_retries = 4;
-  /// Reuse the previous iterate's eigenbasis to precondition each PSD
-  /// projection (near-diagonal Jacobi input after the first few iterations).
-  /// Off by default: the warm path reassociates, so results are close but
-  /// not bit-identical to the cold projection.
-  bool warm_start_projection = false;
-  /// Skip Jacobi rotations whose off-diagonal is below threshold * scale
-  /// inside the projection (see num::PsdProjectOptions::rotation_threshold).
-  /// 0 keeps the exact legacy sweep.
-  double projection_rotation_threshold = 0.0;
-  /// Solve the per-iteration KKT system with an fp32 LU factor plus fp64
-  /// iterative refinement (num::refine_solve).  Off by default; the fp64
-  /// path is bit-identical with this off.  Ignored when exploit_structure
-  /// is set (the m x m Schur solve is already cheap in fp64).  Falls back
-  /// to fp64 when the fp32 factor is singular or refinement stalls.
-  bool mixed_precision = false;
-  /// Exploit the arrow structure of the KKT system [rho*I, M^T; M, 0]:
-  /// eliminate the block-diagonal to an m x m Schur complement
-  /// (M M^T / rho + ridge*I) instead of factoring the dense
-  /// (n^2 + m_in + m)-square system.  Same linear system, different
-  /// factorization -- results are close but not bit-identical.
-  bool exploit_structure = false;
 };
 
 /// Iteration-persistent buffers for solve_sdp.  Reusing one workspace across
@@ -77,16 +55,12 @@ struct SdpOptions {
 /// orthonormal frame is -- they just cost extra Jacobi sweeps).
 struct SdpWorkspace {
   num::PsdProjectWorkspace projection;
-  num::LuDecomposition kkt;      ///< Dense KKT factor.
-  num::FloatLu kkt_f;            ///< fp32 KKT factor (mixed_precision).
-  num::RefineWorkspace refine;
-  num::LuDecomposition gram_lu;  ///< Schur-complement factor (structured).
-  Matrix big;                    ///< Dense KKT matrix.
-  Matrix mrows;                  ///< m x dim_y affine rows (structured).
-  Matrix gram;                   ///< m x m Schur complement (structured).
+  num::LuDecomposition gram_lu;  ///< Schur-complement factor.
+  Matrix mrows;                  ///< m x dim_y affine rows.
+  Matrix gram;                   ///< m x m Schur complement.
   Matrix xw, xp;                 ///< PSD-projection staging.
-  Vec cvec, d, z, u, y, rhs, sol, w, z_next;
-  Vec t_small, lambda_small, mty;  ///< Structured-solve staging.
+  Vec cvec, d, z, u, y, rhs, w, z_next;
+  Vec t_small, lambda_small, mty;  ///< Schur-solve staging.
   void reset() { projection.reset(); }
 };
 
@@ -113,9 +87,6 @@ struct SdpResult {
   double primal_residual = 0.0;  ///< Constraint + cone violation at exit.
   std::size_t iterations = 0;
   bool converged = false;
-  /// Total fp64 refinement corrections across all KKT solves (0 unless
-  /// mixed_precision was on and the fp32 path was used).
-  std::size_t refine_iterations = 0;
   /// Runtime disposition: kOk on convergence, kNonConverged on iteration
   /// exhaustion, kDegraded when the KKT ridge ladder had to fire (trail
   /// records each rung), kSingular when it was exhausted,
@@ -126,9 +97,11 @@ struct SdpResult {
   WarmUse warm_use = WarmUse::kCold;
 };
 
-/// Solve the SDP via ADMM: an affine proximal step (equality-constrained
-/// quadratic, KKT factorized once) alternating with projection onto
-/// PSD-cone x nonnegative-slack.
+/// Solve the SDP via ADMM: an affine proximal step alternating with
+/// projection onto PSD-cone x nonnegative-slack.  The affine step's KKT
+/// system [rho*I, M^T; M, 0] is an arrow, so it is reduced to the m x m
+/// Schur complement M M^T / rho (factored once per solve); each projection
+/// is warm-started from the previous iterate's eigenbasis.
 SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options = {});
 
 /// Workspace-reusing overload: repeated solves through the same workspace

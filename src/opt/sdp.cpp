@@ -44,7 +44,6 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
   const std::size_t dim_y = nn + m_in;        // [vec(X); slacks]
   const std::size_t m = m_eq + m_in;          // affine rows
   const double rho = options.rho;
-  const bool structured = options.exploit_structure;
 
   SdpResult result;
   const bool faults_on = robust::faults::enabled();
@@ -75,119 +74,57 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
     return result;
   };
 
-  // Factor the affine-step system.  A degenerate (rank-deficient) constraint
-  // set makes it singular; instead of aborting, regularize the multiplier
-  // block with an escalating ridge -- the damped least-squares multiplier.
-  // Each rung is recorded in the degradation trail.
-  if (!structured) {
-    // Dense KKT: stack M y = d into [rho*I, M^T; M, -ridge*I].
-    ws.big.assign(dim_y + m, dim_y + m, 0.0);
-    for (std::size_t i = 0; i < dim_y; ++i) ws.big(i, i) = rho;
-    auto fill_row = [&](std::size_t row, const Matrix& a_mat, bool with_slack,
-                        std::size_t slack_index) {
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-          ws.big(dim_y + row, i * n + j) = a_mat(i, j);
-          ws.big(i * n + j, dim_y + row) = a_mat(i, j);
-        }
-      if (with_slack) {
-        ws.big(dim_y + row, nn + slack_index) = 1.0;
-        ws.big(nn + slack_index, dim_y + row) = 1.0;
-      }
-    };
-    for (std::size_t i = 0; i < m_eq; ++i)
-      fill_row(i, problem.a_eq[i], false, 0);
-    for (std::size_t j = 0; j < m_in; ++j)
-      fill_row(m_eq + j, problem.a_in[j], true, j);
-
-    auto factor_kkt = [&](double ridge) {
-      for (std::size_t i = 0; i < m; ++i) ws.big(dim_y + i, dim_y + i) = -ridge;
-      num::lu_decompose_into(ws.big, ws.kkt);
+  // Factor the affine-step system.  The KKT matrix [rho*I, M^T; M, 0] is an
+  // arrow -- rho*I over the whole y block -- so eliminating it leaves the
+  // m x m Schur complement G = M M^T / rho.  Only the affine rows M are
+  // materialized; per-iteration work is two thin matvecs and an m x m
+  // solve.  A degenerate (rank-deficient) constraint set makes G singular;
+  // instead of aborting, G gets an escalating ridge -- the damped
+  // least-squares multiplier.  Each rung is recorded in the degradation
+  // trail.
+  ws.mrows.assign(m, dim_y, 0.0);
+  for (std::size_t r = 0; r < m_eq; ++r) {
+    const Matrix& a_mat = problem.a_eq[r];
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ws.mrows(r, i * n + j) = a_mat(i, j);
+  }
+  for (std::size_t s = 0; s < m_in; ++s) {
+    const Matrix& a_mat = problem.a_in[s];
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ws.mrows(m_eq + s, i * n + j) = a_mat(i, j);
+    ws.mrows(m_eq + s, nn + s) = 1.0;
+  }
+  if (m > 0) {
+    auto factor_gram = [&](double ridge) {
+      num::multiply_abt_into(ws.mrows, ws.mrows, ws.gram);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < m; ++j) ws.gram(i, j) /= rho;
+      for (std::size_t i = 0; i < m; ++i) ws.gram(i, i) += ridge;
+      num::lu_decompose_into(ws.gram, ws.gram_lu);
       if (faults_on && robust::faults::should_inject("sdp.kkt.singular"))
-        ws.kkt.singular = true;
+        ws.gram_lu.singular = true;
     };
-    factor_kkt(0.0);
-    if (ws.kkt.singular) {
-      double ridge = 1e-10 * (1.0 + ws.big.max_abs());
+    factor_gram(0.0);
+    if (ws.gram_lu.singular) {
+      double ridge = 1e-10 * (1.0 + ws.gram.max_abs());
       for (std::size_t attempt = 0;
-           attempt < options.max_kkt_retries && ws.kkt.singular; ++attempt) {
+           attempt < options.max_kkt_retries && ws.gram_lu.singular;
+           ++attempt) {
         result.status.note(
             "KKT factorization singular (degenerate constraint system); "
             "retrying with least-squares multiplier ridge=" +
             std::to_string(ridge));
-        factor_kkt(ridge);
+        factor_gram(ridge);
         ridge *= 1e4;
       }
-      if (ws.kkt.singular) return fail_singular();
+      if (ws.gram_lu.singular) return fail_singular();
       result.status.code = robust::StatusCode::kDegraded;
       result.status.detail =
           "KKT system regularized (least-squares multiplier)";
     }
-  } else {
-    // Structured: the KKT matrix is an arrow -- rho*I over the whole y
-    // block -- so eliminating it leaves the m x m Schur complement
-    // G = M M^T / rho + ridge*I.  Only the affine rows M are materialized;
-    // per-iteration work drops from a (dim_y + m)-square triangular solve
-    // to two thin matvecs and an m x m solve.
-    ws.mrows.assign(m, dim_y, 0.0);
-    for (std::size_t r = 0; r < m_eq; ++r) {
-      const Matrix& a_mat = problem.a_eq[r];
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          ws.mrows(r, i * n + j) = a_mat(i, j);
-    }
-    for (std::size_t s = 0; s < m_in; ++s) {
-      const Matrix& a_mat = problem.a_in[s];
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          ws.mrows(m_eq + s, i * n + j) = a_mat(i, j);
-      ws.mrows(m_eq + s, nn + s) = 1.0;
-    }
-    if (m > 0) {
-      auto factor_gram = [&](double ridge) {
-        num::multiply_abt_into(ws.mrows, ws.mrows, ws.gram);
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < m; ++j) ws.gram(i, j) /= rho;
-        for (std::size_t i = 0; i < m; ++i) ws.gram(i, i) += ridge;
-        num::lu_decompose_into(ws.gram, ws.gram_lu);
-        if (faults_on && robust::faults::should_inject("sdp.kkt.singular"))
-          ws.gram_lu.singular = true;
-      };
-      factor_gram(0.0);
-      if (ws.gram_lu.singular) {
-        double ridge = 1e-10 * (1.0 + ws.gram.max_abs());
-        for (std::size_t attempt = 0;
-             attempt < options.max_kkt_retries && ws.gram_lu.singular;
-             ++attempt) {
-          result.status.note(
-              "KKT factorization singular (degenerate constraint system); "
-              "retrying with least-squares multiplier ridge=" +
-              std::to_string(ridge));
-          factor_gram(ridge);
-          ridge *= 1e4;
-        }
-        if (ws.gram_lu.singular) return fail_singular();
-        result.status.code = robust::StatusCode::kDegraded;
-        result.status.detail =
-            "KKT system regularized (least-squares multiplier)";
-      }
-    }
   }
-
-  // Opt-in mixed precision on the dense path: fp32 LU of the KKT matrix,
-  // fp64 residual refinement per solve.  Degrades to fp64 when fp32
-  // underflows the factorization to singularity.
-  bool use_mixed = false;
-  if (options.mixed_precision && !structured) {
-    num::float_lu_into(ws.big, ws.kkt_f);
-    if (ws.kkt_f.singular)
-      result.status.note("fp32 KKT factor singular; running fp64 solves");
-    else
-      use_mixed = true;
-  }
-  constexpr double kRefineTol = 1e-12;
-  constexpr int kRefineMaxIters = 8;
-  bool refine_stalled = false;
 
   ws.cvec.assign(dim_y, 0.0);
   for (std::size_t i = 0; i < n; ++i)
@@ -210,7 +147,7 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
     }
   }
   ws.y.assign(dim_y, 0.0);
-  ws.rhs.assign(structured ? dim_y : dim_y + m, 0.0);
+  ws.rhs.assign(dim_y, 0.0);
   ws.w.assign(dim_y, 0.0);
   ws.z_next.assign(dim_y, 0.0);
   ws.xw.assign(n, n, 0.0);
@@ -225,8 +162,7 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
   Matrix& xw = ws.xw;
 
   num::PsdProjectOptions popts;
-  popts.warm_start = options.warm_start_projection;
-  popts.rotation_threshold = options.projection_rotation_threshold;
+  popts.warm_start = true;
 
   const double scale = 1.0 + problem.c.max_abs() + num::norm_inf(d);
 
@@ -241,48 +177,22 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
     // y-update: min c^T y + rho/2 ||y - z + u||^2  s.t.  M y = d.
     for (std::size_t i = 0; i < dim_y; ++i)
       rhs[i] = rho * (z[i] - u[i]) - cvec[i];
-    if (!structured) {
-      for (std::size_t i = 0; i < m; ++i) rhs[dim_y + i] = d[i];
-      if (use_mixed) {
-        const int refined =
-            num::refine_solve(ws.big, ws.kkt_f, rhs, ws.sol, kRefineTol,
-                              kRefineMaxIters, ws.refine);
-        if (refined < 0) {
-          if (!refine_stalled) {
-            result.status.note(
-                "mixed-precision refinement stalled at iteration " +
-                std::to_string(it + 1) + "; fp64 fallback for this solve");
-            refine_stalled = true;
-          }
-          ws.kkt.solve_into(rhs, ws.sol);
-        } else {
-          result.refine_iterations += static_cast<std::size_t>(refined);
-        }
-      } else {
-        ws.kkt.solve_into(rhs, ws.sol);
-      }
-      if (faults_on && !ws.sol.empty() &&
-          robust::faults::should_inject("sdp.iterate.nan"))
-        ws.sol[0] = std::numeric_limits<double>::quiet_NaN();
-      for (std::size_t i = 0; i < dim_y; ++i) y[i] = ws.sol[i];
+    if (m > 0) {
+      // lambda from (M M^T / rho + ridge*I) lambda = M rhs / rho - d,
+      // then y = (rhs - M^T lambda) / rho.
+      num::matvec_into(ws.mrows, rhs, ws.t_small);
+      for (std::size_t i = 0; i < m; ++i)
+        ws.t_small[i] = ws.t_small[i] / rho - d[i];
+      ws.gram_lu.solve_into(ws.t_small, ws.lambda_small);
+      num::matvec_transposed_into(ws.mrows, ws.lambda_small, ws.mty);
+      for (std::size_t i = 0; i < dim_y; ++i)
+        y[i] = (rhs[i] - ws.mty[i]) / rho;
     } else {
-      if (m > 0) {
-        // lambda from (M M^T / rho + ridge*I) lambda = M rhs1 / rho - d,
-        // then y = (rhs1 - M^T lambda) / rho.
-        num::matvec_into(ws.mrows, rhs, ws.t_small);
-        for (std::size_t i = 0; i < m; ++i)
-          ws.t_small[i] = ws.t_small[i] / rho - d[i];
-        ws.gram_lu.solve_into(ws.t_small, ws.lambda_small);
-        num::matvec_transposed_into(ws.mrows, ws.lambda_small, ws.mty);
-        for (std::size_t i = 0; i < dim_y; ++i)
-          y[i] = (rhs[i] - ws.mty[i]) / rho;
-      } else {
-        for (std::size_t i = 0; i < dim_y; ++i) y[i] = rhs[i] / rho;
-      }
-      if (faults_on && dim_y > 0 &&
-          robust::faults::should_inject("sdp.iterate.nan"))
-        y[0] = std::numeric_limits<double>::quiet_NaN();
+      for (std::size_t i = 0; i < dim_y; ++i) y[i] = rhs[i] / rho;
     }
+    if (faults_on && dim_y > 0 &&
+        robust::faults::should_inject("sdp.iterate.nan"))
+      y[0] = std::numeric_limits<double>::quiet_NaN();
     // NaN/Inf sentinel BEFORE the PSD projection: feeding a poisoned iterate
     // to the eigendecomposition would waste a full sweep budget on garbage.
     // z still holds the last clean projected iterate, so stop on it.
@@ -371,8 +281,6 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
   result.primal_residual = viol;
   obs::counter_add("rcr.sdp.solves");
   obs::counter_add("rcr.sdp.iterations", result.iterations);
-  if (result.refine_iterations > 0)
-    obs::counter_add("rcr.sdp.refine_iters", result.refine_iterations);
   span.attr("iterations", static_cast<double>(result.iterations));
   span.attr("converged", result.converged ? 1.0 : 0.0);
   span.attr("primal_residual", result.primal_residual);

@@ -1,20 +1,11 @@
 // Portable vectorized kernel layer for the numerics hot loops.
 //
-// The repo's determinism contract (DESIGN.md Sec. 6-7, 12) splits the
-// kernels into two classes:
-//
-//  * bit-exact kernels -- lane-independent elementwise ops, paired plane
-//    rotations, FFT butterflies, and the *_seq reductions (SIMD products,
-//    scalar-ordered adds).  Their vectorized forms perform the identical
-//    sequence of IEEE roundings as the scalar fallback, so the active path
-//    may change between builds/machines without changing a single output
-//    bit.  These back the default solver paths.
-//
-//  * reassociating kernels (`dot_reassoc`, the fp32 kernels) -- lane-strided
-//    accumulation reorders the sum, so results match the scalar fallback
-//    only to a few ULPs.  These are used exclusively by opt-in paths
-//    (mixed-precision refinement) whose contract is a residual tolerance,
-//    never bit identity.
+// The repo's determinism contract (DESIGN.md Sec. 6-7, 12): every kernel is
+// bit-exact.  The table holds lane-independent elementwise ops, paired plane
+// rotations, FFT butterflies, and the *_seq reductions (SIMD products,
+// scalar-ordered adds).  Their vectorized forms perform the identical
+// sequence of IEEE roundings as the scalar fallback, so the active path may
+// change between builds/machines without changing a single output bit.
 //
 // Path selection: the best compiled path (AVX2 on x86-64, NEON on aarch64,
 // scalar otherwise) is picked once per process, guarded by a runtime CPU
@@ -27,8 +18,8 @@
 //
 // NaN/Inf caveat: `butterfly`'s vector path uses the naive complex-multiply
 // formula, which matches libstdc++'s fast path bit-for-bit on finite data
-// but skips the Annex-G infinity recovery.  All kernels are bit-exact (or
-// ULP-bounded, per class) for finite inputs only.
+// but skips the Annex-G infinity recovery.  All kernels are bit-exact for
+// finite inputs only.
 #pragma once
 
 #include <complex>
@@ -42,7 +33,6 @@ enum class Path { kScalar, kAvx2, kNeon };
 /// Vectorized kernel table.  One function pointer per kernel; the scalar
 /// table is the reference implementation for every differential test.
 struct Kernels {
-  // ---- fp64, bit-exact class -------------------------------------------
   /// out[i] = a[i] + b[i].  `out` may alias `a` or `b` exactly.
   void (*add)(const double* a, const double* b, double* out, std::size_t n);
   /// out[i] = a[i] - b[i].  Alias policy as `add`.
@@ -81,20 +71,6 @@ struct Kernels {
   /// Bit-exact vs the scalar path for finite data (see header comment).
   void (*butterfly)(std::complex<double>* lo, std::complex<double>* hi,
                     const std::complex<double>* tw, std::size_t n);
-
-  // ---- fp64, reassociating class (opt-in paths only) -------------------
-  /// Lane-strided dot product; reassociates the sum (few-ULP contract).
-  double (*dot_reassoc)(const double* a, const double* b, std::size_t n);
-
-  // ---- fp32 kernels (mixed-precision refinement) -----------------------
-  /// y[i] += s * x[i] in fp32 (FloatLu row elimination).  Bit-exact class.
-  void (*saxpy)(float s, const float* x, float* y, std::size_t n);
-  /// Lane-strided fp32 dot (FloatLu triangular solves).  Reassociating.
-  float (*sdot_reassoc)(const float* a, const float* b, std::size_t n);
-  /// dst[i] = (float)src[i].  Bit-exact class (one rounding per element).
-  void (*to_float)(const double* src, float* dst, std::size_t n);
-  /// dst[i] = (double)src[i].  Exact (widening).
-  void (*to_double)(const float* src, double* dst, std::size_t n);
 };
 
 /// The resolved dispatch path for this process: best compiled path admitted

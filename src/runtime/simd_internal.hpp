@@ -35,11 +35,6 @@ void scalar_choose_mul(const double* w, const double* pos, const double* neg,
                        double* out, std::size_t n);
 void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
                       const std::complex<double>* tw, std::size_t n);
-double scalar_dot_reassoc(const double* a, const double* b, std::size_t n);
-void scalar_saxpy(float s, const float* x, float* y, std::size_t n);
-float scalar_sdot_reassoc(const float* a, const float* b, std::size_t n);
-void scalar_to_float(const double* src, float* dst, std::size_t n);
-void scalar_to_double(const float* src, double* dst, std::size_t n);
 
 extern const Kernels kScalarTable;
 #if RCR_SIMD_HAVE_AVX2

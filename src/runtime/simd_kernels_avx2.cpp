@@ -9,7 +9,7 @@
 //
 // The *_seq reductions vectorize only the products; the per-lane additions
 // are spilled and accumulated in scalar program order (a serial dependence
-// chain the compiler may not reassociate), which is what makes them
+// chain the compiler may not reorder), which is what makes them
 // bit-exact rather than merely close.
 #include "simd_internal.hpp"
 
@@ -214,57 +214,6 @@ void avx2_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-double avx2_dot_reassoc(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-void avx2_saxpy(float s, const float* x, float* y, std::size_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 p = _mm256_mul_ps(vs, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), p));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-float avx2_sdot_reassoc(const float* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  float lanes[8];
-  _mm256_storeu_ps(lanes, acc);
-  float sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-void avx2_to_float(const double* src, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(dst + i, _mm256_cvtpd_ps(_mm256_loadu_pd(src + i)));
-  for (; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-}
-
-void avx2_to_double(const float* src, double* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(dst + i, _mm256_cvtps_pd(_mm_loadu_ps(src + i)));
-  for (; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-}
-
 }  // namespace
 
 const Kernels kAvx2Table = {
@@ -274,9 +223,6 @@ const Kernels kAvx2Table = {
     avx2_dot_seq,    avx2_absdot_seq,
     avx2_choose_dot_seq, avx2_masked_dot_seq,
     avx2_choose_mul, avx2_butterfly,
-    avx2_dot_reassoc,
-    avx2_saxpy,      avx2_sdot_reassoc,
-    avx2_to_float,   avx2_to_double,
 };
 
 }  // namespace rcr::rt::simd::detail

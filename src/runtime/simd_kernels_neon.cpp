@@ -84,30 +84,6 @@ double neon_dot_seq(double init, const double* a, const double* b,
   return acc;
 }
 
-void neon_saxpy(float s, const float* x, float* y, std::size_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t p = vmulq_f32(vs, vld1q_f32(x + i));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), p));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-void neon_to_float(const double* src, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1_f32(dst + i, vcvt_f32_f64(vld1q_f64(src + i)));
-  for (; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-}
-
-void neon_to_double(const float* src, double* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(dst + i, vcvt_f64_f32(vld1_f32(src + i)));
-  for (; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-}
-
 }  // namespace
 
 const Kernels kNeonTable = {
@@ -117,9 +93,6 @@ const Kernels kNeonTable = {
     neon_dot_seq,      scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
-    scalar_dot_reassoc,
-    neon_saxpy,        scalar_sdot_reassoc,
-    neon_to_float,     neon_to_double,
 };
 
 }  // namespace rcr::rt::simd::detail

@@ -85,48 +85,6 @@ void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-double scalar_dot_reassoc(const double* a, const double* b, std::size_t n) {
-  // Four-way unroll mirroring a 4-lane strided sum, so the scalar fallback
-  // stays within the same few-ULP envelope as the vector paths.
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += a[i] * b[i];
-    a1 += a[i + 1] * b[i + 1];
-    a2 += a[i + 2] * b[i + 2];
-    a3 += a[i + 3] * b[i + 3];
-  }
-  double acc = (a0 + a1) + (a2 + a3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void scalar_saxpy(float s, const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += s * x[i];
-}
-
-float scalar_sdot_reassoc(const float* a, const float* b, std::size_t n) {
-  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += a[i] * b[i];
-    a1 += a[i + 1] * b[i + 1];
-    a2 += a[i + 2] * b[i + 2];
-    a3 += a[i + 3] * b[i + 3];
-  }
-  float acc = (a0 + a1) + (a2 + a3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void scalar_to_float(const double* src, float* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-}
-
-void scalar_to_double(const float* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-}
-
 const Kernels kScalarTable = {
     scalar_add,        scalar_sub,
     scalar_mul,        scalar_scale,
@@ -134,9 +92,6 @@ const Kernels kScalarTable = {
     scalar_dot_seq,    scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
-    scalar_dot_reassoc,
-    scalar_saxpy,      scalar_sdot_reassoc,
-    scalar_to_float,   scalar_to_double,
 };
 
 }  // namespace rcr::rt::simd::detail

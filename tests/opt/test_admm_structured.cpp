@@ -180,8 +180,6 @@ TEST(AdmmStructured, NearMissesStayOnTheLuPath) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(r.x[i], ref.x[i]) << i;
     EXPECT_EQ(r.objective, ref.objective);
   }
-  // The mixed-precision factor always takes the dense path.
-  EXPECT_FALSE(prefactor_box_qp(base.p, rho, /*mixed=*/true).structured());
   // A non-positive shifted diagonal (P not PSD along a coordinate) too.
   BoxQp indefinite = base;
   indefinite.p(2, 2) = 0.8 - 5.0;
