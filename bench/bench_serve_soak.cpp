@@ -1,6 +1,6 @@
 // Soak benchmark for the rcr::serve allocation service (DESIGN.md §13).
 //
-// Replays the same diurnal block-fading workload through three service
+// Replays the same diurnal block-fading workload through four service
 // configurations:
 //
 //   cold   warm start off, cache off -- every cell-tick solves from scratch;
@@ -12,11 +12,10 @@
 //          drift keeps the warm state near the new fixed point.
 //   full   warm start + solution cache -- the production configuration;
 //          unchanged problems skip the solver entirely via the sharded LRU.
-//   learned  warm start on, cache off, plus the rcr::learn warm-start head
-//          armed from the checked-in golden artifact (override with
-//          RCR_LEARN_ARTIFACT): on fading-refresh ticks -- where the
-//          carried state is stale -- the MLP + unrolled-ADMM prediction
-//          replaces it whenever its projected-gradient residual is lower.
+//   overload  the full configuration plus the whole overload-control layer
+//          (admission at half the fleet per tick, brownout, breakers,
+//          watchdog); it mostly idles on a clean soak and is the leg a
+//          fault storm measures.
 //
 // An RB sweep first times the cache-miss cell solve at n in {12, 48, 192}
 // RBs on sampled serving problems, at a fixed ADMM iteration count so that
@@ -35,8 +34,6 @@
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include <cstdlib>
 
 #include "harness.hpp"
 #include "rcr/obs/obs.hpp"
@@ -61,7 +58,6 @@ struct LegResult {
   double p99_us = 0.0;
   std::uint64_t iterations = 0;     ///< ADMM iterations over ticks >= 1.
   std::uint64_t warm_accepted = 0;  ///< Solves that reused warm state.
-  std::uint64_t learned_starts = 0;  ///< Solves seeded by the learned head.
   std::uint64_t cache_hits = 0;
   std::uint64_t degraded = 0;
   double cache_hit_rate = 0.0;
@@ -105,7 +101,6 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
     if (t > 0) {
       r.iterations += rep.total_iterations;
       r.warm_accepted += rep.warm_accepted;
-      r.learned_starts += rep.learned_starts;
     }
     r.cache_hits += rep.cache_hits;
     r.degraded += rep.degraded;
@@ -170,7 +165,6 @@ std::string leg_json(const LegResult& r) {
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"ticks_per_s\":%.1f,\"p50_us\":%.1f,"
                 "\"p99_us\":%.1f,\"iterations\":%llu,\"warm_accepted\":%llu,"
-                "\"learned_starts\":%llu,"
                 "\"cache_hits\":%llu,\"degraded\":%llu,"
                 "\"cache_hit_rate\":%.4f,\"final_sum_rate\":%.6f,"
                 "\"solution_hash\":\"%llu\","
@@ -181,7 +175,6 @@ std::string leg_json(const LegResult& r) {
                 r.name.c_str(), r.ticks_per_s, r.p50_us, r.p99_us,
                 static_cast<unsigned long long>(r.iterations),
                 static_cast<unsigned long long>(r.warm_accepted),
-                static_cast<unsigned long long>(r.learned_starts),
                 static_cast<unsigned long long>(r.cache_hits),
                 static_cast<unsigned long long>(r.degraded),
                 r.cache_hit_rate, r.final_sum_rate,
@@ -236,17 +229,6 @@ int main() {
   warm_cfg.cache_enabled = false;
   ServiceConfig full_cfg;  // warm + cache: the production configuration
 
-  // Learned leg: the warm leg plus the golden warm-start head.  The service
-  // constructor loads and arms the artifact; a load failure leaves the head
-  // off and the leg degenerates to the warm leg (flagged below).
-  ServiceConfig learned_cfg;
-  learned_cfg.cache_enabled = false;
-  learned_cfg.learned.enabled = true;
-  const char* artifact_env = std::getenv("RCR_LEARN_ARTIFACT");
-  learned_cfg.learned.artifact_path =
-      (artifact_env != nullptr && artifact_env[0] != '\0') ? artifact_env
-                                                           : RCR_LEARN_GOLDEN;
-
   // Overload-survival leg: the full config plus the whole self-healing
   // layer armed -- slice-aware admission at half the fleet per tick, the
   // brownout controller, per-solver breakers, and the output watchdog.
@@ -265,12 +247,11 @@ int main() {
   const LegResult cold = run_leg("cold", cold_cfg, wc, ticks);
   const LegResult warm = run_leg("warm", warm_cfg, wc, ticks);
   const LegResult full = run_leg("full", full_cfg, wc, ticks);
-  const LegResult learned = run_leg("learned", learned_cfg, wc, ticks);
   const LegResult overload = run_leg("overload", overload_cfg, wc, ticks);
 
   std::printf("%-8s %12s %10s %10s %12s %10s %10s\n", "leg", "ticks/s",
               "p50(us)", "p99(us)", "iterations", "hits", "hit-rate");
-  for (const LegResult* r : {&cold, &warm, &full, &learned, &overload}) {
+  for (const LegResult* r : {&cold, &warm, &full, &overload}) {
     std::printf("%-8s %12.1f %10.1f %10.1f %12llu %10llu %9.1f%%\n",
                 r->name.c_str(), r->ticks_per_s, r->p50_us, r->p99_us,
                 static_cast<unsigned long long>(r->iterations),
@@ -283,19 +264,7 @@ int main() {
           ? static_cast<double>(warm.iterations) /
                 static_cast<double>(cold.iterations)
           : 0.0;
-  const double learned_ratio =
-      cold.iterations > 0
-          ? static_cast<double>(learned.iterations) /
-                static_cast<double>(cold.iterations)
-          : 0.0;
   std::printf("\nwarm/cold iteration ratio: %.3f (bar: < 0.5)\n", ratio);
-  std::printf("learned/cold iteration ratio: %.3f (target: <= 0.30, "
-              "learned starts: %llu)\n",
-              learned_ratio,
-              static_cast<unsigned long long>(learned.learned_starts));
-  if (learned.learned_starts == 0)
-    std::printf("WARNING: learned head never fired (artifact missing or "
-                "load failed?)\n");
   std::printf("full-leg cache hit rate:   %.1f%%\n",
               100.0 * full.cache_hit_rate);
   std::printf("solution hash (cold leg, final tick): %llu\n",
@@ -334,22 +303,15 @@ int main() {
     json += buf;
   }
   json += ",\"legs\":[" + leg_json(cold) + "," + leg_json(warm) + "," +
-          leg_json(full) + "," + leg_json(learned) + "," +
-          leg_json(overload) + "]";
+          leg_json(full) + "," + leg_json(overload) + "]";
   {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   ",\"warm_iterations\":%llu,\"cold_iterations\":%llu,"
                   "\"warm_cold_iteration_ratio\":%.4f,"
-                  "\"learned_iterations\":%llu,"
-                  "\"learned_cold_iteration_ratio\":%.4f,"
-                  "\"learned_starts\":%llu,"
                   "\"cache_hit_rate\":%.4f",
                   static_cast<unsigned long long>(warm.iterations),
                   static_cast<unsigned long long>(cold.iterations), ratio,
-                  static_cast<unsigned long long>(learned.iterations),
-                  learned_ratio,
-                  static_cast<unsigned long long>(learned.learned_starts),
                   full.cache_hit_rate);
     json += buf;
   }
@@ -364,26 +326,8 @@ int main() {
     json += buf;
   }
   json += "]";
-  if (rcr::obs::metrics_enabled()) {
-    json += ",\"metrics\":[";
-    const std::vector<rcr::obs::MetricSample> snap =
-        rcr::obs::metrics_snapshot();
-    char buf[256];
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      const rcr::obs::MetricSample& m = snap[i];
-      std::string name = m.name;
-      if (!m.label_key.empty())
-        name += "{" + m.label_key + "=" + m.label_value + "}";
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"name\":\"%s\",\"kind\":\"%s\",\"value\":%.17g",
-                    i == 0 ? "" : ",", name.c_str(), m.kind.c_str(), m.value);
-      json += buf;
-      if (m.kind == "histogram")
-        json += ",\"count\":" + std::to_string(m.count);
-      json += "}";
-    }
-    json += "]";
-  }
+  if (rcr::obs::metrics_enabled())
+    json += ",\"metrics\":" + rcr::bench::metrics_json();
   json += "}";
 
   std::printf("\n%s\n", json.c_str());

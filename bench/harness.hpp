@@ -41,6 +41,30 @@ inline bool smoke_mode() {
   return env != nullptr && env[0] == '1';
 }
 
+/// The rcr::obs registry snapshot as a JSON array, one object per sample:
+/// {"name": "metric{label_key=label_value}", "kind": ..., "value": ...},
+/// plus "count" on histograms.  Every bench that carries its telemetry in
+/// its JSON document emits it through here.
+inline std::string metrics_json() {
+  const std::vector<obs::MetricSample> snap = obs::metrics_snapshot();
+  std::string json = "[";
+  char buf[256];
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    const obs::MetricSample& m = snap[i];
+    std::string name = m.name;
+    if (!m.label_key.empty())
+      name += "{" + m.label_key + "=" + m.label_value + "}";
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"name\":\"%s\",\"kind\":\"%s\",\"value\":%.17g",
+                  i == 0 ? "" : ",", name.c_str(), m.kind.c_str(), m.value);
+    json += buf;
+    if (m.kind == "histogram")
+      json += ",\"count\":" + std::to_string(m.count);
+    json += "}";
+  }
+  return json + "]";
+}
+
 /// One measured kernel configuration.
 struct Record {
   std::string kernel;
@@ -156,25 +180,7 @@ class Harness {
       json += "}";
     }
     json += "]";
-    if (obs::metrics_enabled()) {
-      json += ",\"metrics\":[";
-      const std::vector<obs::MetricSample> snap = obs::metrics_snapshot();
-      for (std::size_t i = 0; i < snap.size(); ++i) {
-        const obs::MetricSample& m = snap[i];
-        std::string name = m.name;
-        if (!m.label_key.empty())
-          name += "{" + m.label_key + "=" + m.label_value + "}";
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"name\":\"%s\",\"kind\":\"%s\",\"value\":%.17g",
-                      i == 0 ? "" : ",", name.c_str(), m.kind.c_str(),
-                      m.value);
-        json += buf;
-        if (m.kind == "histogram")
-          json += ",\"count\":" + std::to_string(m.count);
-        json += "}";
-      }
-      json += "]";
-    }
+    if (obs::metrics_enabled()) json += ",\"metrics\":" + metrics_json();
     json += "}";
     return json;
   }

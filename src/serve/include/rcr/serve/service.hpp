@@ -5,7 +5,10 @@
 //
 //  1. Warm starting -- each cell carries the ADMM splitting state of its
 //     previous solve; on a slowly-drifting channel the warm solve converges
-//     in a fraction of the cold iteration count.
+//     in a fraction of the cold iteration count.  The carried state is the
+//     only warm-start source: the rcr::learn head cuts iterations further
+//     but costs more wall-clock than it saves, so it is not served
+//     (DESIGN.md §16).
 //  2. Solution caching -- a sharded LRU keyed by quantized problem
 //     signature returns the previous allocation outright when the problem
 //     did not change materially (block-fading coherence intervals).
@@ -26,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "rcr/learn/predictor.hpp"
 #include "rcr/opt/admm.hpp"
 #include "rcr/qos/rra.hpp"
 #include "rcr/robust/status.hpp"
@@ -36,23 +38,6 @@
 #include "rcr/serve/workload.hpp"
 
 namespace rcr::serve {
-
-/// Learned warm-start head (DESIGN.md §16).  When armed, each admitted
-/// solve asks the rcr::learn predictor for a feasible starting point and
-/// seeds ADMM with it when its projected-gradient residual beats the
-/// carried state's by `select_margin`.  The head only ever changes the
-/// *starting point* of the sound solver -- a bad prediction is rejected by
-/// the warm-start contract and the solve proceeds exactly as before.
-struct LearnedHeadConfig {
-  bool enabled = false;        ///< Master switch; off is bit-identical to seed.
-  /// Weights artifact (artifact.hpp format).  Loaded at service
-  /// construction; a load failure leaves the head unarmed with the Status
-  /// recorded (never throws).  Empty: arm via arm_learned_head().
-  std::string artifact_path;
-  /// The learned start is used when its residual < margin * incumbent
-  /// residual; < 1 demands strict improvement (hysteresis against churn).
-  double select_margin = 0.9;
-};
 
 /// Service knobs.
 struct ServiceConfig {
@@ -80,8 +65,6 @@ struct ServiceConfig {
   BrownoutConfig brownout;
   BreakerConfig breaker;
   WatchdogConfig watchdog;
-  /// Learned warm-start head; defaults off (DESIGN.md §16).
-  LearnedHeadConfig learned;
 };
 
 /// One cell's allocation for the current tick.
@@ -91,7 +74,6 @@ struct CellAllocation {
   double sum_rate = 0.0;       ///< Achieved sum spectral efficiency.
   std::size_t iterations = 0;  ///< ADMM iterations spent (0 on hit/fallback).
   opt::WarmUse warm_use = opt::WarmUse::kCold;
-  bool learned_start = false;  ///< ADMM was seeded by the learned head.
   bool cache_hit = false;
   std::string step;            ///< Producing step: "cache", "admm",
                                ///< "waterfill", "equal-power",
@@ -108,7 +90,6 @@ struct TickReport {
   std::size_t cache_hits = 0;
   std::size_t solves = 0;           ///< Cells that ran the fallback chain.
   std::size_t warm_accepted = 0;    ///< Solves that reused warm state.
-  std::size_t learned_starts = 0;   ///< Solves seeded by the learned head.
   std::size_t degraded = 0;         ///< Cells answered below the ADMM head.
   std::size_t deadline_fills = 0;   ///< Cells filled after deadline expiry.
   std::size_t total_iterations = 0; ///< ADMM iterations across solves.
@@ -159,22 +140,6 @@ class AllocationService {
   /// The brownout state machine (advances once per tick when enabled).
   const BrownoutController& brownout() const { return brownout_; }
 
-  /// Arm the learned head with an in-memory predictor (training/tests
-  /// path; the config path loads an artifact at construction).  Returns
-  /// false -- and the head stays unarmed -- on a shape-invalid predictor.
-  bool arm_learned_head(const learn::WarmStartPredictor& predictor);
-
-  /// Drop the learned head (solves revert to carried-state warm starts).
-  void disarm_learned_head() { learned_armed_ = false; }
-
-  bool learned_head_armed() const { return learned_armed_; }
-
-  /// Outcome of the constructor-time artifact load: kOk when it loaded (or
-  /// was never requested); the load failure otherwise.
-  const robust::Status& learned_load_status() const {
-    return learned_status_;
-  }
-
  private:
   /// Per-cell overload state: the last-known-good snapshot the cell serves
   /// from while deferred/shed/quarantined, plus its breakers.  Mutated only
@@ -203,9 +168,6 @@ class AllocationService {
 
   ServiceConfig config_;
   ShardedLruCache<CellAllocation> cache_;
-  learn::WarmStartPredictor predictor_;
-  bool learned_armed_ = false;
-  robust::Status learned_status_;
   std::vector<opt::AdmmWarmState> warm_;
   std::vector<CellAllocation> current_;
   std::vector<CellRuntime> runtime_;

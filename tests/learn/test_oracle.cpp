@@ -10,10 +10,7 @@
 //    it (the exact solve is the reference, not a competitor);
 //  - contract: ADMM warm-started from an accepted learned state converges
 //    to the same answer as a cold solve (bounded by the solver tolerance),
-//    a *corrupted* learned state is rejected bit-for-bit (the PR-8
-//    contract, now with solver=learn accounting at the serve layer), and
-//    the served answer with the head armed matches the head-off answer on
-//    assignment exactly and on power to solver tolerance.
+//    and a *corrupted* learned state is rejected bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,10 +19,7 @@
 #include "rcr/learn/artifact.hpp"
 #include "rcr/learn/project.hpp"
 #include "rcr/learn/train.hpp"
-#include "rcr/obs/metrics.hpp"
 #include "rcr/opt/admm.hpp"
-#include "rcr/rt/parallel.hpp"
-#include "rcr/serve/service.hpp"
 #include "rcr/serve/workload.hpp"
 
 namespace rcr::learn {
@@ -63,12 +57,6 @@ opt::AdmmResult exact_solve(const PowerQpData& data,
   const opt::BoxQpFactor factor = opt::prefactor_box_qp(p, options.rho);
   return opt::admm_box_qp(p, factor, data.slope, data.lo, data.hi, options,
                           warm);
-}
-
-double solver_counter(const std::string& name, const std::string& solver) {
-  for (const obs::MetricSample& s : obs::metrics_snapshot())
-    if (s.name == name && s.label_value == solver) return s.value;
-  return 0.0;
 }
 
 TEST(LearnOracle, ThousandProblemFeasibilityAndGapSweep) {
@@ -156,82 +144,6 @@ TEST(LearnOracle, CorruptedLearnedStateIsRejectedBitForBit) {
   EXPECT_EQ(r.iterations, cold.iterations);
   for (std::size_t i = 0; i < data.n; ++i)
     ASSERT_EQ(std::memcmp(&r.x[i], &cold.x[i], sizeof(double)), 0);
-}
-
-TEST(LearnOracle, ServedAnswersMatchLearnedHeadOff) {
-  // End-to-end differential oracle at the serve layer: same workload, one
-  // service with the head armed, one without.  The assignment step runs
-  // before the solver, so it must be *identical*; power converges to the
-  // same tolerance-bounded fixed point; nothing is ever rejected on a
-  // clean run.
-  obs::ScopedMetrics metrics;
-  serve::WorkloadConfig wc;
-  wc.num_cells = 6;
-  wc.seed = 4711;
-  serve::DiurnalWorkload wl_off(wc);
-  serve::DiurnalWorkload wl_on(wc);
-
-  serve::ServiceConfig off_cfg;
-  serve::ServiceConfig on_cfg;
-  on_cfg.learned.enabled = true;
-  serve::AllocationService off(off_cfg, wc.num_cells);
-  serve::AllocationService on(on_cfg, wc.num_cells);
-  ASSERT_TRUE(on.arm_learned_head(golden()));
-
-  std::size_t learned_starts = 0;
-  for (std::size_t t = 0; t < 24; ++t) {
-    wl_off.advance(t);
-    wl_on.advance(t);
-    const serve::TickReport r_off = off.tick(t, wl_off);
-    const serve::TickReport r_on = on.tick(t, wl_on);
-    EXPECT_EQ(r_off.cells, r_on.cells);
-    learned_starts += r_on.learned_starts;
-    for (std::size_t c = 0; c < wc.num_cells; ++c) {
-      const serve::CellAllocation& a = off.allocation(c);
-      const serve::CellAllocation& b = on.allocation(c);
-      ASSERT_EQ(a.assignment.size(), b.assignment.size());
-      for (std::size_t rb = 0; rb < a.assignment.size(); ++rb)
-        EXPECT_EQ(a.assignment[rb], b.assignment[rb])
-            << "tick " << t << " cell " << c << " rb " << rb;
-      ASSERT_EQ(a.power.size(), b.power.size());
-      for (std::size_t rb = 0; rb < a.power.size(); ++rb)
-        EXPECT_NEAR(a.power[rb], b.power[rb], 1e-5)
-            << "tick " << t << " cell " << c << " rb " << rb;
-    }
-  }
-  // The head actually fired, and nothing was ever rejected on clean runs.
-  EXPECT_GT(learned_starts, 0u);
-  EXPECT_EQ(solver_counter("rcr.warm.rejected", "learn"), 0.0);
-}
-
-TEST(LearnOracle, LearnedOnServiceBitExactAcrossThreadModes) {
-  const WarmStartPredictor predictor = golden();
-  serve::WorkloadConfig wc;
-  wc.num_cells = 4;
-  wc.seed = 31;
-  const auto run = [&](bool force_serial) {
-    std::vector<std::uint64_t> hashes;
-    serve::DiurnalWorkload wl(wc);
-    serve::ServiceConfig sc;
-    sc.learned.enabled = true;
-    serve::AllocationService service(sc, wc.num_cells);
-    EXPECT_TRUE(service.arm_learned_head(predictor));
-    for (std::size_t t = 0; t < 12; ++t) {
-      wl.advance(t);
-      if (force_serial) {
-        rt::ForceSerialGuard guard;
-        hashes.push_back(service.tick(t, wl).solution_hash);
-      } else {
-        hashes.push_back(service.tick(t, wl).solution_hash);
-      }
-    }
-    return hashes;
-  };
-  const std::vector<std::uint64_t> parallel = run(false);
-  const std::vector<std::uint64_t> serial = run(true);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t t = 0; t < parallel.size(); ++t)
-    EXPECT_EQ(parallel[t], serial[t]) << "tick " << t;
 }
 
 }  // namespace
