@@ -19,9 +19,9 @@
 //
 // An RB sweep first times the cache-miss cell solve at n in {12, 48, 192}
 // RBs on sampled serving problems, at a fixed ADMM iteration count so that
-// only n varies, and reports ns per cell-solve: with the O(n) structured
-// box-QP x-update it grows roughly linearly in n (building and checking the
-// dense P the service still assembles is the one O(n^2) term).
+// only n varies, and reports ns per cell-solve.  The factor is built the way
+// the service builds it, in O(n) from P's diagonal without a dense P, and
+// the x-update is O(n), so the cost grows linearly in n.
 //
 // Prints a per-leg table and writes BENCH_perf_serve.json with ticks/s,
 // p50/p99 tick latency, warm-vs-cold iteration counts and their ratio
@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -133,9 +134,10 @@ struct SweepPoint {
 };
 
 /// The cache-miss cell solve at `rbs` RBs: the power QPs of the workload's
-/// first `ticks` ticks, each assembled into the dense P exactly as
-/// solve_cell assembles it, prefactored, and run for exactly
-/// kSweepIterations ADMM iterations (a negative tolerance never converges).
+/// first `ticks` ticks, each factored as solve_cell factors it -- the O(n)
+/// structured build from P's diagonal and off-diagonal, no dense P -- and
+/// run for exactly kSweepIterations ADMM iterations (a negative tolerance
+/// never converges).
 SweepPoint sweep_point(WorkloadConfig wc, std::size_t rbs, std::size_t ticks) {
   wc.num_rbs = rbs;
   const std::vector<rcr::learn::PowerQpData> qps =
@@ -143,12 +145,18 @@ SweepPoint sweep_point(WorkloadConfig wc, std::size_t rbs, std::size_t ticks) {
   rcr::opt::AdmmOptions opts;
   opts.tolerance = -1.0;
   opts.max_iterations = kSweepIterations;
+  std::vector<double> p_diag(rbs);
   const auto t0 = std::chrono::steady_clock::now();
   for (const rcr::learn::PowerQpData& qp : qps) {
-    rcr::num::Matrix p(rbs, rbs, 2.0 * qp.lambda);
-    for (std::size_t i = 0; i < rbs; ++i) p(i, i) += qp.curv[i];
-    const auto factor = rcr::opt::try_prefactor_box_qp(p, opts.rho);
-    rcr::opt::admm_box_qp(p, factor.value, qp.slope, qp.lo, qp.hi, opts);
+    const double off_diag = 2.0 * qp.lambda;
+    for (std::size_t i = 0; i < rbs; ++i) p_diag[i] = qp.curv[i] + off_diag;
+    const auto factor =
+        rcr::opt::try_prefactor_dpr1(p_diag.data(), rbs, off_diag, opts.rho);
+    if (!factor) {
+      std::fprintf(stderr, "sweep: structure test failed at %zu RBs\n", rbs);
+      std::exit(1);
+    }
+    rcr::opt::admm_box_qp(factor->value, qp.slope, qp.lo, qp.hi, opts);
   }
   const double s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)

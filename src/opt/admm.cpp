@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -43,32 +44,61 @@ void dpr1_solve(const double* d, double shift, double c, double sum_inv,
 
 namespace {
 
+// The one constructor of BoxQpFactor::Dpr1, for the P with diagonal
+// p_diag[i * stride] and every off-diagonal entry c.  With n == 1 there is
+// no off-diagonal entry and c is taken as 0.  Requires c >= 0 finite, every
+// d_i = P_ii - c + rho + ridge finite and positive, and sum_i 1/d_i finite;
+// fills `out` and returns true only then.  O(n), and P is never formed.
+bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
+                double c, double rho, double ridge, BoxQpFactor::Dpr1& out) {
+  if (n == 0) return false;
+  if (n == 1) c = 0.0;
+  if (!(c >= 0.0) || !std::isfinite(c)) return false;
+  Vec diag(n);
+  Vec d(n);
+  double sum_inv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    diag[i] = p_diag[i * stride];
+    d[i] = diag[i] - c + rho + ridge;
+    if (!(d[i] > 0.0) || !std::isfinite(d[i])) return false;
+    sum_inv += 1.0 / d[i];
+  }
+  if (!std::isfinite(sum_inv)) return false;
+  out.p_diag = std::move(diag);
+  out.d = std::move(d);
+  out.c = c;
+  out.sum_inv = sum_inv;
+  return true;
+}
+
 // Exact diagonal-plus-rank-one test on P: every off-diagonal entry bitwise
-// equal to one constant c >= 0, every d_i = P_ii - c + rho + ridge finite
-// and positive, and sum_i 1/d_i finite.  Fills `out` and returns true only
-// when P qualifies; anything else keeps the dense LU path.
+// equal to one constant c, then build_dpr1 on P's diagonal.  Anything else
+// keeps the dense LU path.
 bool detect_dpr1(const Matrix& p, double rho, double ridge,
                  BoxQpFactor::Dpr1& out) {
   const std::size_t n = p.rows();
   if (n == 0 || p.cols() != n) return false;
   const double c = n > 1 ? p(0, 1) : 0.0;
-  if (!(c >= 0.0) || !std::isfinite(c)) return false;
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       if (i != j && bits(p(i, j)) != bits(c)) return false;
-  Vec d(n);
-  double sum_inv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = p(i, i) - c + rho + ridge;
-    if (!(d[i] > 0.0) || !std::isfinite(d[i])) return false;
-    sum_inv += 1.0 / d[i];
-  }
-  if (!std::isfinite(sum_inv)) return false;
-  out.d = std::move(d);
-  out.c = c;
-  out.sum_inv = sum_inv;
-  return true;
+  return build_dpr1(p.data().data(), n + 1, n, c, rho, ridge, out);
+}
+
+// Shared tail of both factor builders: record rho, run the
+// admm.factor.singular fault site, and map a singular factor to kSingular.
+void finish_factor(robust::Result<BoxQpFactor>& out, double rho,
+                   double ridge) {
+  out.value.rho = rho;
+  if (robust::faults::enabled() &&
+      robust::faults::should_inject("admm.factor.singular"))
+    out.value.factor.singular = true;
+  if (out.value.factor.singular)
+    out.status = robust::make_status(
+        robust::StatusCode::kSingular,
+        "P + rho I singular (rho=" + std::to_string(rho) +
+            ", ridge=" + std::to_string(ridge) + ")");
 }
 
 }  // namespace
@@ -85,15 +115,16 @@ robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
     for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
     out.value.factor = num::lu_decompose(std::move(m));
   }
-  out.value.rho = rho;
-  if (robust::faults::enabled() &&
-      robust::faults::should_inject("admm.factor.singular"))
-    out.value.factor.singular = true;
-  if (out.value.factor.singular)
-    out.status = robust::make_status(
-        robust::StatusCode::kSingular,
-        "P + rho I singular (rho=" + std::to_string(rho) +
-            ", ridge=" + std::to_string(ridge) + ")");
+  finish_factor(out, rho, ridge);
+  return out;
+}
+
+std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
+    const double* p_diag, std::size_t n, double c, double rho) {
+  robust::Result<BoxQpFactor> out;
+  if (!build_dpr1(p_diag, 1, n, c, rho, 0.0, out.value.dpr1))
+    return std::nullopt;
+  finish_factor(out, rho, 0.0);
   return out;
 }
 
@@ -160,6 +191,16 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
   return result;
 }
 
+namespace {
+
+// The box-QP iteration behind both prefactored entry points.  `p` is read
+// only for a dense factor's objective; a structured factor carries P_ii.
+AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
+                       const Vec& q, const Vec& lo, const Vec& hi,
+                       const AdmmOptions& options, AdmmWarmState* warm);
+
+}  // namespace
+
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options) {
@@ -170,7 +211,28 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options, AdmmWarmState* warm) {
   const std::size_t n = q.size();
-  if (p.rows() != n || p.cols() != n || lo.size() != n || hi.size() != n)
+  if (p.rows() != n || p.cols() != n)
+    throw std::invalid_argument("admm_box_qp: dimension mismatch");
+  return box_qp_core(&p, factor, q, lo, hi, options, warm);
+}
+
+AdmmResult admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
+                       const Vec& hi, const AdmmOptions& options,
+                       AdmmWarmState* warm) {
+  if (!factor.structured())
+    throw std::invalid_argument(
+        "admm_box_qp: a P-free solve needs a structured factor");
+  return box_qp_core(nullptr, factor, q, lo, hi, options, warm);
+}
+
+namespace {
+
+AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
+                            const Vec& q, const Vec& lo, const Vec& hi,
+                            const AdmmOptions& options, AdmmWarmState* warm) {
+  const std::size_t n = q.size();
+  if (lo.size() != n || hi.size() != n ||
+      (factor.structured() && factor.dpr1.d.size() != n))
     throw std::invalid_argument("admm_box_qp: dimension mismatch");
   if (factor.rho != options.rho)
     throw std::invalid_argument("admm_box_qp: factor rho != options rho");
@@ -273,12 +335,12 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
     double quad = 0.0;
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      quad += (p(i, i) - c) * z[i] * z[i];
+      quad += (factor.dpr1.p_diag[i] - c) * z[i] * z[i];
       total += z[i];
     }
     result.objective = 0.5 * (quad + c * total * total) + num::dot(q, z);
   } else {
-    result.objective = 0.5 * num::quad_form(result.x, p, result.x) +
+    result.objective = 0.5 * num::quad_form(result.x, *p, result.x) +
                        num::dot(q, result.x);
   }
   if (warm != nullptr) {
@@ -298,6 +360,8 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
   span.attr("objective", result.objective);
   return result;
 }
+
+}  // namespace
 
 LassoFactor prefactor_lasso(const Matrix& a, double rho) {
   // x-update solves (A^T A + rho I) x = A^T b + rho (z - u).  The Gram

@@ -7,6 +7,8 @@
 //  - lasso (the sum-of-smooth-plus-nonsmooth decomposition of [1]).
 #pragma once
 
+#include <optional>
+
 #include "rcr/numerics/decompositions.hpp"
 #include "rcr/opt/quadratic.hpp"
 #include "rcr/opt/warm.hpp"
@@ -33,12 +35,16 @@ struct AdmmOptions {
 /// prefactor_box_qp and reuse across solves with the same P and rho.  When P
 /// is diagonal-plus-rank-one -- every off-diagonal entry bitwise equal to
 /// one constant c >= 0, as in the serve per-cell power QP -- only the O(n)
-/// Sherman-Morrison operator `dpr1` is kept (O(n^2) to build, O(n) per
-/// x-update); otherwise the LU of P + rho I.
+/// Sherman-Morrison operator `dpr1` is kept (O(n) per x-update); otherwise
+/// the LU of P + rho I.  try_prefactor_dpr1 builds the structured operator
+/// in O(n) straight from P's diagonal and c, without forming P;
+/// try_prefactor_box_qp reaches the same builder after its O(n^2) bitwise
+/// scan of a dense P, so both produce the same bits.
 struct BoxQpFactor {
   num::LuDecomposition factor;  ///< LU of P + rho I (dense path only).
   double rho = 0.0;             ///< The rho the factor was built with.
   struct Dpr1 {
+    Vec p_diag;           ///< P_ii (the structured objective reads these).
     Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
     double c = 0.0;       ///< The common off-diagonal entry of P.
     double sum_inv = 0.0; ///< sum_i 1 / d_i, ascending.
@@ -66,6 +72,17 @@ BoxQpFactor prefactor_box_qp(const Matrix& p, double rho);
 /// beyond rho (the escalating-regularization retry path).
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
                                                  double ridge = 0.0);
+
+/// P-free structured factor for the P with diagonal `p_diag` (n entries)
+/// and every off-diagonal entry c: the factor, status and fault site of
+/// try_prefactor_box_qp(P, rho), bit for bit, in O(n) and without forming
+/// P.  With n == 1 P has no off-diagonal entry and c is ignored (taken as
+/// 0, as the dense scan does).  Returns std::nullopt when the structure
+/// test fails (n == 0, c < 0 or non-finite, some P_ii - c + rho not finite
+/// and positive, or a non-finite sum_i 1/d_i); the caller then forms P and
+/// takes try_prefactor_box_qp's dense path.
+std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
+    const double* p_diag, std::size_t n, double c, double rho);
 
 /// Cached x-update operator for admm_lasso: the LU factors of A^T A + rho I.
 /// The Gram product is the dominant setup cost; building it once amortizes
@@ -142,6 +159,14 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options, AdmmWarmState* warm);
+
+/// Warm-started box-QP on a structured factor alone (see
+/// try_prefactor_dpr1): the same iterates, objective and warm-state
+/// contract as the overload above given that factor's P, without P.
+/// Throws std::invalid_argument when `factor` is not structured.
+AdmmResult admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
+                       const Vec& hi, const AdmmOptions& options,
+                       AdmmWarmState* warm = nullptr);
 
 /// Lasso:
 ///   minimize (1/2) ||A x - b||^2 + lambda ||x||_1.

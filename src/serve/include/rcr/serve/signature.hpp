@@ -30,18 +30,38 @@ struct SignatureConfig {
   double scalar_quantum = 1e-6;
 };
 
-/// FNV-1a over raw bytes (seeded so signatures chain).
+/// FNV-1a over raw bytes (seeded so hashes chain).  Only the tick report's
+/// solution-hash witness uses it; signatures hash whole words instead.
 std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
                           std::uint64_t seed = 1469598103934665603ull);
 
-/// Quantize one gain onto the log2 grid: llround(log2(g) / quantum), with
-/// non-positive gains mapped to a sentinel bucket.
+/// Quantize one gain onto the log2 grid: llround(log2(g) / quantum), exactly,
+/// for every double g and every quantum > 0, with or without FMA
+/// contraction.  Normal gains take a log2-free path (exponent bits, a
+/// 256-entry mantissa table, a short series, a magic-constant round) that
+/// defers to the reference expression within 1.2e-7 of a bucket midpoint;
+/// subnormal gains and quanta below 1e-3 always take the reference.  Where
+/// that expression is unspecified the bucket is explicit instead:
+///   - g <= 0 and NaN: INT64_MIN, the dead-RB sentinel;
+///   - g = +inf: INT64_MAX;
+///   - a finite quotient at or beyond +2^63: INT64_MAX - 1; at or below
+///     -2^63: INT64_MIN + 1.
+/// No finite in-range quotient reaches any of these four buckets.
 std::int64_t quantize_gain(double gain, double log2_quantum);
 
-/// Signature of an RRA problem under the given quantization.  Hashes, in
-/// order: dimensions, quantized budget and QoS floors, the best-gain
-/// active-set fingerprint, and every quantized gain in row-major order.
+/// Signature of an RRA problem under the given quantization.  Chains, one
+/// 64-bit word at a time through a multiply-xorshift step: the dimensions,
+/// the quantized budget and QoS floors, the best-gain active-set
+/// fingerprint, and every quantized gain in row-major order; an avalanche
+/// finalizer then spreads the result over all 64 bits.
 std::uint64_t problem_signature(const RraProblem& problem,
+                                const SignatureConfig& config = {});
+
+/// The same signature, given `assignment` = qos::best_gain_assignment(problem)
+/// already computed by the caller (the serve tick needs it anyway).  Throws
+/// std::invalid_argument when its length is not the problem's RB count.
+std::uint64_t problem_signature(const RraProblem& problem,
+                                const qos::Assignment& assignment,
                                 const SignatureConfig& config = {});
 
 }  // namespace rcr::serve

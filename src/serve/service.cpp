@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "rcr/learn/qp.hpp"
@@ -64,7 +65,9 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   // stream would make which cell degrades depend on that schedule.
   namespace faults = robust::faults;
   CellAllocation alloc;
-  const std::uint64_t sig = problem_signature(problem, config_.signature);
+  const qos::Assignment assignment = qos::best_gain_assignment(problem);
+  const std::uint64_t sig =
+      problem_signature(problem, assignment, config_.signature);
   if (config_.cache_enabled && !faults::should_inject("serve.cache.drop", stamp) &&
       cache_.get(sig, stamp, alloc)) {
     alloc.cache_hit = true;
@@ -76,7 +79,6 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
-  const qos::Assignment assignment = qos::best_gain_assignment(problem);
   const Vec gains = qos::assigned_gains(problem, assignment);
 
   // Power model: second-order Taylor expansion of -sum log2(1 + g p) around
@@ -85,20 +87,18 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   //   q = -g / (ln2 (1 + g p0))
   // with a soft penalty lambda (1^T d)^2 holding the total at the budget and
   // the box d in [-p0, budget - p0] keeping p nonnegative and bounded.
+  // P is kept as its diagonal P_ii = curv_i + 2 lambda and the common
+  // off-diagonal 2 lambda; the dense matrix is formed only if the O(n)
+  // structure test fails.
   const double p0 = budget / static_cast<double>(n);
-  double* curv = rt::tls_arena().alloc<double>(n);
-  double* slope = rt::tls_arena().alloc<double>(n);
+  double* p_diag = rt::tls_arena().alloc<double>(n);
+  Vec q(n), lo(n, -p0), hi(n, budget - p0);
   const double max_curv =
-      learn::power_qp_coeffs(gains.data(), n, p0, curv, slope);
+      learn::power_qp_coeffs(gains.data(), n, p0, p_diag, q.data());
   const double lambda =
       config_.budget_penalty * (max_curv > 0.0 ? max_curv : 1.0);
-
-  Matrix p_mat(n, n, 2.0 * lambda);
-  Vec q(n), lo(n, -p0), hi(n, budget - p0);
-  for (std::size_t rb = 0; rb < n; ++rb) {
-    p_mat(rb, rb) += curv[rb];
-    q[rb] = slope[rb];
-  }
+  const double off_diag = 2.0 * lambda;
+  for (std::size_t rb = 0; rb < n; ++rb) p_diag[rb] += off_diag;
 
   opt::AdmmWarmState* warm =
       config_.warm_start ? &warm_[cell] : nullptr;
@@ -141,10 +141,18 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
                    "injected serve.breaker.trip");
                return out;
              }
-             auto factor =
-                 opt::try_prefactor_box_qp(p_mat, config_.admm_rho);
-             if (!factor.status.ok()) {
-               out.status = factor.status;
+             Matrix p_mat;
+             std::optional<robust::Result<opt::BoxQpFactor>> factor =
+                 opt::try_prefactor_dpr1(p_diag, n, off_diag,
+                                         config_.admm_rho);
+             if (!factor) {
+               p_mat = Matrix(n, n, off_diag);
+               for (std::size_t rb = 0; rb < n; ++rb)
+                 p_mat(rb, rb) = p_diag[rb];
+               factor = opt::try_prefactor_box_qp(p_mat, config_.admm_rho);
+             }
+             if (!factor->status.ok()) {
+               out.status = factor->status;
                return out;
              }
              opt::AdmmOptions aopts;
@@ -153,8 +161,11 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
              aopts.max_iterations = max_iterations;
              aopts.budget.deadline = deadline;
              aopts.budget.check_stride = 16;
-             opt::AdmmResult r = opt::admm_box_qp(p_mat, factor.value, q, lo,
-                                                  hi, aopts, warm);
+             opt::AdmmResult r =
+                 factor->value.structured()
+                     ? opt::admm_box_qp(factor->value, q, lo, hi, aopts, warm)
+                     : opt::admm_box_qp(p_mat, factor->value, q, lo, hi,
+                                        aopts, warm);
              if (!r.status.usable()) {
                out.status = r.status;
                return out;

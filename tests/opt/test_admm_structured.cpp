@@ -4,17 +4,25 @@
 // to one constant c >= 0), prefactor_box_qp keeps an O(n) Sherman-Morrison
 // operator instead of an LU.  These tests pin that path against the dense
 // LU solve of the same P (a BoxQpFactor holding lu_decompose(P + rho I)),
-// and pin that every near-miss input stays on the LU path.
+// pin that every near-miss input stays on the LU path, and pin the P-free
+// builder (try_prefactor_dpr1 + the P-free admm_box_qp) bit for bit to the
+// dense-P structured path on the serve tick's own Taylor QPs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "rcr/numerics/decompositions.hpp"
 #include "rcr/numerics/rng.hpp"
 #include "rcr/opt/admm.hpp"
+#include "rcr/robust/fault_injection.hpp"
+#include "rcr/serve/workload.hpp"
 
 namespace rcr::opt {
 namespace {
@@ -208,6 +216,147 @@ TEST(AdmmStructured, Dpr1SolveMatchesDenseSolve) {
   Vec inplace = b;
   dpr1_solve(d.data(), shift, c, sum_inv, inplace.data(), inplace.data(), n);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(inplace[i], x[i]);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const Vec& a, const Vec& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << what << "[" << i << "]";
+}
+
+/// The serve tick's Taylor QPs at `n` RBs, plus one built from gains with
+/// every third RB dead (zero curvature and slope).
+std::vector<learn::PowerQpData> taylor_qps(std::size_t n) {
+  serve::WorkloadConfig wc;
+  wc.num_cells = 4;
+  wc.num_rbs = n;
+  wc.coherence_ticks = 1;
+  std::vector<learn::PowerQpData> qps = serve::sample_power_qps(wc, 3);
+  num::Rng rng(n);
+  Vec gains(n);
+  for (std::size_t i = 0; i < n; ++i)
+    gains[i] = i % 3 == 0 ? 0.0 : std::exp(rng.normal(0.0, 2.0));
+  qps.push_back(learn::make_power_qp(gains, 4.0));
+  return qps;
+}
+
+/// P = diag(curv) + 2 lambda 11^T exactly as solve_cell assembled it densely.
+Matrix dense_p(const learn::PowerQpData& qp) {
+  Matrix p(qp.n, qp.n, 2.0 * qp.lambda);
+  for (std::size_t i = 0; i < qp.n; ++i) p(i, i) += qp.curv[i];
+  return p;
+}
+
+std::optional<robust::Result<BoxQpFactor>> p_free_factor(
+    const learn::PowerQpData& qp, double rho) {
+  const double off_diag = 2.0 * qp.lambda;
+  Vec p_diag(qp.n);
+  for (std::size_t i = 0; i < qp.n; ++i) p_diag[i] = qp.curv[i] + off_diag;
+  return try_prefactor_dpr1(p_diag.data(), qp.n, off_diag, rho);
+}
+
+TEST(AdmmStructured, PFreeBuildMatchesTheDensePathBitForBit) {
+  AdmmOptions opts;
+  opts.tolerance = 1e-6;
+  opts.max_iterations = 2000;
+  for (const std::size_t n : {1u, 2u, 12u, 48u, 192u}) {
+    const std::vector<learn::PowerQpData> qps = taylor_qps(n);
+    AdmmWarmState warm_dense;
+    AdmmWarmState warm_free;
+    for (std::size_t k = 0; k < qps.size(); ++k) {
+      const learn::PowerQpData& qp = qps[k];
+      SCOPED_TRACE("n=" + std::to_string(n) + " qp=" + std::to_string(k));
+      const Matrix p = dense_p(qp);
+      const robust::Result<BoxQpFactor> dense =
+          try_prefactor_box_qp(p, opts.rho);
+      const std::optional<robust::Result<BoxQpFactor>> free =
+          p_free_factor(qp, opts.rho);
+      ASSERT_TRUE(free.has_value());
+      ASSERT_TRUE(dense.status.ok());
+      ASSERT_TRUE(free->status.ok());
+      ASSERT_TRUE(dense.value.structured());
+      ASSERT_TRUE(free->value.structured());
+      // n = 1 has no off-diagonal entry: both sides take c = 0.
+      if (n == 1) {
+        EXPECT_EQ(free->value.dpr1.c, 0.0);
+      }
+      Vec diag_of_p(n);
+      for (std::size_t i = 0; i < n; ++i) diag_of_p[i] = p(i, i);
+      expect_bitwise_equal(dense.value.dpr1.p_diag, diag_of_p, "P_ii");
+      EXPECT_EQ(bits(free->value.dpr1.c), bits(dense.value.dpr1.c));
+      EXPECT_EQ(bits(free->value.dpr1.sum_inv), bits(dense.value.dpr1.sum_inv));
+      expect_bitwise_equal(free->value.dpr1.d, dense.value.dpr1.d, "d");
+      expect_bitwise_equal(free->value.dpr1.p_diag, dense.value.dpr1.p_diag,
+                           "p_diag");
+
+      // Cold, then warm from the state the previous QP left behind (the
+      // first QP of each size runs cold on both).
+      for (const bool warm : {false, true}) {
+        AdmmWarmState cold_dense;
+        AdmmWarmState cold_free;
+        AdmmWarmState* wd = warm ? &warm_dense : &cold_dense;
+        AdmmWarmState* wf = warm ? &warm_free : &cold_free;
+        const AdmmResult rd = admm_box_qp(p, dense.value, qp.slope, qp.lo,
+                                          qp.hi, opts, wd);
+        const AdmmResult rf =
+            admm_box_qp(free->value, qp.slope, qp.lo, qp.hi, opts, wf);
+        EXPECT_EQ(rf.iterations, rd.iterations);
+        EXPECT_EQ(rf.converged, rd.converged);
+        EXPECT_EQ(rf.status.code, rd.status.code);
+        EXPECT_EQ(rf.warm_use, rd.warm_use);
+        EXPECT_EQ(bits(rf.objective), bits(rd.objective));
+        expect_bitwise_equal(rf.x, rd.x, "x");
+        expect_bitwise_equal(wf->z, wd->z, "warm z");
+        expect_bitwise_equal(wf->u, wd->u, "warm u");
+      }
+    }
+  }
+}
+
+TEST(AdmmStructured, PFreeBuildDeclinesWhatTheDenseScanDeclines) {
+  const double rho = 1.0;
+  const double p_diag[] = {2.0, 3.0, 4.0};
+  EXPECT_FALSE(try_prefactor_dpr1(p_diag, 0, 0.5, rho).has_value());
+  EXPECT_FALSE(try_prefactor_dpr1(p_diag, 3, -0.5, rho).has_value());
+  EXPECT_FALSE(
+      try_prefactor_dpr1(p_diag, 3, std::numeric_limits<double>::infinity(),
+                         rho)
+          .has_value());
+  EXPECT_FALSE(
+      try_prefactor_dpr1(p_diag, 3, std::numeric_limits<double>::quiet_NaN(),
+                         rho)
+          .has_value());
+  // P_00 - c + rho <= 0: not positive along a coordinate.
+  EXPECT_FALSE(try_prefactor_dpr1(p_diag, 3, 3.5, rho).has_value());
+  const double nan_diag[] = {2.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_FALSE(try_prefactor_dpr1(nan_diag, 2, 0.5, rho).has_value());
+  // n = 1 ignores c, as the dense scan does.
+  EXPECT_TRUE(try_prefactor_dpr1(p_diag, 1, -0.5, rho).has_value());
+  // And the P-free solve refuses a dense factor.
+  const BoxQpFactor dense = lu_factor(Matrix::identity(2), rho);
+  AdmmOptions opts;
+  EXPECT_THROW(admm_box_qp(dense, Vec(2, 0.0), Vec(2, -1.0), Vec(2, 1.0),
+                           opts),
+               std::invalid_argument);
+}
+
+TEST(AdmmStructured, SingularFaultSiteFiresOnThePFreeBuilder) {
+  namespace faults = robust::faults;
+  const learn::PowerQpData qp = taylor_qps(12).front();
+  faults::ScopedFaults scope("seed=1,rate=1,sites=admm.factor.singular,max=1");
+  const std::optional<robust::Result<BoxQpFactor>> hit =
+      p_free_factor(qp, 1.0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->status.code, robust::StatusCode::kSingular);
+  EXPECT_TRUE(hit->value.factor.singular);
+  EXPECT_EQ(faults::injection_count("admm.factor.singular"), 1u);
+  // max=1: the next build is clean.
+  const std::optional<robust::Result<BoxQpFactor>> clean =
+      p_free_factor(qp, 1.0);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_TRUE(clean->status.ok());
 }
 
 }  // namespace

@@ -278,6 +278,29 @@ TEST(AllocationService, ExpiredDeadlineStillAnswersEveryCell) {
   }
 }
 
+TEST(AllocationService, QpOutsideTheStructureTestSolvesOnTheDensePath) {
+  // A negative budget penalty gives P a negative common off-diagonal, which
+  // the O(n) structured build declines: solve_cell then forms the dense P
+  // and factors it by LU.  The head still answers every cell.
+  const WorkloadConfig wc = small_workload();
+  DiurnalWorkload wl(wc);
+  ServiceConfig sc;
+  sc.budget_penalty = -1e-3;
+  sc.cache_enabled = false;  // every cell-tick reaches the head
+  AllocationService service(sc, wc.num_cells);
+  for (std::size_t t = 0; t < 4; ++t) {
+    wl.advance(t);
+    const TickReport report = service.tick(t, wl);
+    EXPECT_EQ(report.degraded, 0u);
+    for (std::size_t c = 0; c < wc.num_cells; ++c) {
+      const CellAllocation& a = service.allocation(c);
+      EXPECT_EQ(a.step, "admm");
+      EXPECT_TRUE(a.status.usable());
+      EXPECT_GT(a.sum_rate, 0.0);
+    }
+  }
+}
+
 TEST(AllocationService, FleetSizeMismatchThrows) {
   DiurnalWorkload wl(small_workload());
   ServiceConfig sc;

@@ -94,6 +94,46 @@ TEST(SignatureBoundary, NonPositiveGainsMapToTheSentinelBucket) {
             sentinel);
 }
 
+TEST(SignatureBoundary, PositiveInfinityHasItsOwnBucket) {
+  // llround(log2(+inf) / q) is unspecified (x86-64 returns INT64_MIN, the
+  // dead-RB sentinel); +inf gets an explicit bucket of its own instead.
+  const SignatureConfig config;
+  const double q = config.gain_log2_quantum;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(quantize_gain(inf, q), std::numeric_limits<std::int64_t>::max());
+  EXPECT_NE(quantize_gain(inf, q), quantize_gain(0.0, q));
+  EXPECT_NE(quantize_gain(inf, q),
+            quantize_gain(std::numeric_limits<double>::max(), q));
+  // A gain moving between dead and +inf changes the signature.
+  EXPECT_NE(problem_signature(one_user_problem(0.0), config),
+            problem_signature(one_user_problem(inf), config));
+}
+
+TEST(SignatureBoundary, OutOfRangeQuotientsSaturateToTheirOwnBuckets) {
+  // With a tiny quantum the quotient leaves the int64 range, where llround
+  // is unspecified: it saturates to INT64_MAX - 1 above and INT64_MIN + 1
+  // below, apart from the +inf and dead-RB buckets.
+  const double q = 1e-300;
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(quantize_gain(2.0, q), max - 1);
+  EXPECT_EQ(quantize_gain(std::numeric_limits<double>::max(), q), max - 1);
+  EXPECT_EQ(quantize_gain(0.5, q), min + 1);
+  EXPECT_EQ(quantize_gain(std::numeric_limits<double>::denorm_min(), q),
+            min + 1);
+  EXPECT_EQ(quantize_gain(1.0, q), 0);
+  EXPECT_EQ(quantize_gain(std::numeric_limits<double>::infinity(), q), max);
+  EXPECT_EQ(quantize_gain(0.0, q), min);
+  // At q = 2^-62 the quotient is exactly +-2^62 for g = 4^(+-1/2) and
+  // +-2^63 for g = 4^(+-1): the former are real buckets, the latter
+  // saturate (llround(-2^63) would alias the dead-RB sentinel).
+  const double q62 = 0x1p-62;
+  EXPECT_EQ(quantize_gain(2.0, q62), std::int64_t{1} << 62);
+  EXPECT_EQ(quantize_gain(0.5, q62), -(std::int64_t{1} << 62));
+  EXPECT_EQ(quantize_gain(4.0, q62), max - 1);
+  EXPECT_EQ(quantize_gain(0.25, q62), min + 1);
+}
+
 TEST(SignatureBoundary, TenThousandRandomProblemsDoNotCollide) {
   // Collision sanity over problems whose gains span six orders of
   // magnitude: 10k draws into a 64-bit space should stay collision-free
