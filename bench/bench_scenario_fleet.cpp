@@ -5,6 +5,9 @@
 // grading throughput rather than solver quality: scenarios/s, p50/p99 grade
 // latency, and the verdict distribution -- both counts and ratios (the
 // pass_ratio is the CI drift gate against tests/scn/scn_baseline.json).
+// Each fleet also carries report_hash, FNV-1a over that fleet's
+// report_json bytes: with the verdict counts and cell_ticks it is the
+// answer key bench/soak_diff.py holds a fresh run to.
 // The overload fleet (admission control + breakers + watchdog armed) is
 // graded as a second block of the same BENCH_perf_scn.json.
 //
@@ -17,11 +20,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
 #include "rcr/scn/dsl.hpp"
 #include "rcr/scn/grader.hpp"
+#include "rcr/serve/signature.hpp"
 
 namespace {
 
@@ -45,6 +50,7 @@ struct FleetRun {
   std::size_t scenarios = 0;
   std::size_t cell_ticks = 0;
   std::size_t counts[4] = {0, 0, 0, 0};  // pass, degraded, fail, unsound
+  std::uint64_t report_hash = 0;
   double scenarios_per_s = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
@@ -75,19 +81,18 @@ FleetRun grade(const std::string& name, const FleetSpec& fleet_spec,
   const GraderOptions options;
   std::vector<double> grade_us;
   grade_us.reserve(fleet.size());
-  double total_points = 0.0;
+  std::vector<ScenarioVerdict> verdicts;
+  verdicts.reserve(fleet.size());
 
   const auto t0 = std::chrono::steady_clock::now();
   for (const ScenarioSpec& spec : fleet) {
     const auto s0 = std::chrono::steady_clock::now();
-    const ScenarioVerdict v = rcr::scn::grade_scenario(spec, options);
+    verdicts.push_back(rcr::scn::grade_scenario(spec, options));
     const auto s1 = std::chrono::steady_clock::now();
     grade_us.push_back(
         std::chrono::duration<double, std::micro>(s1 - s0).count());
-    ++run.counts[static_cast<std::size_t>(v.verdict)];
-    total_points += v.points;
-    run.cell_ticks += v.cell_ticks;
-    if (v.verdict == Verdict::kUnsound)
+    run.cell_ticks += verdicts.back().cell_ticks;
+    if (verdicts.back().verdict == Verdict::kUnsound)
       run.unsound_replays.push_back(spec.replay_line(run.fleet_seed));
   }
   const double total_s =
@@ -98,17 +103,25 @@ FleetRun grade(const std::string& name, const FleetSpec& fleet_spec,
       total_s > 0.0 ? static_cast<double>(fleet.size()) / total_s : 0.0;
   run.p50 = percentile(grade_us, 0.50);
   run.p99 = percentile(grade_us, 0.99);
-  run.mean_points =
-      fleet.empty() ? 0.0 : total_points / static_cast<double>(fleet.size());
+  const rcr::scn::FleetReport report =
+      rcr::scn::summarize_fleet(std::move(verdicts), run.fleet_seed);
+  run.counts[0] = report.passed;
+  run.counts[1] = report.degraded;
+  run.counts[2] = report.failed;
+  run.counts[3] = report.unsound;
+  run.mean_points = report.mean_points;
+  const std::string json = rcr::scn::report_json(report, fleet);
+  run.report_hash = rcr::serve::fnv1a_bytes(json.data(), json.size());
 
   std::printf("%12s %12s %12s %12s\n", "scenarios/s", "p50(us)", "p99(us)",
               "cell-ticks");
   std::printf("%12.1f %12.1f %12.1f %12zu\n\n", run.scenarios_per_s, run.p50,
               run.p99, run.cell_ticks);
   std::printf("verdicts: pass=%zu degraded=%zu fail=%zu unsound=%zu "
-              "(mean points %.1f)\n",
+              "(mean points %.1f), report hash %016llx\n",
               run.counts[0], run.counts[1], run.counts[2], run.counts[3],
-              run.mean_points);
+              run.mean_points,
+              static_cast<unsigned long long>(run.report_hash));
   for (const std::string& replay : run.unsound_replays)
     std::printf("UNSOUND: %s\n", replay.c_str());
   std::printf("\n");
@@ -126,14 +139,15 @@ std::string run_json(const FleetRun& r) {
       "\"verdicts\":{\"pass\":%zu,\"degraded\":%zu,\"fail\":%zu,"
       "\"unsound\":%zu},"
       "\"ratios\":{\"pass\":%.4f,\"degraded\":%.4f,\"fail\":%.4f,"
-      "\"unsound\":%.4f}}",
+      "\"unsound\":%.4f},\"report_hash\":\"%016llx\"}",
       r.name.c_str(), static_cast<unsigned long long>(r.fleet_seed),
       r.scenarios, r.cell_ticks, r.scenarios_per_s, r.p50, r.p99,
       r.mean_points, r.counts[0], r.counts[1], r.counts[2], r.counts[3],
       static_cast<double>(r.counts[0]) / n,
       static_cast<double>(r.counts[1]) / n,
       static_cast<double>(r.counts[2]) / n,
-      static_cast<double>(r.counts[3]) / n);
+      static_cast<double>(r.counts[3]) / n,
+      static_cast<unsigned long long>(r.report_hash));
   return buf;
 }
 

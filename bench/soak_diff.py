@@ -1,50 +1,67 @@
 #!/usr/bin/env python3
-"""Hold a fresh bench_serve_soak run to the committed answers.
+"""Hold a fresh serve-soak or scenario-fleet run to the committed answers.
 
     python3 bench/soak_diff.py <fresh BENCH_perf_serve.json> [<committed>]
+    python3 bench/soak_diff.py <fresh BENCH_perf_scn.json> [<committed>]
 
-The committed file defaults to BENCH_perf_serve.json at the repository root.
-Every leg's served-answer fields (iterations, cache_hits, degraded, the
-admission counts and the final-tick solution_hash) must match exactly: they
-are bit-exact across RCR_THREADS.  Timings are printed side by side but not
-gated, because host drift moves them by 30-45%.  Exits 1 on any mismatch.
+The file's "bench" field picks the answer key; the committed file defaults
+to BENCH_perf_serve.json (bench_serve_soak) or BENCH_perf_scn.json
+(bench_scenario_fleet) at the repository root.  Every soak leg's
+served-answer fields (iterations, cache_hits, degraded, the admission counts
+and the final-tick solution_hash), and every fleet's verdict counts,
+cell_ticks and report_hash (FNV-1a over the fleet's report_json), must match
+exactly: they are bit-exact across RCR_THREADS.  Timings are printed side by
+side but not gated, because host drift moves them by 30-45%.  Exits 1 on any
+mismatch.
 """
 
 import json
 import os
 import sys
 
-EXACT = ("iterations", "cache_hits", "degraded", "admitted", "deferred",
-         "shed", "solution_hash")
-TIMED = ("ticks_per_s", "p50_us", "p99_us")
+# bench -> (committed file, list key, name key, exact fields, timed fields)
+KEYS = {
+    "serve_soak": ("BENCH_perf_serve.json", "legs", "name",
+                   ("iterations", "cache_hits", "degraded", "admitted",
+                    "deferred", "shed", "solution_hash"),
+                   ("ticks_per_s", "p50_us", "p99_us")),
+    "scenario_fleet": ("BENCH_perf_scn.json", "fleets", "fleet",
+                       ("verdicts", "cell_ticks", "report_hash"),
+                       ("scenarios_per_s", "grade_p50_us", "grade_p99_us")),
+}
 
 
-def legs(path):
+def load(path):
     with open(path) as f:
-        return {leg["name"]: leg for leg in json.load(f)["legs"]}
+        return json.load(f)
 
 
 def main(argv):
     if len(argv) not in (2, 3):
         sys.exit(__doc__)
+    fresh_doc = load(argv[1])
+    bench = fresh_doc.get("bench")
+    if bench not in KEYS:
+        sys.exit(f"{argv[1]}: unknown bench {bench!r}")
+    default, list_key, name_key, exact, timed = KEYS[bench]
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    committed_path = argv[2] if len(argv) == 3 else os.path.join(
-        root, "BENCH_perf_serve.json")
-    fresh, committed = legs(argv[1]), legs(committed_path)
+    committed_path = argv[2] if len(argv) == 3 else os.path.join(root, default)
+    entries = lambda doc: {e[name_key]: e for e in doc[list_key]}
+    fresh, committed = entries(fresh_doc), entries(load(committed_path))
     mismatches = []
     if sorted(fresh) != sorted(committed):
-        mismatches.append(f"legs {sorted(fresh)} != {sorted(committed)}")
+        mismatches.append(f"{list_key} {sorted(fresh)} != {sorted(committed)}")
     for name in committed:
         if name not in fresh:
             continue
-        for key in EXACT:
+        for key in exact:
             got, want = fresh[name].get(key), committed[name].get(key)
             if got != want:
                 mismatches.append(f"{name}.{key}: {got} != committed {want}")
         timings = "  ".join(
             f"{key} {fresh[name][key]} (committed {committed[name][key]})"
-            for key in TIMED)
-        print(f"{name:<9} {timings}")
+            for key in timed)
+        print(f"{name:<11} {timings}")
     for line in mismatches:
         print("MISMATCH " + line)
     if mismatches:

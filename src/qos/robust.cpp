@@ -10,7 +10,7 @@ template <typename SolutionT>
 QosRobustResult<SolutionT> from_outcome(robust::ChainOutcome<SolutionT> o) {
   QosRobustResult<SolutionT> r;
   r.solution = std::move(o.value);
-  r.method = std::move(o.step);
+  r.method = o.step;
   r.soundness = o.soundness;
   r.status = std::move(o.status);
   r.attempts = o.attempts;

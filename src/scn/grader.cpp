@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "rcr/qos/channel.hpp"
 #include "rcr/robust/fault_injection.hpp"
@@ -40,29 +41,41 @@ bool finite_nonnegative(const Vec& power) {
   return true;
 }
 
-// Failed *or gated-off* steps both count as "the sound step did not answer
-// on the record": a circuit-breaker skip is as auditable a reason for the
-// chain to fall through as a failure.
-std::size_t count_failed_steps(const std::vector<std::string>& trail) {
-  std::size_t failed = 0;
-  for (const std::string& line : trail)
-    if (line.find("' failed") != std::string::npos ||
-        line.find("' skipped") != std::string::npos)
-      ++failed;
-  return failed;
-}
+/// What the rubric reads from how a cell was served.
+struct Rubric {
+  /// Chain steps that must have failed or been skipped before this answer
+  /// is sound: the sound steps answer first, the heuristic tail last.  A
+  /// circuit-breaker skip is as auditable a reason to fall through as a
+  /// failure.
+  std::size_t min_fallthrough;
+  bool head;      ///< Answered by the chain head: a deadline hit.
+  bool snapshot;  ///< Last-known-good path, not a live answer this tick.
+  bool access;    ///< mMTC access: not dropped by a deadline fill or a shed.
+  bool policy;    ///< Admission policy's own stale serve (may invert).
+};
 
-bool trail_contains(const std::vector<std::string>& trail,
-                    const char* needle) {
-  for (const std::string& line : trail)
-    if (line.find(needle) != std::string::npos) return true;
-  return false;
-}
-
-/// Steps served from the overload layer's last-known-good path rather than
-/// a live solve this tick.
-bool is_snapshot_step(const std::string& step) {
-  return step == "snapshot" || step == "shed-fill" || step == "quarantine";
+// One exhaustive switch, no default: a new Served value does not compile
+// (-Wswitch) until it has a grading rule.  Rows read
+// {min_fallthrough, head, snapshot, access, policy}.
+Rubric rubric_of(serve::Served served) {
+  switch (served) {
+    case serve::Served::kCache:
+    case serve::Served::kAdmm:
+      return {0, true, false, true, false};
+    case serve::Served::kWaterfill:
+      return {1, false, false, true, false};
+    case serve::Served::kEqualPower:
+      return {2, false, false, true, false};
+    case serve::Served::kDeadlineFill:
+      return {0, false, false, false, false};
+    case serve::Served::kSnapshot:
+      return {0, false, true, true, true};
+    case serve::Served::kShedFill:
+      return {0, false, true, false, true};
+    case serve::Served::kQuarantine:
+      return {0, false, true, true, false};
+  }
+  throw std::logic_error("rubric_of: unknown Served value");
 }
 
 void format_double(std::string& out, double value) {
@@ -211,14 +224,16 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       std::snprintf(where, sizeof(where), "tick %zu cell %zu: ", t, c);
 
       // --- Degradation soundness -------------------------------------
+      const Rubric rubric = rubric_of(alloc.served);
       bool sound = true;
       if (!alloc.status.usable()) {
         sound = false;
         record(std::string(where) + "unusable status " +
                alloc.status.to_string());
-      } else if (alloc.step.empty()) {
+      } else if (alloc.step != serve::to_string(alloc.served)) {
         sound = false;
-        record(std::string(where) + "allocation carries no producing step");
+        record(std::string(where) + "allocation's step '" + alloc.step +
+               "' disagrees with its served record");
       } else if (!finite_nonnegative(alloc.power) ||
                  !std::isfinite(alloc.sum_rate)) {
         sound = false;
@@ -227,28 +242,21 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       } else if (alloc.assignment.size() != problem.num_rbs()) {
         sound = false;
         record(std::string(where) + "assignment length mismatch");
-      } else if (alloc.step == "equal-power" &&
-                 count_failed_steps(alloc.status.trail) < 2) {
-        // The heuristic tail may only answer after both sound steps
-        // (admm, waterfill) failed on the record.
+      } else if (alloc.fallthrough < rubric.min_fallthrough) {
+        // Equal power may only answer after both sound steps (admm,
+        // waterfill) fell through on the record, waterfill after admm.
         sound = false;
-        record(std::string(where) +
-               "heuristic equal-power answered without a recorded failure "
-               "of both sound steps");
-      } else if (alloc.step == "waterfill" &&
-                 count_failed_steps(alloc.status.trail) < 1) {
-        sound = false;
-        record(std::string(where) +
-               "waterfill answered without a recorded admm failure");
-      } else if (is_snapshot_step(alloc.step) &&
-                 !trail_contains(alloc.status.trail, "degraded:")) {
-        // Overload snapshot service must audit itself: an explicit
-        // degraded:stale/shed/quarantined trail marker.
+        record(std::string(where) + "step '" + alloc.step + "' answered after " +
+               std::to_string(alloc.fallthrough) +
+               " failed or skipped chain steps; it needs " +
+               std::to_string(rubric.min_fallthrough));
+      } else if (rubric.snapshot &&
+                 alloc.status.code != robust::StatusCode::kDegraded) {
+        // Overload snapshot service must mark itself degraded.
         sound = false;
         record(std::string(where) + "snapshot-served step '" + alloc.step +
-               "' carries no degraded: trail marker");
-      } else if (alloc.step != "admm" && alloc.step != "cache" &&
-                 alloc.status.trail.empty()) {
+               "' carries no degraded status");
+      } else if (!rubric.head && alloc.status.trail.empty()) {
         sound = false;
         record(std::string(where) + "degraded step '" + alloc.step +
                "' carries an empty degradation trail");
@@ -269,14 +277,14 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       }
 
       // --- Deadline hit-rate ----------------------------------------
-      if (alloc.step == "cache" || alloc.step == "admm") ++deadline_hits;
+      if (rubric.head) ++deadline_hits;
 
       // --- Overload freshness ---------------------------------------
       if (overload_leg) {
         const std::size_t k =
             static_cast<std::size_t>(workload.cell_class(c));
         ++ticks_by_class[k];
-        if (!is_snapshot_step(alloc.step)) ++fresh_by_class[k];
+        if (!rubric.snapshot) ++fresh_by_class[k];
       }
 
       // --- Per-slice SLA ---------------------------------------------
@@ -305,7 +313,7 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
           if (service_class == ServiceClass::kMmtc) {
             // mMTC's SLA is access: the cell answered at all, not dropped
             // by a deadline fill or an admission shed.
-            met = alloc.step != "deadline-fill" && alloc.step != "shed-fill";
+            met = rubric.access;
           } else {
             met = class_rate[k] + 1e-12 >=
                   sla_floor(options.sla, service_class) *
@@ -329,12 +337,11 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       std::vector<bool> involuntary(spec.cells, false);
       for (std::size_t c = 0; c < spec.cells; ++c) {
         const serve::CellAllocation& alloc = service.allocation(c);
-        fresh[c] = !is_snapshot_step(alloc.step);
+        const Rubric rubric = rubric_of(alloc.served);
+        fresh[c] = !rubric.snapshot;
         // Quarantines (watchdog, fault-driven) and injected sheds are not
         // admission *policy*; only voluntary defer/shed can invert.
-        involuntary[c] =
-            (alloc.step == "snapshot" || alloc.step == "shed-fill") &&
-            !trail_contains(alloc.status.trail, "injected");
+        involuntary[c] = rubric.policy && !alloc.injected;
       }
       if (priority_inversion(ranks, fresh, involuntary)) {
         ++v.unsound_degradations;
@@ -390,17 +397,14 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
   return v;
 }
 
-FleetReport grade_fleet(const std::vector<ScenarioSpec>& fleet,
-                        std::uint64_t fleet_seed,
-                        const GraderOptions& options) {
+FleetReport summarize_fleet(std::vector<ScenarioVerdict> verdicts,
+                            std::uint64_t fleet_seed) {
   FleetReport report;
   report.fleet_seed = fleet_seed;
-  report.verdicts.reserve(fleet.size());
   double total_points = 0.0;
   double total_sla = 0.0;
-  double min_points = fleet.empty() ? 0.0 : 101.0;
-  for (const ScenarioSpec& spec : fleet) {
-    ScenarioVerdict v = grade_scenario(spec, options);
+  double min_points = verdicts.empty() ? 0.0 : 101.0;
+  for (const ScenarioVerdict& v : verdicts) {
     switch (v.verdict) {
       case Verdict::kPass:
         ++report.passed;
@@ -418,14 +422,25 @@ FleetReport grade_fleet(const std::vector<ScenarioSpec>& fleet,
     total_points += v.points;
     total_sla += v.sla_satisfaction;
     if (v.points < min_points) min_points = v.points;
-    report.verdicts.push_back(std::move(v));
   }
-  if (!fleet.empty()) {
-    report.mean_points = total_points / static_cast<double>(fleet.size());
-    report.mean_sla = total_sla / static_cast<double>(fleet.size());
+  if (!verdicts.empty()) {
+    const double n = static_cast<double>(verdicts.size());
+    report.mean_points = total_points / n;
+    report.mean_sla = total_sla / n;
     report.min_points = min_points;
   }
+  report.verdicts = std::move(verdicts);
   return report;
+}
+
+FleetReport grade_fleet(const std::vector<ScenarioSpec>& fleet,
+                        std::uint64_t fleet_seed,
+                        const GraderOptions& options) {
+  std::vector<ScenarioVerdict> verdicts;
+  verdicts.reserve(fleet.size());
+  for (const ScenarioSpec& spec : fleet)
+    verdicts.push_back(grade_scenario(spec, options));
+  return summarize_fleet(std::move(verdicts), fleet_seed);
 }
 
 std::string report_json(const FleetReport& report,

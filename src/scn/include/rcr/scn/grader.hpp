@@ -13,7 +13,9 @@
 //   soundness    20 pts  all-or-nothing: every degraded answer must carry a
 //                        non-empty FallbackChain trail, stay usable and
 //                        finite, and reach a heuristic step only after the
-//                        sound steps failed
+//                        sound steps failed or were skipped -- read from the
+//                        typed CellAllocation record (served, fallthrough,
+//                        injected), never from trail text
 //
 // A scenario's verdict is kUnsound the moment any degradation breaks the
 // soundness contract (the fleet gate: zero unsound verdicts on the seed
@@ -119,6 +121,10 @@ struct FleetReport {
   double mean_sla = 0.0;
   double min_points = 0.0;
 };
+
+/// Aggregate verdicts, in fleet order, into a FleetReport.
+FleetReport summarize_fleet(std::vector<ScenarioVerdict> verdicts,
+                            std::uint64_t fleet_seed);
 
 /// Grade every scenario in order (sequentially — fault installation is
 /// process-global; the per-scenario service still fans cells out across the

@@ -90,7 +90,6 @@ struct BrownoutConfig {
   /// latency pressure term (the deterministic default -- arming it makes
   /// state transitions timing-dependent by design).
   double latency_budget_us = 0.0;
-  double ewma_alpha = 0.25;     ///< EWMA weight for the latency estimate.
   double enter_brownout = 0.5;  ///< Pressure at which NORMAL -> BROWNOUT.
   double enter_shed = 0.9;      ///< Pressure at which BROWNOUT -> SHED.
   double exit_margin = 0.5;     ///< Exit when pressure < threshold * margin.
@@ -98,9 +97,12 @@ struct BrownoutConfig {
   std::size_t exit_ticks = 3;   ///< Consecutive ticks below to recover.
   /// ADMM iteration-cap scale applied while in BROWNOUT (cheaper head).
   double brownout_iteration_factor = 0.25;
-  /// Armed tick-deadline scale applied while in BROWNOUT.
-  double brownout_deadline_factor = 0.5;
 };
+
+/// EWMA weight of the latency estimate (latency_budget_us > 0 only).
+inline constexpr double kBrownoutEwmaAlpha = 0.25;
+/// Armed tick-deadline scale applied outside NORMAL.
+inline constexpr double kBrownoutDeadlineFactor = 0.5;
 
 /// Owned by the service driver thread; observe() runs serially at the end of
 /// each tick and the state is read serially at the start of the next.

@@ -21,7 +21,9 @@
 // (warm-started ADMM power QP -> water-filling -> equal power); when the
 // tick deadline expires before a cell's chain starts, the cell is filled
 // with the equal-power allocation inline so every cell always has an
-// answer.
+// answer.  Each answer carries a typed record of how it was served
+// (CellAllocation::served, fallthrough, injected); everything that decides
+// anything reads that record, and the status trail is audit text only.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +69,26 @@ struct ServiceConfig {
   WatchdogConfig watchdog;
 };
 
+/// How a cell's answer was produced this tick: a typed record the breaker,
+/// the brownout depth, the tick report and the scn grader switch over.
+/// kAdmm, kWaterfill and kEqualPower are the serve.cell chain's steps, in
+/// chain order; the last three are the overload layer's snapshot paths.
+enum class Served : std::uint8_t {
+  kCache,         ///< Solution-cache hit.
+  kAdmm,          ///< Chain head: warm-started ADMM power QP.
+  kWaterfill,     ///< Chain step 2: water-filling.
+  kEqualPower,    ///< Chain tail: equal power (heuristic).
+  kDeadlineFill,  ///< Deadline fired before any step ran: equal-power fill.
+  kSnapshot,      ///< Deferred by admission: last-known-good snapshot.
+  kShedFill,      ///< Shed by admission (policy or injected).
+  kQuarantine,    ///< Watchdog quarantine window.
+};
+
+/// Stable name of a Served value ("cache", "admm", "waterfill",
+/// "equal-power", "deadline-fill", "snapshot", "shed-fill", "quarantine");
+/// the serve.cell chain's step names are taken from it.
+const char* to_string(Served served);
+
 /// One cell's allocation for the current tick.
 struct CellAllocation {
   qos::Assignment assignment;  ///< RB -> user.
@@ -74,13 +96,15 @@ struct CellAllocation {
   double sum_rate = 0.0;       ///< Achieved sum spectral efficiency.
   std::size_t iterations = 0;  ///< ADMM iterations spent (0 on hit/fallback).
   opt::WarmUse warm_use = opt::WarmUse::kCold;
-  bool cache_hit = false;
-  std::string step;            ///< Producing step: "cache", "admm",
-                               ///< "waterfill", "equal-power",
-                               ///< "deadline-fill", or one of the
-                               ///< snapshot-served overload steps
-                               ///< "snapshot", "shed-fill", "quarantine".
-  robust::Status status;
+  Served served = Served::kAdmm;  ///< How this answer was produced.
+  /// serve.cell chain steps that failed or were skipped on the run that
+  /// produced this answer (ChainOutcome::fallthrough); a cache hit carries
+  /// the cached run's count, a snapshot-served answer 0.
+  std::size_t fallthrough = 0;
+  bool injected = false;       ///< An injected (serve.admit.shed) shed.
+  std::string step;            ///< to_string(served), for readers that
+                               ///< still take the name.
+  robust::Status status;       ///< Audit text; decide nothing from it.
 };
 
 /// Per-tick accounting.
@@ -131,12 +155,6 @@ class AllocationService {
 
   CacheStats cache_stats() const { return cache_.stats(); }
 
-  /// Drop all warm states (every next solve runs cold).
-  void reset_warm_states();
-
-  /// Drop all cached solutions (statistics retained).
-  void clear_cache() { cache_.clear(); }
-
   /// The brownout state machine (advances once per tick when enabled).
   const BrownoutController& brownout() const { return brownout_; }
 
@@ -152,7 +170,6 @@ class AllocationService {
     std::uint64_t quarantine_until = 0;
     CircuitBreaker admm_breaker;
     CircuitBreaker waterfill_breaker;
-    std::uint64_t watchdog_trips = 0;
   };
 
   CellAllocation solve_cell(const RraProblem& problem, std::size_t cell,

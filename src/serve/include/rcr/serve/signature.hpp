@@ -30,8 +30,9 @@ struct SignatureConfig {
   double scalar_quantum = 1e-6;
 };
 
-/// FNV-1a over raw bytes (seeded so hashes chain).  Only the tick report's
-/// solution-hash witness uses it; signatures hash whole words instead.
+/// FNV-1a over raw bytes (seeded so hashes chain).  The tick report's
+/// solution-hash witness and the fleet bench's report hash use it;
+/// signatures hash whole words instead.
 std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
                           std::uint64_t seed = 1469598103934665603ull);
 

@@ -132,8 +132,8 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
   if (config_.latency_budget_us > 0.0) {
     ewma_us_ = ewma_us_ == 0.0
                    ? tick_latency_us
-                   : config_.ewma_alpha * tick_latency_us +
-                         (1.0 - config_.ewma_alpha) * ewma_us_;
+                   : kBrownoutEwmaAlpha * tick_latency_us +
+                         (1.0 - kBrownoutEwmaAlpha) * ewma_us_;
     // Decaying max approximates the p99 without a reservoir.
     peak_us_ = std::max(tick_latency_us, 0.8 * peak_us_);
     pressure =

@@ -29,6 +29,17 @@ void rescale_to_budget(Vec& power, double budget) {
   for (double& p : power) p *= scale;
 }
 
+/// The serve.cell chain's steps, in chain order: a run whose winner is step
+/// i was served as kChainSteps[i].
+constexpr Served kChainSteps[] = {Served::kAdmm, Served::kWaterfill,
+                                  Served::kEqualPower};
+
+/// Record how `alloc` was served; `step` is only ever written here.
+void serve_as(CellAllocation& alloc, Served served) {
+  alloc.served = served;
+  alloc.step = to_string(served);
+}
+
 /// Sum spectral efficiency of an allocation over its per-RB gains.
 double sum_rate_of(const Vec& gains, const Vec& power) {
   double rate = 0.0;
@@ -38,6 +49,28 @@ double sum_rate_of(const Vec& gains, const Vec& power) {
 }
 
 }  // namespace
+
+const char* to_string(Served served) {
+  switch (served) {
+    case Served::kCache:
+      return "cache";
+    case Served::kAdmm:
+      return "admm";
+    case Served::kWaterfill:
+      return "waterfill";
+    case Served::kEqualPower:
+      return "equal-power";
+    case Served::kDeadlineFill:
+      return "deadline-fill";
+    case Served::kSnapshot:
+      return "snapshot";
+    case Served::kShedFill:
+      return "shed-fill";
+    case Served::kQuarantine:
+      return "quarantine";
+  }
+  return "unknown";
+}
 
 AllocationService::AllocationService(const ServiceConfig& config,
                                      std::size_t num_cells)
@@ -49,10 +82,6 @@ AllocationService::AllocationService(const ServiceConfig& config,
       brownout_(config.brownout) {
   if (num_cells == 0)
     throw std::invalid_argument("AllocationService: zero cells");
-}
-
-void AllocationService::reset_warm_states() {
-  for (auto& w : warm_) w.clear();
 }
 
 CellAllocation AllocationService::solve_cell(const RraProblem& problem,
@@ -70,9 +99,8 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
       problem_signature(problem, assignment, config_.signature);
   if (config_.cache_enabled && !faults::should_inject("serve.cache.drop", stamp) &&
       cache_.get(sig, stamp, alloc)) {
-    alloc.cache_hit = true;
+    serve_as(alloc, Served::kCache);
     alloc.iterations = 0;
-    alloc.step = "cache";
     return alloc;
   }
 
@@ -118,7 +146,7 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   robust::FallbackChain<CellAllocation> chain("serve.cell");
   chain
       .add_gated(
-          "admm", robust::Soundness::kRelaxation,
+          to_string(kChainSteps[0]), robust::Soundness::kRelaxation,
           [&]() -> const char* {
             if (config_.brownout.enabled && bstate == BrownoutState::kShed)
               return "brownout shed";
@@ -181,7 +209,7 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
              return out;
            })
       .add_gated(
-          "waterfill", robust::Soundness::kRelaxation,
+          to_string(kChainSteps[1]), robust::Soundness::kRelaxation,
           [&]() -> const char* {
             if (config_.breaker.enabled &&
                 rtc.waterfill_breaker.blocked(tick))
@@ -200,7 +228,7 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
              out.value.power = qos::waterfill(gains, budget);
              return out;
            })
-      .add("equal-power", robust::Soundness::kHeuristic,
+      .add(to_string(kChainSteps[2]), robust::Soundness::kHeuristic,
            [&]() -> robust::Result<CellAllocation> {
              robust::Result<CellAllocation> out;
              out.value.assignment = assignment;
@@ -211,40 +239,35 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   robust::ChainOutcome<CellAllocation> outcome = chain.run(deadline);
 
   if (config_.breaker.enabled) {
-    // Advance the breakers from what actually happened.  This runtime state
-    // belongs to this cell's pool task alone, so no synchronization is
+    // Advance the breakers from the chain's step records.  This runtime
+    // state belongs to this cell's pool task alone, so no synchronization is
     // needed and the evolution is schedule-independent.
-    const auto stage_failed = [&](const char* stage) {
-      const std::string needle =
-          std::string("step '") + stage + "' failed";
-      for (const std::string& line : outcome.status.trail)
-        if (line.find(needle) != std::string::npos) return true;
-      return false;
-    };
-    const auto advance = [&](CircuitBreaker& breaker, const char* stage) {
-      if (outcome.step == stage)
+    const auto advance = [&](CircuitBreaker& breaker, std::size_t step) {
+      if (outcome.winner == step)
         breaker.record_success(config_.breaker, tick);
-      else if (stage_failed(stage))
+      else if (outcome.records[step].outcome == robust::StepOutcome::kFailed)
         breaker.record_failure(config_.breaker, tick);
-      // Skipped (gated) stages record nothing: the open window just ages.
+      // Skipped (gated) and not-run steps record nothing: the open window
+      // just ages.  A banked winner is a success despite its kFailed record.
     };
-    advance(rtc.admm_breaker, "admm");
-    advance(rtc.waterfill_breaker, "waterfill");
+    advance(rtc.admm_breaker, 0);  // kChainSteps[0], kAdmm
+    advance(rtc.waterfill_breaker, 1);  // kChainSteps[1], kWaterfill
   }
   if (outcome.status.code == robust::StatusCode::kFallbackExhausted) {
     // Deadline fired before any step could run: every cell still gets an
     // answer -- the zero-information equal split.
     alloc.assignment = assignment;
     alloc.power.assign(n, p0);
-    alloc.step = "deadline-fill";
+    serve_as(alloc, Served::kDeadlineFill);
     alloc.status = outcome.status;
     alloc.status.note("deadline expired before any step; equal-power fill");
     obs::counter_add("rcr.serve.deadline_fills");
   } else {
     alloc = std::move(outcome.value);
-    alloc.step = outcome.step;
+    serve_as(alloc, kChainSteps[outcome.winner]);
     alloc.status = outcome.status;
   }
+  alloc.fallthrough = outcome.fallthrough();
   if (config_.watchdog.enabled &&
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
@@ -294,13 +317,14 @@ CellAllocation AllocationService::serve_from_snapshot(
   alloc.status.code = robust::StatusCode::kDegraded;
   switch (reason) {
     case AdmitDecision::kDefer:
-      alloc.step = "snapshot";
+      serve_as(alloc, Served::kSnapshot);
       alloc.status.detail = "deferred by admission control";
       alloc.status.note("degraded:stale (age " + std::to_string(age) +
                         " ticks)");
       break;
     case AdmitDecision::kShed:
-      alloc.step = "shed-fill";
+      serve_as(alloc, Served::kShedFill);
+      alloc.injected = injected;
       alloc.status.detail = "shed by admission control";
       alloc.status.note(injected
                             ? "degraded:shed (injected serve.admit.shed)"
@@ -308,7 +332,7 @@ CellAllocation AllocationService::serve_from_snapshot(
                                   " ticks)");
       break;
     case AdmitDecision::kQuarantine:
-      alloc.step = "quarantine";
+      serve_as(alloc, Served::kQuarantine);
       alloc.status.detail = "watchdog quarantine";
       alloc.status.note("degraded:quarantined (until tick " +
                         std::to_string(rtc.quarantine_until) + ")");
@@ -359,7 +383,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
   double deadline_s = config_.tick_deadline_s;
   if (config_.brownout.enabled && bstate != BrownoutState::kNormal &&
       deadline_s > 0.0)
-    deadline_s *= config_.brownout.brownout_deadline_factor;
+    deadline_s *= kBrownoutDeadlineFactor;
   const robust::Deadline deadline =
       deadline_s > 0.0 ? robust::Deadline::after_seconds(deadline_s)
                        : robust::Deadline::unlimited();
@@ -414,7 +438,6 @@ TickReport AllocationService::tick(std::size_t tick_index,
         // last-known-good snapshot right now.
         runtime_[c].quarantine_until =
             tick + 1 + config_.watchdog.quarantine_ticks;
-        ++runtime_[c].watchdog_trips;
         obs::counter_add("rcr.watchdog.trips");
         plan.decisions[c] = AdmitDecision::kQuarantine;
         --plan.admitted;
@@ -425,31 +448,24 @@ TickReport AllocationService::tick(std::size_t tick_index,
     }
     const CellAllocation& a = current_[c];
     if (plan.decisions[c] == AdmitDecision::kAdmit) {
-      if (a.cache_hit) {
+      if (a.served == Served::kCache) {
         ++report.cache_hits;
       } else {
         ++report.solves;
         report.total_iterations += a.iterations;
         if (a.warm_use == opt::WarmUse::kAccepted) ++report.warm_accepted;
-        if (a.step != "admm" && a.step != "cache") ++report.degraded;
-        if (a.step == "deadline-fill") ++report.deadline_fills;
-      }
-      // Fallback-depth proxy for the brownout controller: one clean head
-      // answer is depth 1, every failed or gated step adds one.
-      if (!a.cache_hit) {
+        if (a.served != Served::kAdmm) ++report.degraded;
+        if (a.served == Served::kDeadlineFill) ++report.deadline_fills;
+        // Fallback-depth proxy for the brownout controller: one clean head
+        // answer is depth 1, every failed or gated step adds one.
         ++chain_cells;
-        std::size_t depth = 1;
-        for (const std::string& line : a.status.trail)
-          if (line.find("' failed") != std::string::npos ||
-              line.find("' skipped") != std::string::npos)
-            ++depth;
-        chain_steps += depth;
+        chain_steps += 1 + a.fallthrough;
       }
       // Freshness bookkeeping: any chain or cache answer refreshes the
       // staleness clock; only finite non-fill answers refresh the
       // last-known-good snapshot.
       runtime_[c].last_fresh_tick = tick;
-      if (a.step != "deadline-fill") {
+      if (a.served != Served::kDeadlineFill) {
         runtime_[c].snapshot_assignment = a.assignment;
         runtime_[c].snapshot_power = a.power;
         runtime_[c].has_snapshot = true;

@@ -415,6 +415,7 @@ bool box_finite(const Box& b) {
 
 RobustBounds compute_bounds_robust(const ReluNetwork& net, const Box& input) {
   robust::FallbackChain<LayerBounds> chain("bounds");
+  // Step 0 is CROWN, step 1 the IBP fallback.
   chain.add("crown", robust::Soundness::kRelaxation,
             [&]() -> robust::Result<LayerBounds> {
               robust::Result<LayerBounds> r;
@@ -436,7 +437,7 @@ RobustBounds compute_bounds_robust(const ReluNetwork& net, const Box& input) {
   robust::ChainOutcome<LayerBounds> out = chain.run();
   RobustBounds rb;
   rb.bounds = std::move(out.value);
-  rb.method = out.step == "ibp" ? BoundMethod::kIbp : BoundMethod::kCrown;
+  rb.method = out.winner == 1 ? BoundMethod::kIbp : BoundMethod::kCrown;
   rb.status = std::move(out.status);
   return rb;
 }

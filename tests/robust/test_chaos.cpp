@@ -15,7 +15,6 @@
 #include "rcr/opt/admm.hpp"
 #include "rcr/opt/lbfgs.hpp"
 #include "rcr/opt/qcqp.hpp"
-#include "rcr/opt/robust_solve.hpp"
 #include "rcr/opt/sdp.hpp"
 #include "rcr/opt/trust_region.hpp"
 #include "rcr/pso/swarm.hpp"
@@ -189,21 +188,6 @@ void run_rrm_workload() {
   EXPECT_LE(r.slots_completed, cfg.num_slots);
 }
 
-void run_robust_boxqp_workload() {
-  RCR_CHAOS_TRACE();
-  num::Rng rng(21);
-  const num::Matrix p = opt::random_psd(3, 3, rng) + num::Matrix::identity(3);
-  const Vec q = rng.normal_vec(3);
-  const opt::RobustBoxQpResult r =
-      opt::solve_box_qp_robust(p, q, Vec(3, -1.0), Vec(3, 1.0));
-  EXPECT_TRUE(r.status.usable()) << r.status.to_string();
-  EXPECT_TRUE(robust::all_finite(r.x)) << r.status.to_string();
-  for (const double v : r.x) {
-    EXPECT_GE(v, -1.0 - 1e-9);
-    EXPECT_LE(v, 1.0 + 1e-9);
-  }
-}
-
 void run_serve_workload() {
   RCR_CHAOS_TRACE();
   serve::WorkloadConfig wc;
@@ -261,6 +245,14 @@ void run_serve_overload_workload() {
       EXPECT_TRUE(robust::all_finite(a.power)) << a.status.to_string();
       EXPECT_TRUE(std::isfinite(a.sum_rate)) << a.status.to_string();
       EXPECT_EQ(a.power.size(), wc.num_rbs);
+      // The typed record agrees with the step name and the audit trail.
+      EXPECT_EQ(a.step, serve::to_string(a.served));
+      std::size_t trail_fallthrough = 0;
+      for (const std::string& line : a.status.trail)
+        if (line.find("' failed") != std::string::npos ||
+            line.find("' skipped") != std::string::npos)
+          ++trail_fallthrough;
+      EXPECT_EQ(a.fallthrough, trail_fallthrough) << a.status.to_string();
     }
   }
 }
@@ -269,7 +261,6 @@ void run_serve_overload_workload() {
 void run_workload_for_site(const std::string& site) {
   if (site.rfind("admm.", 0) == 0 || site == "numerics.lu.singular") {
     run_admm_workload();
-    run_robust_boxqp_workload();
   } else if (site.rfind("sdp.", 0) == 0) {
     run_sdp_workload();
   } else if (site.rfind("qcqp.", 0) == 0) {
@@ -316,6 +307,8 @@ TEST(Chaos, InjectionsActuallyFireAtCoreSites) {
   // Guard against silently-dead injection points: for these sites the
   // workload is known to pass through the guarded code.
   const std::pair<const char*, void (*)()> wired[] = {
+      {"numerics.lu.singular", &run_admm_workload},
+      {"admm.factor.singular", &run_admm_workload},
       {"admm.iterate.nan", &run_admm_workload},
       {"admm.deadline", &run_admm_workload},
       {"sdp.iterate.nan", &run_sdp_workload},
@@ -460,7 +453,6 @@ TEST(Chaos, RandomizedMultiSiteSweepNeverCrashes) {
     run_verify_workload();
     run_qos_workload();
     run_rrm_workload();
-    run_robust_boxqp_workload();
   }
 }
 

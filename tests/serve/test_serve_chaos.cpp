@@ -38,8 +38,20 @@ WorkloadConfig chaos_workload() {
   return wc;
 }
 
+// Chain steps the audit trail says failed or were skipped: today's wording,
+// kept here only to hold the typed fallthrough count to it.
+std::size_t trail_fallthrough(const CellAllocation& a) {
+  std::size_t n = 0;
+  for (const std::string& line : a.status.trail)
+    if (line.find("' failed") != std::string::npos ||
+        line.find("' skipped") != std::string::npos)
+      ++n;
+  return n;
+}
+
 // Every cell must answer: full-size allocation, finite power on the budget,
-// usable status, and a step drawn from the service's published set.
+// usable status, and a step drawn from the service's published set that
+// agrees with its typed record.
 void expect_cell_answers(const AllocationService& service,
                          const DiurnalWorkload& wl) {
   for (std::size_t c = 0; c < service.num_cells(); ++c) {
@@ -60,6 +72,8 @@ void expect_cell_answers(const AllocationService& service,
                 a.step == "waterfill" || a.step == "equal-power" ||
                 a.step == "deadline-fill")
         << a.step;
+    EXPECT_EQ(a.step, to_string(a.served));
+    EXPECT_EQ(a.fallthrough, trail_fallthrough(a)) << a.status.to_string();
   }
 }
 
