@@ -46,8 +46,11 @@ struct RraSolution {
 };
 
 /// Water-filling over the RBs of a fixed assignment: maximize sum rate
-/// subject to the power budget only (no per-user minima).  Gains must be
-/// positive; zero-gain RBs receive no power.
+/// subject to the power budget only (no per-user minima).  Exact: one sort
+/// of the floors 1/g and one pass for the water level, so there is no
+/// iteration count and the answer is scale-invariant (gains x s with budget
+/// / s gives powers / s).  Zero, negative and NaN gains receive no power;
+/// +inf gains have floor 0.  A budget that is not positive gives all zeros.
 Vec waterfill(const Vec& gains, double total_power);
 
 /// Each RB assigned to its best-gain user: the seed shared by the greedy
@@ -89,8 +92,10 @@ Vec per_user_rates(const RraProblem& problem, const Assignment& assignment,
 
 /// Two-phase power allocation for a fixed assignment: first the minimum
 /// power meeting each user's QoS floor (on that user's best assigned RBs),
-/// then water-filling of the residual budget.  Returns std::nullopt when the
-/// QoS floors alone exceed the budget.
+/// then water-filling of the residual budget.  Both phases are exact water
+/// levels: a closed form per floored user, sorted floors for the residual.
+/// Returns std::nullopt when the QoS floors alone exceed the budget, or a
+/// floored user holds no RB with a positive gain.
 std::optional<Vec> qos_power_allocation(const RraProblem& problem,
                                         const Assignment& assignment);
 
@@ -124,7 +129,9 @@ RraSolution solve_greedy(const RraProblem& problem);
 
 /// Minimum transmit power that meets every user's QoS floor under a fixed
 /// assignment (Sec. I's "without excessive allocation of network
-/// resources"); std::nullopt when some constrained user holds no RB.
+/// resources"), exact like qos_power_allocation's first phase;
+/// std::nullopt when some constrained user holds no RB with a positive gain,
+/// or its floor needs more power than a double can hold.
 std::optional<double> minimum_power_for_qos(const RraProblem& problem,
                                             const Assignment& assignment);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -21,139 +23,113 @@ void RraProblem::validate() const {
     if (g < 0.0) throw std::invalid_argument("RraProblem: negative gain");
 }
 
-Vec waterfill(const Vec& gains, double total_power) {
-  // p_i = max(0, mu - 1/g_i) with mu chosen so sum p_i = total_power.
-  Vec p(gains.size(), 0.0);
-  double inv_min = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (double g : gains) {
-    if (g > 0.0) {
-      any = true;
-      inv_min = std::min(inv_min, 1.0 / g);
-    }
-  }
-  if (!any || total_power <= 0.0) return p;
-
-  auto used = [&](double mu) {
-    double acc = 0.0;
-    for (double g : gains)
-      if (g > 0.0) acc += std::max(0.0, mu - 1.0 / g);
-    return acc;
-  };
-  double lo = inv_min;
-  double hi = inv_min + total_power + 1.0;
-  while (used(hi) < total_power) hi *= 2.0;
-  for (int it = 0; it < 200; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (used(mid) < total_power) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  for (std::size_t i = 0; i < gains.size(); ++i)
-    if (gains[i] > 0.0) p[i] = std::max(0.0, hi - 1.0 / gains[i]);
-  return p;
-}
-
 namespace {
 
-// Minimal-power water level for a user to reach `target_rate` on the RBs
-// with the given gains; returns the per-RB powers.  Infinite cost when the
-// user has no usable RB.
-std::optional<Vec> min_power_for_rate(const Vec& gains, double target_rate) {
-  bool any = false;
-  for (double g : gains)
-    if (g > 0.0) any = true;
-  if (!any) return std::nullopt;
-  if (target_rate <= 0.0) return Vec(gains.size(), 0.0);
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  auto rate_at = [&](double mu) {
-    double acc = 0.0;
-    for (double g : gains)
-      if (g > 0.0) {
-        const double p = std::max(0.0, mu - 1.0 / g);
-        acc += std::log2(1.0 + p * g);
-      }
-    return acc;
+// Water-fills `budget` over the RBs on top of the power they already hold:
+// adds max(0, mu - f_i) to power[i], where the floor f_i = 1/g_i + power[i]
+// and the water level mu makes the additions sum to `budget`.  RBs whose
+// gain is not positive (or so small that 1/g overflows) take nothing.
+// Exact: sort the floors, then one pass for the largest active set whose
+// level (budget + sum of its floors)/k clears its last floor.  Levels are
+// measured from the lowest floor, so the powers keep full precision when the
+// floors dwarf the budget.
+void fill_to_level(const Vec& gains, double budget, Vec& power) {
+  const auto floor = [&](std::size_t i) {
+    return gains[i] > 0.0 ? 1.0 / gains[i] + power[i] : kInf;
   };
-  double lo = 0.0;
-  double hi = 1.0;
-  while (rate_at(hi) < target_rate && hi < 1e12) hi *= 2.0;
-  if (rate_at(hi) < target_rate) return std::nullopt;
-  for (int it = 0; it < 200; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (rate_at(mid) < target_rate) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+  Vec sorted;
+  sorted.reserve(gains.size());
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    const double f = floor(i);
+    if (std::isfinite(f)) sorted.push_back(f);
   }
-  Vec p(gains.size(), 0.0);
-  for (std::size_t i = 0; i < gains.size(); ++i)
-    if (gains[i] > 0.0) p[i] = std::max(0.0, hi - 1.0 / gains[i]);
-  return p;
+  if (sorted.empty() || !(budget > 0.0)) return;
+  std::sort(sorted.begin(), sorted.end());
+  const double base = sorted[0];
+  double above = 0.0;  // sum of the active floors' heights above base
+  double level = 0.0;  // water level above base
+  for (std::size_t k = 1;; ++k) {
+    above += sorted[k - 1] - base;
+    level = (budget + above) / static_cast<double>(k);
+    if (k == sorted.size() || sorted[k] - base >= level) break;
+  }
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    const double f = floor(i);
+    if (std::isfinite(f)) power[i] += std::max(0.0, level - (f - base));
+  }
+}
+
+// Phase 1 of the QoS power allocation: per RB, the least power that meets
+// its owner's rate floor.  Over a user's k strongest RBs the rate at water
+// level mu is sum log2(mu g_i), so mu = 2^((floor - sum log2 g_i)/k) for the
+// smallest k whose level does not reach the next RB's 1/g_{k+1}.
+// std::nullopt when a floored user holds no RB with a positive gain, or its
+// level overflows.
+std::optional<Vec> floor_powers(const RraProblem& problem,
+                                const Assignment& assignment) {
+  const std::size_t n_rb = problem.num_rbs();
+  Vec power(n_rb, 0.0);
+  Vec gains;  // the user's positive gains, strongest first
+  for (std::size_t u = 0; u < problem.num_users(); ++u) {
+    const double target = problem.min_rate[u];
+    if (target <= 0.0) continue;
+    gains.clear();
+    for (std::size_t rb = 0; rb < n_rb; ++rb)
+      if (assignment[rb] == u && problem.gain(u, rb) > 0.0)
+        gains.push_back(problem.gain(u, rb));
+    if (gains.empty()) return std::nullopt;
+    std::sort(gains.begin(), gains.end(), std::greater<>());
+    double log_sum = 0.0;
+    double level = 0.0;
+    for (std::size_t k = 1;; ++k) {
+      log_sum += std::log2(gains[k - 1]);
+      level = std::exp2((target - log_sum) / static_cast<double>(k));
+      if (k == gains.size() || level <= 1.0 / gains[k]) break;
+    }
+    if (level == kInf) return std::nullopt;
+    // An infinite gain meets any floor with any positive power (level 0
+    // would leave 0 * inf rates): grant it the least normal one.
+    if (level == 0.0) level = std::numeric_limits<double>::min();
+    for (std::size_t rb = 0; rb < n_rb; ++rb)
+      if (assignment[rb] == u && problem.gain(u, rb) > 0.0)
+        power[rb] = std::max(0.0, level - 1.0 / problem.gain(u, rb));
+  }
+  return power;
+}
+
+double total(const Vec& v) { return std::accumulate(v.begin(), v.end(), 0.0); }
+
+// Each RB's best gain over all users: the relaxation's and the exact
+// search's optimistic channel.
+Vec best_gains(const RraProblem& problem) {
+  Vec best(problem.num_rbs(), 0.0);
+  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb)
+    for (std::size_t u = 0; u < problem.num_users(); ++u)
+      best[rb] = std::max(best[rb], problem.gain(u, rb));
+  return best;
 }
 
 }  // namespace
 
+Vec waterfill(const Vec& gains, double total_power) {
+  // p_i = max(0, mu - 1/g_i) with mu chosen so sum p_i = total_power.
+  Vec p(gains.size(), 0.0);
+  fill_to_level(gains, total_power, p);
+  return p;
+}
+
 std::optional<Vec> qos_power_allocation(const RraProblem& problem,
                                         const Assignment& assignment) {
-  const std::size_t n_rb = problem.num_rbs();
-  Vec power(n_rb, 0.0);
-  double spent = 0.0;
-
-  // Phase 1: minimum power per QoS-constrained user on its own RBs.
-  for (std::size_t u = 0; u < problem.num_users(); ++u) {
-    if (problem.min_rate[u] <= 0.0) continue;
-    Vec gains(n_rb, 0.0);
-    bool has_rb = false;
-    for (std::size_t rb = 0; rb < n_rb; ++rb)
-      if (assignment[rb] == u) {
-        gains[rb] = problem.gain(u, rb);
-        has_rb = true;
-      }
-    if (!has_rb) return std::nullopt;
-    const auto p_min = min_power_for_rate(gains, problem.min_rate[u]);
-    if (!p_min) return std::nullopt;
-    for (std::size_t rb = 0; rb < n_rb; ++rb) {
-      power[rb] += (*p_min)[rb];
-      spent += (*p_min)[rb];
-    }
-  }
+  auto power = floor_powers(problem, assignment);
+  if (!power) return std::nullopt;
+  const double spent = total(*power);
   if (spent > problem.total_power * (1.0 + 1e-9)) return std::nullopt;
-
   // Phase 2: water-fill the residual budget over all RBs, starting from the
   // phase-1 powers: q_rb = max(0, mu - (1/g + p0)).
-  const double residual = problem.total_power - spent;
-  if (residual > 0.0) {
-    Vec offset_inv(n_rb, std::numeric_limits<double>::infinity());
-    for (std::size_t rb = 0; rb < n_rb; ++rb) {
-      const double g = problem.gain(assignment[rb], rb);
-      if (g > 0.0) offset_inv[rb] = 1.0 / g + power[rb];
-    }
-    auto used = [&](double mu) {
-      double acc = 0.0;
-      for (double o : offset_inv)
-        if (std::isfinite(o)) acc += std::max(0.0, mu - o);
-      return acc;
-    };
-    double lo = 0.0;
-    double hi = residual + 1.0;
-    for (double o : offset_inv)
-      if (std::isfinite(o)) hi = std::max(hi, o + residual);
-    for (int it = 0; it < 200; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (used(mid) < residual) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    for (std::size_t rb = 0; rb < n_rb; ++rb)
-      if (std::isfinite(offset_inv[rb]))
-        power[rb] += std::max(0.0, hi - offset_inv[rb]);
-  }
+  fill_to_level(assigned_gains(problem, assignment),
+                problem.total_power - spent, *power);
   return power;
 }
 
@@ -162,25 +138,13 @@ RraSolution evaluate_assignment(const RraProblem& problem,
   RraSolution sol;
   sol.assignment = assignment;
   auto power = qos_power_allocation(problem, assignment);
-  if (!power) {
-    // QoS-infeasible assignment: fall back to plain water-filling so the
-    // solution still reports an achieved rate.
-    Vec gains(problem.num_rbs());
-    for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb)
-      gains[rb] = problem.gain(assignment[rb], rb);
-    sol.power = waterfill(gains, problem.total_power);
-  } else {
-    sol.power = *power;
-  }
-
-  sol.user_rate.assign(problem.num_users(), 0.0);
-  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb) {
-    const std::size_t u = assignment[rb];
-    sol.user_rate[u] +=
-        std::log2(1.0 + sol.power[rb] * problem.gain(u, rb));
-  }
-  sol.sum_rate = 0.0;
-  for (double r : sol.user_rate) sol.sum_rate += r;
+  // A QoS-infeasible assignment falls back to plain water-filling so the
+  // solution still reports an achieved rate.
+  sol.power = power ? std::move(*power)
+                    : waterfill(assigned_gains(problem, assignment),
+                                problem.total_power);
+  sol.user_rate = per_user_rates(problem, assignment, sol.power);
+  sol.sum_rate = total(sol.user_rate);
   sol.feasible = power.has_value();
   for (std::size_t u = 0; u < problem.num_users(); ++u)
     if (sol.user_rate[u] < problem.min_rate[u] - 1e-9) sol.feasible = false;
@@ -253,10 +217,7 @@ Vec per_user_rates(const RraProblem& problem, const Assignment& assignment,
 }
 
 double relaxation_upper_bound(const RraProblem& problem) {
-  Vec best_gain(problem.num_rbs(), 0.0);
-  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb)
-    for (std::size_t u = 0; u < problem.num_users(); ++u)
-      best_gain[rb] = std::max(best_gain[rb], problem.gain(u, rb));
+  const Vec best_gain = best_gains(problem);
   const Vec p = waterfill(best_gain, problem.total_power);
   double rate = 0.0;
   for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb)
@@ -334,14 +295,10 @@ robust::Result<RraSolution> solve_exact_budgeted(const RraProblem& problem,
                                                  std::size_t max_nodes,
                                                  const robust::Budget& budget) {
   problem.validate();
-  ExactSearch search{problem, max_nodes, Vec(problem.num_rbs(), 0.0),
-                     RraSolution{}, false, 0, {}};
+  ExactSearch search{problem, max_nodes, best_gains(problem), RraSolution{},
+                     false, 0, {}};
   search.budget = budget.deadline.is_unlimited() ? nullptr : &budget;
   search.faults_on = robust::faults::enabled();
-  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb)
-    for (std::size_t u = 0; u < problem.num_users(); ++u)
-      search.best_gain_per_rb[rb] =
-          std::max(search.best_gain_per_rb[rb], problem.gain(u, rb));
   search.dfs();
   search.best.nodes_explored = search.nodes;
 
@@ -362,14 +319,7 @@ robust::Result<RraSolution> solve_exact_budgeted(const RraProblem& problem,
 }
 
 RraSolution solve_greedy(const RraProblem& problem) {
-  problem.validate();
-  Assignment assignment(problem.num_rbs(), 0);
-  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb) {
-    std::size_t best_u = 0;
-    for (std::size_t u = 1; u < problem.num_users(); ++u)
-      if (problem.gain(u, rb) > problem.gain(best_u, rb)) best_u = u;
-    assignment[rb] = best_u;
-  }
+  Assignment assignment = best_gain_assignment(problem);  // validates
   RraSolution sol = evaluate_assignment(problem, assignment);
 
   // Repair pass: hand RBs to QoS-starved users (best relative gain first).
@@ -402,23 +352,9 @@ RraSolution solve_greedy(const RraProblem& problem) {
 
 std::optional<double> minimum_power_for_qos(const RraProblem& problem,
                                             const Assignment& assignment) {
-  const std::size_t n_rb = problem.num_rbs();
-  double total = 0.0;
-  for (std::size_t u = 0; u < problem.num_users(); ++u) {
-    if (problem.min_rate[u] <= 0.0) continue;
-    Vec gains(n_rb, 0.0);
-    bool has_rb = false;
-    for (std::size_t rb = 0; rb < n_rb; ++rb)
-      if (assignment[rb] == u) {
-        gains[rb] = problem.gain(u, rb);
-        has_rb = true;
-      }
-    if (!has_rb) return std::nullopt;
-    const auto p_min = min_power_for_rate(gains, problem.min_rate[u]);
-    if (!p_min) return std::nullopt;
-    for (double p : *p_min) total += p;
-  }
-  return total;
+  const auto power = floor_powers(problem, assignment);
+  if (!power) return std::nullopt;
+  return total(*power);
 }
 
 namespace {
