@@ -141,6 +141,34 @@ int main() {
           [&] { rcr::opt::admm_box_qp(p, q, lo, hi); });
   }
   {
+    // The serve head's solve: a structured (diagonal-plus-rank-one) factor,
+    // warm state and result reused, 64 fixed iterations of the box-QP sweep
+    // (a negative tolerance never converges), so ns/op / 64 is the cost of
+    // one iteration.  Its own generator keeps the rows below unchanged.
+    const std::size_t n = smoke ? 12 : 48;
+    Rng srng(13);
+    Vec p_diag(n);
+    for (double& v : p_diag) v = 0.9 + srng.uniform();
+    const Vec q = srng.normal_vec(n);
+    const Vec lo(n, -0.5), hi(n, 0.5);
+    const auto factor = rcr::opt::try_prefactor_dpr1(p_diag.data(), n, 0.7, 1.0);
+    rcr::opt::AdmmOptions opts;
+    opts.tolerance = -1.0;
+    opts.max_iterations = 64;
+    rcr::opt::AdmmWarmState warm;
+    rcr::opt::AdmmResult result;
+    const auto sweep = [&] {
+      warm.clear();
+      rcr::opt::admm_box_qp(factor->value, q, lo, hi, opts, &warm, result);
+    };
+    const std::string size = "n=" + std::to_string(n) + ",iters=64";
+    h.run("admm_dpr1/simd", size, reps * 64, sweep);
+    {
+      simd::ForceScalarGuard scalar;
+      h.run("admm_dpr1/scalar", size, reps * 64, sweep);
+    }
+  }
+  {
     const std::size_t n = smoke ? 6 : 12;
     rcr::opt::Sdp problem;
     problem.c = rcr::opt::random_psd(n, n, rng) - Matrix::identity(n);

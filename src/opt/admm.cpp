@@ -12,6 +12,8 @@
 #include "rcr/numerics/decompositions.hpp"
 #include "rcr/obs/obs.hpp"
 #include "rcr/robust/fault_injection.hpp"
+#include "rcr/rt/scratch_arena.hpp"
+#include "rcr/rt/simd.hpp"
 
 namespace rcr::opt {
 
@@ -29,6 +31,16 @@ Vec soft_threshold(const Vec& v, double kappa) {
   return out;
 }
 
+namespace {
+
+// The rank-one coefficient of the Sherman-Morrison solve: gamma =
+// (c 1^T S^-1 b) / (1 + c 1^T S^-1 1), given s_inv_b = 1^T S^-1 b.
+double dpr1_gamma(double c, double sum_inv, double s_inv_b) {
+  return (c * s_inv_b) / (1.0 + c * sum_inv);
+}
+
+}  // namespace
+
 void dpr1_solve(const double* d, double shift, double c, double sum_inv,
                 const double* b, double* x, std::size_t n) {
   // Sherman-Morrison with S = diag(d + shift):
@@ -38,7 +50,7 @@ void dpr1_solve(const double* d, double shift, double c, double sum_inv,
     x[i] = b[i] / (d[i] + shift);
     s_inv_b += x[i];
   }
-  const double gamma = (c * s_inv_b) / (1.0 + c * sum_inv);
+  const double gamma = dpr1_gamma(c, sum_inv, s_inv_b);
   for (std::size_t i = 0; i < n; ++i) x[i] -= gamma / (d[i] + shift);
 }
 
@@ -48,24 +60,29 @@ namespace {
 // p_diag[i * stride] and every off-diagonal entry c.  With n == 1 there is
 // no off-diagonal entry and c is taken as 0.  Requires c >= 0 finite, every
 // d_i = P_ii - c + rho + ridge finite and positive, and sum_i 1/d_i finite;
-// fills `out` and returns true only then.  O(n), and P is never formed.
+// fills `out` and returns true only then; otherwise `out` is left empty (not
+// structured).  O(n), P is never formed, and `out`'s vectors keep their
+// capacity.
 bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
                 double c, double rho, double ridge, BoxQpFactor::Dpr1& out) {
-  if (n == 0) return false;
+  const auto decline = [&out] {
+    out.p_diag.clear();
+    out.d.clear();
+    return false;
+  };
+  if (n == 0) return decline();
   if (n == 1) c = 0.0;
-  if (!(c >= 0.0) || !std::isfinite(c)) return false;
-  Vec diag(n);
-  Vec d(n);
+  if (!(c >= 0.0) || !std::isfinite(c)) return decline();
+  out.p_diag.resize(n);
+  out.d.resize(n);
   double sum_inv = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    diag[i] = p_diag[i * stride];
-    d[i] = diag[i] - c + rho + ridge;
-    if (!(d[i] > 0.0) || !std::isfinite(d[i])) return false;
-    sum_inv += 1.0 / d[i];
+    out.p_diag[i] = p_diag[i * stride];
+    out.d[i] = out.p_diag[i] - c + rho + ridge;
+    if (!(out.d[i] > 0.0) || !std::isfinite(out.d[i])) return decline();
+    sum_inv += 1.0 / out.d[i];
   }
-  if (!std::isfinite(sum_inv)) return false;
-  out.p_diag = std::move(diag);
-  out.d = std::move(d);
+  if (!std::isfinite(sum_inv)) return decline();
   out.c = c;
   out.sum_inv = sum_inv;
   return true;
@@ -122,10 +139,17 @@ robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
 std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
     const double* p_diag, std::size_t n, double c, double rho) {
   robust::Result<BoxQpFactor> out;
-  if (!build_dpr1(p_diag, 1, n, c, rho, 0.0, out.value.dpr1))
-    return std::nullopt;
-  finish_factor(out, rho, 0.0);
+  if (!try_prefactor_dpr1(p_diag, n, c, rho, out)) return std::nullopt;
   return out;
+}
+
+bool try_prefactor_dpr1(const double* p_diag, std::size_t n, double c,
+                        double rho, robust::Result<BoxQpFactor>& out) {
+  out.status = robust::Status{};
+  out.value.factor = num::LuDecomposition{};
+  if (!build_dpr1(p_diag, 1, n, c, rho, 0.0, out.value.dpr1)) return false;
+  finish_factor(out, rho, 0.0);
+  return true;
 }
 
 BoxQpFactor prefactor_box_qp(const Matrix& p, double rho) {
@@ -193,11 +217,12 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 
 namespace {
 
-// The box-QP iteration behind both prefactored entry points.  `p` is read
-// only for a dense factor's objective; a structured factor carries P_ii.
-AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
-                       const Vec& q, const Vec& lo, const Vec& hi,
-                       const AdmmOptions& options, AdmmWarmState* warm);
+// The box-QP iteration behind every prefactored entry point, writing every
+// field of `result`.  `p` is read only for a dense factor's objective; a
+// structured factor carries P_ii.
+void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
+                 const Vec& lo, const Vec& hi, const AdmmOptions& options,
+                 AdmmWarmState* warm, AdmmResult& result);
 
 }  // namespace
 
@@ -213,26 +238,37 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
   const std::size_t n = q.size();
   if (p.rows() != n || p.cols() != n)
     throw std::invalid_argument("admm_box_qp: dimension mismatch");
-  return box_qp_core(&p, factor, q, lo, hi, options, warm);
+  AdmmResult result;
+  box_qp_core(&p, factor, q, lo, hi, options, warm, result);
+  return result;
 }
 
 AdmmResult admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
                        const Vec& hi, const AdmmOptions& options,
                        AdmmWarmState* warm) {
+  AdmmResult result;
+  admm_box_qp(factor, q, lo, hi, options, warm, result);
+  return result;
+}
+
+void admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
+                 const Vec& hi, const AdmmOptions& options,
+                 AdmmWarmState* warm, AdmmResult& result) {
   if (!factor.structured())
     throw std::invalid_argument(
         "admm_box_qp: a P-free solve needs a structured factor");
-  return box_qp_core(nullptr, factor, q, lo, hi, options, warm);
+  box_qp_core(nullptr, factor, q, lo, hi, options, warm, result);
 }
 
 namespace {
 
-AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
-                            const Vec& q, const Vec& lo, const Vec& hi,
-                            const AdmmOptions& options, AdmmWarmState* warm) {
+void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
+                 const Vec& lo, const Vec& hi, const AdmmOptions& options,
+                 AdmmWarmState* warm, AdmmResult& result) {
   const std::size_t n = q.size();
+  const bool structured = factor.structured();
   if (lo.size() != n || hi.size() != n ||
-      (factor.structured() && factor.dpr1.d.size() != n))
+      (structured && factor.dpr1.d.size() != n))
     throw std::invalid_argument("admm_box_qp: dimension mismatch");
   if (factor.rho != options.rho)
     throw std::invalid_argument("admm_box_qp: factor rho != options rho");
@@ -241,19 +277,33 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
       throw std::invalid_argument("admm_box_qp: lo > hi");
 
   obs::Span span("admm.box_qp");
+  result.objective = 0.0;
+  result.iterations = 0;
+  result.converged = false;
+  result.status = robust::Status{};
+  result.warm_use = WarmUse::kCold;
 
-  Vec x(n, 0.0);
-  Vec z = num::clamp(Vec(n, 0.0), lo, hi);
-  Vec u(n, 0.0);
-
-  AdmmResult result;
+  // Iterate storage from the calling thread's arena, rewound on return: z
+  // and z_next ping-pong (z_next receives each projection, and a poisoned
+  // iterate is rolled back by not swapping), so a warm arena makes the
+  // iteration allocation-free.
+  rt::ScratchArena& arena = rt::tls_arena();
+  const auto arena_scope = arena.scope();
+  double* z = arena.alloc<double>(n);
+  double* z_next = arena.alloc<double>(n);
+  double* u = arena.alloc<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    z[i] = std::clamp(0.0, lo[i], hi[i]);
+    u[i] = 0.0;
+  }
   if (warm != nullptr && !warm->empty()) {
     if (detail::warm_vec_ok(warm->z, n) && detail::warm_vec_ok(warm->u, n)) {
       // Re-clamp the warm primal so z stays feasible-by-construction even
       // when the box moved between solves.
-      for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t i = 0; i < n; ++i) {
         z[i] = std::clamp(warm->z[i], lo[i], hi[i]);
-      u = warm->u;
+        u[i] = warm->u[i];
+      }
       result.warm_use = WarmUse::kAccepted;
       obs::counter_add("rcr.warm.accepted", "solver", "admm");
     } else {
@@ -264,10 +314,27 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
     }
   }
 
-  // Iteration-persistent workspaces: after this point the loop body
-  // performs no heap allocations.
-  Vec rhs(n);
-  Vec z_prev(n);
+  // One iteration is two rt::simd passes (pass 1: x = S^-1 (rho (z - u) -
+  // q) and its ascending sum; pass 2: x -= gamma S^-1 1, project, dual
+  // update, residual sums) -- dpr1_solve's operation order, fused.  The
+  // dense path runs the same passes on a unit diagonal with gamma = 0:
+  // dividing by 1 and subtracting 0/1 = +0 are exact, so pass 1 forms the
+  // LU right-hand side and pass 2 projects the LU solution unchanged.
+  const rt::simd::Kernels& kernels = rt::simd::active();
+  const double* d = factor.dpr1.d.data();
+  double* x = arena.alloc<double>(n);  // pass-2 input
+  double* pass1_out = x;
+  Vec rhs;
+  Vec x_dense;
+  if (!structured) {
+    double* unit = arena.alloc<double>(n);
+    std::fill(unit, unit + n, 1.0);
+    d = unit;
+    rhs.resize(n);
+    x_dense.resize(n);
+    pass1_out = rhs.data();
+    x = x_dense.data();
+  }
   const double scale = 1.0 + num::norm_inf(q);
   const bool faults_on = robust::faults::enabled();
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
@@ -278,37 +345,22 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
           "deadline fired at iteration " + std::to_string(it));
       break;
     }
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = options.rho * (z[i] - u[i]) - q[i];
-    if (factor.structured()) {
-      dpr1_solve(factor.dpr1.d.data(), 0.0, factor.dpr1.c,
-                 factor.dpr1.sum_inv, rhs.data(), x.data(), n);
-    } else {
-      factor.factor.solve_into(rhs, x);
-    }
-    if (faults_on && !x.empty() &&
+    const double s_inv_b = kernels.boxqp_x_seq(options.rho, z, u, q.data(),
+                                               d, pass1_out, n);
+    double gamma = 0.0;
+    if (structured)
+      gamma = dpr1_gamma(factor.dpr1.c, factor.dpr1.sum_inv, s_inv_b);
+    else
+      factor.factor.solve_into(rhs, x_dense);
+    if (faults_on && n > 0 &&
         robust::faults::should_inject("admm.iterate.nan"))
       x[0] = std::numeric_limits<double>::quiet_NaN();
+    const rt::simd::ResidualSums sums = kernels.boxqp_zu_seq(
+        gamma, d, x, lo.data(), hi.data(), z, u, z_next, n);
 
-    z_prev = z;
-    for (std::size_t i = 0; i < n; ++i)
-      z[i] = std::clamp(x[i] + u[i], lo[i], hi[i]);
-    for (std::size_t i = 0; i < n; ++i) u[i] += x[i] - z[i];
-
-    // norm2(x - z) and norm2(z - z_prev) without the difference temporaries;
-    // sqrt(sum of squares) in the same ascending order num::norm2 uses.
-    double primal2 = 0.0;
-    double dual2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pd = x[i] - z[i];
-      primal2 += pd * pd;
-      const double dd = z[i] - z_prev[i];
-      dual2 += dd * dd;
-    }
     // NaN/Inf sentinel: a poisoned iterate shows up in the residual sums.
-    // Roll back to the last clean feasible z and stop -- degraded, not dead.
-    if (!std::isfinite(primal2) || !std::isfinite(dual2)) {
-      z = z_prev;
+    // Keep the last clean feasible z and stop -- degraded, not dead.
+    if (!std::isfinite(sums.primal2) || !std::isfinite(sums.dual2)) {
       result.status = robust::make_status(
           robust::StatusCode::kNumericalFailure,
           "non-finite iterate at iteration " + std::to_string(it + 1) +
@@ -316,8 +368,10 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
       result.iterations = it + 1;
       break;
     }
-    const double primal = std::sqrt(primal2);
-    const double dual = options.rho * std::sqrt(dual2);
+    std::swap(z, z_next);
+    // norm2(x - z) and norm2(z - z_prev): sqrt of the ascending sums.
+    const double primal = std::sqrt(sums.primal2);
+    const double dual = options.rho * std::sqrt(sums.dual2);
     result.iterations = it + 1;
     if (primal <= options.tolerance * scale &&
         dual <= options.tolerance * scale) {
@@ -328,8 +382,8 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
   if (!result.converged && result.status.ok())
     result.status = robust::make_status(robust::StatusCode::kNonConverged,
                                         "max_iterations exhausted");
-  result.x = z;  // feasible by construction
-  if (factor.structured()) {
+  result.x.assign(z, z + n);  // feasible by construction
+  if (structured) {
     // x^T P x = sum_i (P_ii - c) x_i^2 + c (1^T x)^2.
     const double c = factor.dpr1.c;
     double quad = 0.0;
@@ -338,7 +392,7 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
       quad += (factor.dpr1.p_diag[i] - c) * z[i] * z[i];
       total += z[i];
     }
-    result.objective = 0.5 * (quad + c * total * total) + num::dot(q, z);
+    result.objective = 0.5 * (quad + c * total * total) + num::dot(q, result.x);
   } else {
     result.objective = 0.5 * num::quad_form(result.x, *p, result.x) +
                        num::dot(q, result.x);
@@ -349,8 +403,8 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
     if (result.status.code == robust::StatusCode::kNumericalFailure) {
       warm->clear();
     } else {
-      warm->z = z;
-      warm->u = u;
+      warm->z.assign(z, z + n);
+      warm->u.assign(u, u + n);
     }
   }
   obs::counter_add("rcr.admm.solves");
@@ -358,7 +412,6 @@ AdmmResult box_qp_core(const Matrix* p, const BoxQpFactor& factor,
   span.attr("iterations", static_cast<double>(result.iterations));
   span.attr("converged", result.converged ? 1.0 : 0.0);
   span.attr("objective", result.objective);
-  return result;
 }
 
 }  // namespace

@@ -58,8 +58,11 @@ struct BoxQpFactor {
 /// sum_inv = sum_i 1 / (d_i + shift) in ascending order; `x` may alias `b`.
 /// The operation order (x_i = b_i / s_i, ascending sum, gamma = (c sum x) /
 /// (1 + c sum_inv), x_i -= gamma / s_i) is fixed: the learned head's golden
-/// weights are trained through it.  Shared by admm_box_qp's structured
-/// x-update and learn::unrolled_admm_run (its per-step rho is `shift`).
+/// weights are trained through it.  learn::unrolled_admm_run calls it (its
+/// per-step rho is `shift`); admm_box_qp's structured x-update runs the same
+/// order fused into the rt::simd box-QP sweep (pass 1 up to the sum, pass 2
+/// from the correction on), bit for bit equal to this solve followed by the
+/// projection.
 void dpr1_solve(const double* d, double shift, double c, double sum_inv,
                 const double* b, double* x, std::size_t n);
 
@@ -83,6 +86,13 @@ robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
 /// takes try_prefactor_box_qp's dense path.
 std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
     const double* p_diag, std::size_t n, double c, double rho);
+
+/// The same build into caller-owned `out`, whose vectors keep their
+/// capacity (the serve tick rebuilds each cell's factor in place).  Returns
+/// false where the overload above returns std::nullopt, leaving `out` not
+/// structured.
+bool try_prefactor_dpr1(const double* p_diag, std::size_t n, double c,
+                        double rho, robust::Result<BoxQpFactor>& out);
 
 /// Cached x-update operator for admm_lasso: the LU factors of A^T A + rho I.
 /// The Gram product is the dominant setup cost; building it once amortizes
@@ -142,8 +152,11 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 
 /// Box-QP with a prefactored operator (see prefactor_box_qp).
 /// `factor.rho` must match `options.rho`; throws std::invalid_argument
-/// otherwise.  Iterations are allocation-free once warm; a structured factor
-/// also evaluates the final objective in O(n).
+/// otherwise.  Each iteration is the rt::simd box-QP sweep (two passes, bit
+/// for bit the same on every dispatch path) over iterate buffers taken from
+/// the calling thread's rt::tls_arena(), so iterations are allocation-free
+/// once the arena is warm; a structured factor also evaluates the final
+/// objective in O(n).
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options = {});
@@ -167,6 +180,14 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
 AdmmResult admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
                        const Vec& hi, const AdmmOptions& options,
                        AdmmWarmState* warm = nullptr);
+
+/// The P-free solve above writing into caller-owned `result`: every field
+/// is overwritten, and result.x (like the warm state) keeps its capacity.
+/// A warm, steady solve -- same n, the warm state and `result` reused, a
+/// warm arena, a clean converged exit -- performs no heap allocation.
+void admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
+                 const Vec& hi, const AdmmOptions& options,
+                 AdmmWarmState* warm, AdmmResult& result);
 
 /// Lasso:
 ///   minimize (1/2) ||A x - b||^2 + lambda ||x||_1.

@@ -63,6 +63,10 @@ Assignment best_gain_assignment(const RraProblem& problem);
 /// assignment of the wrong length or with out-of-range user indices.
 Vec assigned_gains(const RraProblem& problem, const Assignment& assignment);
 
+/// The same gains written into `gains` (resized; its capacity is reused).
+void assigned_gains(const RraProblem& problem, const Assignment& assignment,
+                    Vec& gains);
+
 /// Constraint residuals of an externally produced allocation — the
 /// conformance grader's feasibility probe.  All violations are reported as
 /// nonnegative magnitudes (0 = satisfied).

@@ -164,15 +164,21 @@ Assignment best_gain_assignment(const RraProblem& problem) {
 }
 
 Vec assigned_gains(const RraProblem& problem, const Assignment& assignment) {
+  Vec gains;
+  assigned_gains(problem, assignment, gains);
+  return gains;
+}
+
+void assigned_gains(const RraProblem& problem, const Assignment& assignment,
+                    Vec& gains) {
   if (assignment.size() != problem.num_rbs())
     throw std::invalid_argument("assigned_gains: assignment length mismatch");
-  Vec gains(problem.num_rbs(), 0.0);
+  gains.resize(problem.num_rbs());
   for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb) {
     if (assignment[rb] >= problem.num_users())
       throw std::invalid_argument("assigned_gains: user index out of range");
     gains[rb] = problem.gain(assignment[rb], rb);
   }
-  return gains;
 }
 
 AllocationResiduals allocation_residuals(const RraProblem& problem,
@@ -408,6 +414,7 @@ MinPowerSolution solve_min_power_greedy(const RraProblem& problem) {
   std::vector<bool> taken(n_rb, false);
   std::size_t assigned = 0;
   while (assigned < n_rb) {
+    const std::size_t before = assigned;
     for (std::size_t u = 0; u < users && assigned < n_rb; ++u) {
       double best_gain = -1.0;
       std::size_t best_rb = 0;
@@ -421,6 +428,18 @@ MinPowerSolution solve_min_power_greedy(const RraProblem& problem) {
         taken[best_rb] = true;
         ++assigned;
       }
+    }
+    if (assigned == before) {
+      // No user could pick: every free RB's gain is NaN for every user
+      // (validate() admits NaN gains).  Each goes where
+      // best_gain_assignment puts it -- user 0 on an all-NaN column.
+      const Assignment fallback = best_gain_assignment(problem);
+      for (std::size_t rb = 0; rb < n_rb; ++rb)
+        if (!taken[rb]) {
+          assignment[rb] = fallback[rb];
+          taken[rb] = true;
+          ++assigned;
+        }
     }
   }
 

@@ -2,10 +2,11 @@
 //
 // The repo's determinism contract (DESIGN.md Sec. 6-7, 12): every kernel is
 // bit-exact.  The table holds lane-independent elementwise ops, paired plane
-// rotations, FFT butterflies, and the *_seq reductions (SIMD products,
-// scalar-ordered adds).  Their vectorized forms perform the identical
-// sequence of IEEE roundings as the scalar fallback, so the active path may
-// change between builds/machines without changing a single output bit.
+// rotations, FFT butterflies, the *_seq reductions (SIMD products,
+// scalar-ordered adds) and the two passes of the structured box-QP ADMM
+// sweep.  Their vectorized forms perform the identical sequence of IEEE
+// roundings as the scalar fallback, so the active path may change between
+// builds/machines without changing a single output bit.
 //
 // Path selection: the best compiled path (AVX2 on x86-64, NEON on aarch64,
 // scalar otherwise) is picked once per process, guarded by a runtime CPU
@@ -19,7 +20,8 @@
 // NaN/Inf caveat: `butterfly`'s vector path uses the naive complex-multiply
 // formula, which matches libstdc++'s fast path bit-for-bit on finite data
 // but skips the Annex-G infinity recovery.  All kernels are bit-exact for
-// finite inputs only.
+// finite inputs; the box-QP sweep also for NaN, +-Inf and signed zeros (its
+// projection is a compare-and-blend with std::clamp's exact semantics).
 #pragma once
 
 #include <complex>
@@ -29,6 +31,12 @@ namespace rcr::rt::simd {
 
 /// Instruction-set paths this build can dispatch to.
 enum class Path { kScalar, kAvx2, kNeon };
+
+/// Ascending-order residual sums returned by Kernels::boxqp_zu_seq.
+struct ResidualSums {
+  double primal2 = 0.0;  ///< sum_i (x_i - z_i)^2, i ascending from 0.0.
+  double dual2 = 0.0;    ///< sum_i (z_i - z_prev_i)^2, likewise.
+};
 
 /// Vectorized kernel table.  One function pointer per kernel; the scalar
 /// table is the reference implementation for every differential test.
@@ -71,6 +79,25 @@ struct Kernels {
   /// Bit-exact vs the scalar path for finite data (see header comment).
   void (*butterfly)(std::complex<double>* lo, std::complex<double>* hi,
                     const std::complex<double>* tw, std::size_t n);
+  /// Pass 1 of one box-QP ADMM iteration on a diagonal-plus-rank-one
+  /// operator (opt::admm_box_qp): the diagonal half of the Sherman-Morrison
+  /// x-update,
+  ///   x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i],
+  /// returning 0.0 + x[0] + x[1] + ... added in ascending order.  `x` must
+  /// not alias an input.
+  double (*boxqp_x_seq)(double rho, const double* z, const double* u,
+                        const double* q, const double* d, double* x,
+                        std::size_t n);
+  /// Pass 2: the rank-one correction, box projection and dual update,
+  ///   xi = x[i] - gamma / d[i];  zi = std::clamp(xi + u[i], lo[i], hi[i]);
+  ///   u[i] += xi - zi;  z_out[i] = zi,
+  /// returning the ascending sums of (xi - zi)^2 and (zi - z[i])^2.  A NaN
+  /// xi passes the projection unchanged, as in std::clamp.  `z_out` must
+  /// not alias any input; `x` is left as pass 1 wrote it.
+  ResidualSums (*boxqp_zu_seq)(double gamma, const double* d,
+                               const double* x, const double* lo,
+                               const double* hi, const double* z, double* u,
+                               double* z_out, std::size_t n);
 };
 
 /// The resolved dispatch path for this process: best compiled path admitted

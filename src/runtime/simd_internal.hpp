@@ -35,6 +35,13 @@ void scalar_choose_mul(const double* w, const double* pos, const double* neg,
                        double* out, std::size_t n);
 void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
                       const std::complex<double>* tw, std::size_t n);
+double scalar_boxqp_x_seq(double rho, const double* z, const double* u,
+                          const double* q, const double* d, double* x,
+                          std::size_t n);
+ResidualSums scalar_boxqp_zu_seq(double gamma, const double* d,
+                                 const double* x, const double* lo,
+                                 const double* hi, const double* z, double* u,
+                                 double* z_out, std::size_t n);
 
 extern const Kernels kScalarTable;
 #if RCR_SIMD_HAVE_AVX2

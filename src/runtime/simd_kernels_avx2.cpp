@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace rcr::rt::simd::detail {
 namespace {
 
@@ -214,6 +216,81 @@ void avx2_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
+double avx2_boxqp_x_seq(double rho, const double* z, const double* u,
+                        const double* q, const double* d, double* x,
+                        std::size_t n) {
+  const __m256d vr = _mm256_set1_pd(rho);
+  double sum = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d r = _mm256_sub_pd(
+        _mm256_mul_pd(vr, _mm256_sub_pd(_mm256_loadu_pd(z + i),
+                                        _mm256_loadu_pd(u + i))),
+        _mm256_loadu_pd(q + i));
+    _mm256_storeu_pd(x + i, _mm256_div_pd(r, _mm256_loadu_pd(d + i)));
+    sum += x[i];
+    sum += x[i + 1];
+    sum += x[i + 2];
+    sum += x[i + 3];
+  }
+  for (; i < n; ++i) {
+    x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
+    sum += x[i];
+  }
+  return sum;
+}
+
+ResidualSums avx2_boxqp_zu_seq(double gamma, const double* d,
+                               const double* x, const double* lo,
+                               const double* hi, const double* z, double* u,
+                               double* z_out, std::size_t n) {
+  // std::clamp(v, lo, hi) is min(max(v, lo), hi) = (hi < m ? hi : m) with
+  // m = (v < lo ? lo : v).  Ordered less-than compares are false on NaN, so
+  // the blends keep a NaN v, exactly as the scalar reference does.
+  const __m256d vg = _mm256_set1_pd(gamma);
+  ResidualSums sums;
+  double pp[4];
+  double dq[4];
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xi = _mm256_sub_pd(
+        _mm256_loadu_pd(x + i), _mm256_div_pd(vg, _mm256_loadu_pd(d + i)));
+    const __m256d ui = _mm256_loadu_pd(u + i);
+    const __m256d v = _mm256_add_pd(xi, ui);
+    const __m256d lov = _mm256_loadu_pd(lo + i);
+    const __m256d hiv = _mm256_loadu_pd(hi + i);
+    const __m256d m =
+        _mm256_blendv_pd(v, lov, _mm256_cmp_pd(v, lov, _CMP_LT_OQ));
+    const __m256d zi =
+        _mm256_blendv_pd(m, hiv, _mm256_cmp_pd(hiv, m, _CMP_LT_OQ));
+    const __m256d pd = _mm256_sub_pd(xi, zi);
+    _mm256_storeu_pd(u + i, _mm256_add_pd(ui, pd));
+    _mm256_storeu_pd(z_out + i, zi);
+    const __m256d dd = _mm256_sub_pd(zi, _mm256_loadu_pd(z + i));
+    _mm256_storeu_pd(pp, _mm256_mul_pd(pd, pd));
+    _mm256_storeu_pd(dq, _mm256_mul_pd(dd, dd));
+    sums.primal2 += pp[0];
+    sums.primal2 += pp[1];
+    sums.primal2 += pp[2];
+    sums.primal2 += pp[3];
+    sums.dual2 += dq[0];
+    sums.dual2 += dq[1];
+    sums.dual2 += dq[2];
+    sums.dual2 += dq[3];
+  }
+  for (; i < n; ++i) {
+    const double xs = x[i] - gamma / d[i];
+    const double zs = std::clamp(xs + u[i], lo[i], hi[i]);
+    const double pd = xs - zs;
+    u[i] += pd;
+    z_out[i] = zs;
+    sums.primal2 += pd * pd;
+    const double dd = zs - z[i];
+    sums.dual2 += dd * dd;
+  }
+  return sums;
+}
+
 }  // namespace
 
 const Kernels kAvx2Table = {
@@ -223,6 +300,7 @@ const Kernels kAvx2Table = {
     avx2_dot_seq,    avx2_absdot_seq,
     avx2_choose_dot_seq, avx2_masked_dot_seq,
     avx2_choose_mul, avx2_butterfly,
+    avx2_boxqp_x_seq, avx2_boxqp_zu_seq,
 };
 
 }  // namespace rcr::rt::simd::detail

@@ -93,6 +93,7 @@ const Kernels kNeonTable = {
     neon_dot_seq,      scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
+    scalar_boxqp_x_seq, scalar_boxqp_zu_seq,
 };
 
 }  // namespace rcr::rt::simd::detail

@@ -3,6 +3,7 @@
 // code exactly (same operation order, same skip conditions).  Compiled with
 // -ffp-contract=off (see CMakeLists) so an -mfma build cannot change the
 // reference roundings.
+#include <algorithm>
 #include <cmath>
 
 #include "simd_internal.hpp"
@@ -85,6 +86,35 @@ void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
+double scalar_boxqp_x_seq(double rho, const double* z, const double* u,
+                          const double* q, const double* d, double* x,
+                          std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
+    sum += x[i];
+  }
+  return sum;
+}
+
+ResidualSums scalar_boxqp_zu_seq(double gamma, const double* d,
+                                 const double* x, const double* lo,
+                                 const double* hi, const double* z, double* u,
+                                 double* z_out, std::size_t n) {
+  ResidualSums sums;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = x[i] - gamma / d[i];
+    const double zi = std::clamp(xi + u[i], lo[i], hi[i]);
+    const double pd = xi - zi;
+    u[i] += pd;
+    z_out[i] = zi;
+    sums.primal2 += pd * pd;
+    const double dd = zi - z[i];
+    sums.dual2 += dd * dd;
+  }
+  return sums;
+}
+
 const Kernels kScalarTable = {
     scalar_add,        scalar_sub,
     scalar_mul,        scalar_scale,
@@ -92,6 +122,7 @@ const Kernels kScalarTable = {
     scalar_dot_seq,    scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
+    scalar_boxqp_x_seq, scalar_boxqp_zu_seq,
 };
 
 }  // namespace rcr::rt::simd::detail

@@ -85,10 +85,14 @@ class ShardedLruCache {
       obs::counter_add("rcr.serve.cache.misses");
       return false;
     }
-    if (deferred_)
-      shard.pending.push_back(PendingOp{stamp, key, false, V{}});
-    else
+    if (deferred_) {
+      PendingOp& op = next_pending(shard);
+      op.stamp = stamp;
+      op.key = key;
+      op.insert = false;
+    } else {
       restamp(shard, it->second, stamp);
+    }
     out = it->second.value;
     ++shard.hits;
     obs::counter_add("rcr.serve.cache.hits");
@@ -98,15 +102,20 @@ class ShardedLruCache {
   /// Insert or overwrite `key`.  When the shard is full the entry with the
   /// smallest stamp (oldest deterministic recency; ties to smaller key) is
   /// evicted first.  In the deferred window the insert is buffered and
-  /// applied -- in stamp order -- at flush().
-  void put(std::uint64_t key, std::uint64_t stamp, V value) {
+  /// applied -- in stamp order -- at flush().  `value` is copy-assigned into
+  /// a reused buffer slot and from there swapped into the map, so a steady
+  /// put-and-evict cycle of equal-shaped values allocates nothing.
+  void put(std::uint64_t key, std::uint64_t stamp, const V& value) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (deferred_) {
-      shard.pending.push_back(PendingOp{stamp, key, true, std::move(value)});
-      return;
-    }
-    apply_put(shard, key, stamp, std::move(value));
+    PendingOp& op = next_pending(shard);
+    op.stamp = stamp;
+    op.key = key;
+    op.insert = true;
+    op.value = value;
+    if (deferred_) return;
+    --shard.pending_count;  // immediate: the slot only stages the copy
+    apply_put(shard, key, stamp, op.value);
   }
 
   /// Enter the deferred window: gets read the committed map without
@@ -124,20 +133,22 @@ class ShardedLruCache {
     for (auto& shard_ptr : shards_) {
       Shard& shard = *shard_ptr;
       std::lock_guard<std::mutex> lock(shard.mu);
-      std::sort(shard.pending.begin(), shard.pending.end(),
+      const auto live = shard.pending.begin() +
+                        static_cast<std::ptrdiff_t>(shard.pending_count);
+      std::sort(shard.pending.begin(), live,
                 [](const PendingOp& a, const PendingOp& b) {
                   return a.stamp != b.stamp ? a.stamp < b.stamp
                                             : a.key < b.key;
                 });
-      for (PendingOp& op : shard.pending) {
-        if (op.insert) {
-          apply_put(shard, op.key, op.stamp, std::move(op.value));
+      for (auto op = shard.pending.begin(); op != live; ++op) {
+        if (op->insert) {
+          apply_put(shard, op->key, op->stamp, op->value);
         } else {
-          auto it = shard.map.find(op.key);
-          if (it != shard.map.end()) restamp(shard, it->second, op.stamp);
+          auto it = shard.map.find(op->key);
+          if (it != shard.map.end()) restamp(shard, it->second, op->stamp);
         }
       }
-      shard.pending.clear();
+      shard.pending_count = 0;
     }
     deferred_ = false;
   }
@@ -150,6 +161,7 @@ class ShardedLruCache {
       shard->map.clear();
       shard->heap.clear();
       shard->pending.clear();
+      shard->pending_count = 0;
     }
   }
 
@@ -191,39 +203,54 @@ class ShardedLruCache {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Entry> map;
     std::vector<HeapNode> heap;  ///< Min-heap on (stamp, key) over map.
+    /// Buffered ops: the first pending_count slots are live; the rest are
+    /// kept (with their values' storage) for reuse.
     std::vector<PendingOp> pending;
+    std::size_t pending_count = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t insertions = 0;
   };
 
+  /// The next free pending slot (grown only past the high-water mark).
+  static PendingOp& next_pending(Shard& shard) {
+    if (shard.pending_count == shard.pending.size())
+      shard.pending.emplace_back();
+    return shard.pending[shard.pending_count++];
+  }
+
   /// Insert/overwrite with LRU eviction; the shard mutex must be held.
+  /// `value` is swapped into the map and receives the storage it replaces
+  /// (the overwritten or evicted value), which the slot reuses next time.
   void apply_put(Shard& shard, std::uint64_t key, std::uint64_t stamp,
-                 V value) {
+                 V& value) {
+    using std::swap;
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second.value = std::move(value);
+      swap(it->second.value, value);
       restamp(shard, it->second, stamp);
       return;
     }
     if (shard.map.size() >= per_shard_capacity_) {
-      // The heap root is the smallest (stamp, key): the LRU victim.
-      shard.map.erase(shard.heap.front().key);
-      const HeapNode last = shard.heap.back();
-      shard.heap.pop_back();
-      if (!shard.heap.empty()) {
-        place(shard, 0, last);
-        sift_down(shard, 0);
-      }
+      // The heap root is the smallest (stamp, key): the LRU victim.  Its map
+      // node is re-keyed and re-inserted (same node, so no allocation) and
+      // the new entry takes the root, sifted down to its place.
+      auto node = shard.map.extract(shard.heap.front().key);
+      node.key() = key;
+      swap(node.mapped().value, value);
+      Entry& entry = shard.map.insert(std::move(node)).position->second;
+      place(shard, 0, HeapNode{stamp, key, &entry});
+      sift_down(shard, 0);
       ++shard.evictions;
       obs::counter_add("rcr.serve.cache.evictions");
+    } else {
+      Entry& entry = shard.map.emplace(key, Entry{}).first->second;
+      swap(entry.value, value);
+      shard.heap.push_back(HeapNode{stamp, key, &entry});
+      entry.slot = shard.heap.size() - 1;
+      sift_up(shard, entry.slot);
     }
-    Entry& entry =
-        shard.map.emplace(key, Entry{std::move(value), 0}).first->second;
-    shard.heap.push_back(HeapNode{stamp, key, &entry});
-    entry.slot = shard.heap.size() - 1;
-    sift_up(shard, entry.slot);
     ++shard.insertions;
     obs::counter_add("rcr.serve.cache.insertions");
   }

@@ -172,6 +172,19 @@ class AllocationService {
     CircuitBreaker waterfill_breaker;
   };
 
+  /// Per-cell solve buffers, kept from tick to tick so a steady cache-miss
+  /// solve builds its QP and runs ADMM into storage it already owns: the
+  /// assigned gains, q and the box, the structured factor and the ADMM
+  /// result.  Touched only by the cell's own pool task.
+  struct CellScratch {
+    Vec gains;
+    Vec q;
+    Vec lo;
+    Vec hi;
+    robust::Result<opt::BoxQpFactor> factor;
+    opt::AdmmResult admm;
+  };
+
   CellAllocation solve_cell(const RraProblem& problem, std::size_t cell,
                             std::uint64_t tick, std::uint64_t stamp,
                             const robust::Deadline& deadline);
@@ -186,6 +199,7 @@ class AllocationService {
   ServiceConfig config_;
   ShardedLruCache<CellAllocation> cache_;
   std::vector<opt::AdmmWarmState> warm_;
+  std::vector<CellScratch> scratch_;
   std::vector<CellAllocation> current_;
   std::vector<CellRuntime> runtime_;
   BrownoutController brownout_;

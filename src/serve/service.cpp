@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "rcr/learn/qp.hpp"
@@ -77,6 +76,7 @@ AllocationService::AllocationService(const ServiceConfig& config,
     : config_(config),
       cache_(config.cache_capacity, config.cache_shards),
       warm_(num_cells),
+      scratch_(num_cells),
       current_(num_cells),
       runtime_(num_cells),
       brownout_(config.brownout) {
@@ -95,19 +95,24 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   namespace faults = robust::faults;
   CellAllocation alloc;
   const qos::Assignment assignment = qos::best_gain_assignment(problem);
-  const std::uint64_t sig =
-      problem_signature(problem, assignment, config_.signature);
-  if (config_.cache_enabled && !faults::should_inject("serve.cache.drop", stamp) &&
-      cache_.get(sig, stamp, alloc)) {
-    serve_as(alloc, Served::kCache);
-    alloc.iterations = 0;
-    return alloc;
+  // The signature only keys the cache: a cache-off service never needs it.
+  std::uint64_t sig = 0;
+  if (config_.cache_enabled) {
+    sig = problem_signature(problem, assignment, config_.signature);
+    if (!faults::should_inject("serve.cache.drop", stamp) &&
+        cache_.get(sig, stamp, alloc)) {
+      serve_as(alloc, Served::kCache);
+      alloc.iterations = 0;
+      return alloc;
+    }
   }
 
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
-  const Vec gains = qos::assigned_gains(problem, assignment);
+  CellScratch& work = scratch_[cell];
+  qos::assigned_gains(problem, assignment, work.gains);
+  const Vec& gains = work.gains;
 
   // Power model: second-order Taylor expansion of -sum log2(1 + g p) around
   // the equal split p0 = budget / n, in the step variable d = p - p0:
@@ -120,7 +125,12 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   // structure test fails.
   const double p0 = budget / static_cast<double>(n);
   double* p_diag = rt::tls_arena().alloc<double>(n);
-  Vec q(n), lo(n, -p0), hi(n, budget - p0);
+  Vec& q = work.q;
+  Vec& lo = work.lo;
+  Vec& hi = work.hi;
+  q.resize(n);
+  lo.assign(n, -p0);
+  hi.assign(n, budget - p0);
   const double max_curv =
       learn::power_qp_coeffs(gains.data(), n, p0, p_diag, q.data());
   const double lambda =
@@ -169,18 +179,22 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
                    "injected serve.breaker.trip");
                return out;
              }
+             // The structured factor is rebuilt in the cell's own buffers;
+             // only a P the O(n) test declines is formed and LU-factored.
              Matrix p_mat;
-             std::optional<robust::Result<opt::BoxQpFactor>> factor =
-                 opt::try_prefactor_dpr1(p_diag, n, off_diag,
-                                         config_.admm_rho);
-             if (!factor) {
+             robust::Result<opt::BoxQpFactor> dense;
+             const bool structured = opt::try_prefactor_dpr1(
+                 p_diag, n, off_diag, config_.admm_rho, work.factor);
+             if (!structured) {
                p_mat = Matrix(n, n, off_diag);
                for (std::size_t rb = 0; rb < n; ++rb)
                  p_mat(rb, rb) = p_diag[rb];
-               factor = opt::try_prefactor_box_qp(p_mat, config_.admm_rho);
+               dense = opt::try_prefactor_box_qp(p_mat, config_.admm_rho);
              }
-             if (!factor->status.ok()) {
-               out.status = factor->status;
+             const robust::Result<opt::BoxQpFactor>& factor =
+                 structured ? work.factor : dense;
+             if (!factor.status.ok()) {
+               out.status = factor.status;
                return out;
              }
              opt::AdmmOptions aopts;
@@ -189,11 +203,12 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
              aopts.max_iterations = max_iterations;
              aopts.budget.deadline = deadline;
              aopts.budget.check_stride = 16;
-             opt::AdmmResult r =
-                 factor->value.structured()
-                     ? opt::admm_box_qp(factor->value, q, lo, hi, aopts, warm)
-                     : opt::admm_box_qp(p_mat, factor->value, q, lo, hi,
-                                        aopts, warm);
+             opt::AdmmResult& r = work.admm;
+             if (factor.value.structured())
+               opt::admm_box_qp(factor.value, q, lo, hi, aopts, warm, r);
+             else
+               r = opt::admm_box_qp(p_mat, factor.value, q, lo, hi, aopts,
+                                    warm);
              if (!r.status.usable()) {
                out.status = r.status;
                return out;

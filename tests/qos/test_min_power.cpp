@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "rcr/qos/rra.hpp"
 
 namespace rcr::qos {
@@ -89,6 +91,37 @@ TEST(MinPower, GreedyServesEveryUser) {
   std::vector<bool> served(3, false);
   for (std::size_t u : greedy.assignment) served[u] = true;
   for (bool s : served) EXPECT_TRUE(s);
+}
+
+// validate() admits NaN gains, so a column that is NaN for every user is a
+// valid problem no round-robin pick can take; the greedy must still end
+// with every RB assigned (the all-NaN column to user 0).
+TEST(MinPower, GreedyAssignsAnAllNanColumn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RraProblem p;
+  p.gain = Matrix(2, 2, 0.0);
+  p.gain(0, 0) = 0.8;
+  p.gain(1, 0) = 0.5;
+  p.gain(0, 1) = nan;
+  p.gain(1, 1) = nan;
+  p.total_power = 1.0;
+  p.min_rate = Vec(2, 0.0);
+  ASSERT_NO_THROW(p.validate());
+  const MinPowerSolution sol = solve_min_power_greedy(p);
+  ASSERT_EQ(sol.assignment.size(), 2u);
+  EXPECT_EQ(sol.assignment[0], 0u);
+  EXPECT_EQ(sol.assignment[1], 0u);
+}
+
+TEST(MinPower, GreedyAssignsALeadingAllNanColumn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RraProblem p = problem_with_floors(9, 3, 4, 0.0);
+  for (std::size_t u = 0; u < 3; ++u) p.gain(u, 0) = nan;
+  ASSERT_NO_THROW(p.validate());
+  const MinPowerSolution sol = solve_min_power_greedy(p);
+  ASSERT_EQ(sol.assignment.size(), 4u);
+  EXPECT_EQ(sol.assignment[0], 0u);
+  for (std::size_t u : sol.assignment) EXPECT_LT(u, 3u);
 }
 
 TEST(MinPower, AdmissionDecisionConsistentWithSumRateSolver) {

@@ -166,6 +166,38 @@ TEST(AllocRegression, AdmmBoxQpAllocsIndependentOfIterationCount) {
   }
 }
 
+TEST(AllocRegression, StructuredAdmmSolveIsAllocationFreeWarm) {
+  // The serve tick's solve: a structured factor rebuilt in place, a warm
+  // state and a result reused from the previous solve, iterate buffers
+  // from the thread's arena.  Once all of them have grown to n, a converged
+  // warm re-solve performs no heap allocation at all.
+  rt::ForceSerialGuard serial;
+  num::Rng rng(37);
+  const std::size_t n = 48;
+  Vec p_diag(n);
+  for (std::size_t i = 0; i < n; ++i) p_diag[i] = 0.8 + rng.uniform();
+  const Vec q = rng.normal_vec(n);
+  const Vec lo(n, -1.0);
+  const Vec hi(n, 1.0);
+  rcr::opt::AdmmOptions opts;
+  opts.max_iterations = 4000;
+  rcr::robust::Result<rcr::opt::BoxQpFactor> factor;
+  rcr::opt::AdmmWarmState warm;
+  rcr::opt::AdmmResult result;
+  auto solve = [&] {
+    ASSERT_TRUE(rcr::opt::try_prefactor_dpr1(p_diag.data(), n, 0.75,
+                                             opts.rho, factor));
+    rcr::opt::admm_box_qp(factor.value, q, lo, hi, opts, &warm, result);
+  };
+  solve();  // cold: grows the factor, warm state, result and arena
+  ASSERT_TRUE(result.converged);
+  const rt::AllocDelta delta;
+  solve();
+  EXPECT_EQ(delta.delta(), 0u);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.warm_use, rcr::opt::WarmUse::kAccepted);
+}
+
 TEST(AllocRegression, AdmmLassoAllocsIndependentOfIterationCount) {
   rt::ForceSerialGuard serial;
   num::Rng rng(37);

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "rcr/rt/alloc_probe.hpp"
 #include "rcr/serve/signature.hpp"
 #include "rcr/serve/workload.hpp"
 
@@ -138,6 +139,32 @@ TEST(ShardedLruCache, FlushOutsideDeferredWindowIsANoOp) {
   int out = 0;
   EXPECT_TRUE(cache.get(1, 1, out));
   EXPECT_EQ(cache.stats().size, 1u);
+}
+
+TEST(ShardedLruCache, SteadyPutAndEvictCycleAllocatesNothing) {
+  // A full shard under a stream of new keys, as on a serve tick whose cache
+  // never hits: once the buffered-op slots and the map have grown, each put
+  // copies into a reused slot and each eviction re-keys the victim's node,
+  // in either mode.
+  ShardedLruCache<std::vector<double>> cache(4, 1);
+  const std::vector<double> value(48, 0.5);
+  std::uint64_t key = 0;
+  auto tick = [&](bool deferred) {
+    if (deferred) cache.begin_deferred();
+    for (int i = 0; i < 3; ++i, ++key) cache.put(key, key, value);
+    cache.flush();
+  };
+  for (int t = 0; t < 4; ++t) tick(t % 2 == 0);
+  const std::uint64_t evictions = cache.stats().evictions;
+  const rt::AllocDelta delta;
+  for (int t = 0; t < 8; ++t) tick(t % 2 == 0);
+  EXPECT_EQ(delta.delta(), 0u);
+  EXPECT_EQ(cache.stats().evictions, evictions + 24);
+  EXPECT_EQ(cache.stats().size, 4u);
+  std::vector<double> out;
+  EXPECT_TRUE(cache.get(key - 1, key, out));
+  EXPECT_EQ(out, value);
+  EXPECT_FALSE(cache.get(key - 5, key, out));
 }
 
 TEST(ShardedLruCache, ShardCountRoundsUpToPowerOfTwo) {

@@ -12,7 +12,11 @@
 // off-by-one around the 4/8-lane widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "rcr/numerics/matrix.hpp"
@@ -161,6 +165,128 @@ TEST(SimdKernels, ButterflyMatchesScalarBitExact) {
                   tk::same_bits(hi_a[i].real(), hi_s[i].real()) &&
                   tk::same_bits(hi_a[i].imag(), hi_s[i].imag()))
           << "butterfly len=" << len << " index " << i;
+    }
+  }
+}
+
+// The box-QP sweep's inputs for one case: pass 1 reads z, u, q, d; pass 2
+// reads the x pass 1 wrote (or the case's own x), lo, hi and z.
+struct SweepCase {
+  Vec z, u, q, d, lo, hi, x;
+  double gamma = 0.0;
+};
+
+/// A random case with x + u landing at, inside and beyond both bounds, and
+/// signed zeros at the bounds and in the iterates.
+SweepCase sweep_case(std::size_t n, num::Rng& rng) {
+  SweepCase c;
+  c.z = rng.normal_vec(n);
+  c.u = rng.normal_vec(n);
+  c.q = rng.normal_vec(n);
+  c.x = rng.normal_vec(n);
+  c.d.resize(n);
+  c.lo.resize(n);
+  c.hi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    c.d[i] = 0.05 + 2.0 * rng.uniform();
+    c.lo[i] = -0.2 - rng.uniform();
+    c.hi[i] = 0.2 + rng.uniform();
+    switch (i % 6) {
+      case 0:  // exactly at lo (u = 0, and gamma = 0 in the exact cases)
+        c.u[i] = 0.0;
+        c.x[i] = c.lo[i];
+        break;
+      case 1:  // exactly at hi
+        c.u[i] = 0.0;
+        c.x[i] = c.hi[i];
+        break;
+      case 2:  // far beyond lo
+        c.x[i] = c.lo[i] - 10.0;
+        break;
+      case 3:  // far beyond hi
+        c.x[i] = c.hi[i] + 10.0;
+        break;
+      case 4:  // -0.0 against a +0.0 bound
+        c.u[i] = -0.0;
+        c.x[i] = -0.0;
+        c.lo[i] = 0.0;
+        c.z[i] = -0.0;
+        break;
+      default:  // +0.0 against a -0.0 bound
+        c.u[i] = 0.0;
+        c.x[i] = 0.0;
+        c.hi[i] = -0.0;
+        c.lo[i] = -1.0;
+        break;
+    }
+  }
+  return c;
+}
+
+struct SweepOut {
+  Vec x, u, z_out;
+  double sum = 0.0;
+  simd::ResidualSums sums;
+};
+
+/// Pass 1 into a scratch x (its sum kept), then pass 2 on the case's own x
+/// so the crafted bound hits reach the projection unchanged.
+SweepOut run_sweep(const simd::Kernels& k, const SweepCase& c) {
+  const std::size_t n = c.z.size();
+  SweepOut o;
+  o.x.assign(n, 0.0);
+  o.u = c.u;
+  o.z_out.assign(n, 0.0);
+  o.sum = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(), c.d.data(),
+                        o.x.data(), n);
+  o.sums = k.boxqp_zu_seq(c.gamma, c.d.data(), c.x.data(), c.lo.data(),
+                          c.hi.data(), c.z.data(), o.u.data(), o.z_out.data(),
+                          n);
+  return o;
+}
+
+TEST(SimdKernels, BoxQpSweepMatchesScalarBitExact) {
+  num::Rng rng(109);
+  for (std::size_t len : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 12u, 48u, 49u}) {
+    for (const double gamma : {0.0, 0.37, -1.9}) {
+      for (const bool nan_x0 : {false, true}) {
+        SCOPED_TRACE("len=" + std::to_string(len) +
+                     " gamma=" + std::to_string(gamma) +
+                     " nan_x0=" + std::to_string(nan_x0));
+        SweepCase c = sweep_case(len, rng);
+        c.gamma = gamma;
+        if (nan_x0) c.x[0] = std::numeric_limits<double>::quiet_NaN();
+        const SweepOut active = run_sweep(simd::active(), c);
+        SweepOut scalar;
+        {
+          simd::ForceScalarGuard guard;
+          scalar = run_sweep(simd::active(), c);
+        }
+        expect_vec_bits(active.x, scalar.x, len);
+        expect_vec_bits(active.u, scalar.u, len);
+        expect_vec_bits(active.z_out, scalar.z_out, len);
+        EXPECT_TRUE(tk::same_bits(active.sum, scalar.sum));
+        EXPECT_TRUE(tk::same_bits(active.sums.primal2, scalar.sums.primal2));
+        EXPECT_TRUE(tk::same_bits(active.sums.dual2, scalar.sums.dual2));
+        // The projection is std::clamp's: a NaN passes through, and with
+        // gamma = 0 the crafted entries land exactly on their bounds.
+        for (std::size_t i = 0; i < len; ++i) {
+          const double v = c.x[i] - c.gamma / c.d[i] + c.u[i];
+          EXPECT_TRUE(tk::same_bits(scalar.z_out[i],
+                                    std::clamp(v, c.lo[i], c.hi[i])))
+              << "index " << i;
+        }
+        if (nan_x0) {
+          EXPECT_TRUE(std::isnan(active.z_out[0]));
+          EXPECT_TRUE(std::isnan(active.sums.primal2));
+        }
+        if (gamma == 0.0 && len > 1) {
+          EXPECT_EQ(active.z_out[1], c.hi[1]);
+          if (!nan_x0) {
+            EXPECT_EQ(active.z_out[0], c.lo[0]);
+          }
+        }
+      }
     }
   }
 }
