@@ -280,7 +280,10 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   result.objective = 0.0;
   result.iterations = 0;
   result.converged = false;
-  result.status = robust::Status{};
+  // Reset in place, so a reused result keeps its strings' capacity.
+  result.status.code = robust::StatusCode::kOk;
+  result.status.detail.clear();
+  result.status.trail.clear();
   result.warm_use = WarmUse::kCold;
 
   // Iterate storage from the calling thread's arena, rewound on return: z
@@ -316,14 +319,21 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
 
   // One iteration is two rt::simd passes (pass 1: x = S^-1 (rho (z - u) -
   // q) and its ascending sum; pass 2: x -= gamma S^-1 1, project, dual
-  // update, residual sums) -- dpr1_solve's operation order, fused.  The
-  // dense path runs the same passes on a unit diagonal with gamma = 0:
-  // dividing by 1 and subtracting 0/1 = +0 are exact, so pass 1 forms the
-  // LU right-hand side and pass 2 projects the LU solution unchanged.
+  // update, residual terms) -- dpr1_solve's operation order, fused.  Pass 1
+  // of the next iteration runs ahead of the exit tests (x is scratch until
+  // then) and sums this iteration's residual terms beside its own x-sum, so
+  // the three serial add chains overlap.  The dense path runs the same
+  // passes on a unit diagonal with gamma = 0: dividing by 1 and subtracting
+  // 0/1 = +0 are exact, so pass 1 forms the LU right-hand side and pass 2
+  // projects the LU solution unchanged.
   const rt::simd::Kernels& kernels = rt::simd::active();
   const double* d = factor.dpr1.d.data();
   double* x = arena.alloc<double>(n);  // pass-2 input
   double* pass1_out = x;
+  double* primal_terms = arena.alloc<double>(n);
+  double* dual_terms = arena.alloc<double>(n);
+  std::fill(primal_terms, primal_terms + n, 0.0);
+  std::fill(dual_terms, dual_terms + n, 0.0);
   Vec rhs;
   Vec x_dense;
   if (!structured) {
@@ -337,51 +347,69 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   }
   const double scale = 1.0 + num::norm_inf(q);
   const bool faults_on = robust::faults::enabled();
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+  // The top of iteration `it`: false when the iteration cap or the
+  // deadline ends the solve there.
+  const auto ready = [&](std::size_t it) {
+    if (it >= options.max_iterations) return false;
     if (options.budget.expired_at(it) ||
         (faults_on && robust::faults::should_inject("admm.deadline"))) {
       result.status = robust::make_status(
           robust::StatusCode::kDeadlineExpired,
           "deadline fired at iteration " + std::to_string(it));
-      break;
+      return false;
     }
-    const double s_inv_b = kernels.boxqp_x_seq(options.rho, z, u, q.data(),
-                                               d, pass1_out, n);
-    double gamma = 0.0;
-    if (structured)
-      gamma = dpr1_gamma(factor.dpr1.c, factor.dpr1.sum_inv, s_inv_b);
-    else
-      factor.factor.solve_into(rhs, x_dense);
-    if (faults_on && n > 0 &&
-        robust::faults::should_inject("admm.iterate.nan"))
-      x[0] = std::numeric_limits<double>::quiet_NaN();
-    const rt::simd::ResidualSums sums = kernels.boxqp_zu_seq(
-        gamma, d, x, lo.data(), hi.data(), z, u, z_next, n);
-
-    // NaN/Inf sentinel: a poisoned iterate shows up in the residual sums.
-    // Keep the last clean feasible z and stop -- degraded, not dead.
-    if (!std::isfinite(sums.primal2) || !std::isfinite(sums.dual2)) {
-      result.status = robust::make_status(
-          robust::StatusCode::kNumericalFailure,
-          "non-finite iterate at iteration " + std::to_string(it + 1) +
-              "; rolled back to last clean feasible point");
+    return true;
+  };
+  if (ready(0)) {
+    double s_inv_b = kernels
+                         .boxqp_x_seq(options.rho, z, u, q.data(), d,
+                                      pass1_out, primal_terms, dual_terms, n)
+                         .x;
+    for (std::size_t it = 0;; ++it) {
+      double gamma = 0.0;
+      if (structured)
+        gamma = dpr1_gamma(factor.dpr1.c, factor.dpr1.sum_inv, s_inv_b);
+      else
+        factor.factor.solve_into(rhs, x_dense);
+      if (faults_on && n > 0 &&
+          robust::faults::should_inject("admm.iterate.nan"))
+        x[0] = std::numeric_limits<double>::quiet_NaN();
+      kernels.boxqp_zu_seq(gamma, d, x, lo.data(), hi.data(), z, u, z_next,
+                           primal_terms, dual_terms, n);
+      const rt::simd::SweepSums sums =
+          kernels.boxqp_x_seq(options.rho, z_next, u, q.data(), d, pass1_out,
+                              primal_terms, dual_terms, n);
       result.iterations = it + 1;
-      break;
-    }
-    std::swap(z, z_next);
-    // norm2(x - z) and norm2(z - z_prev): sqrt of the ascending sums.
-    const double primal = std::sqrt(sums.primal2);
-    const double dual = options.rho * std::sqrt(sums.dual2);
-    result.iterations = it + 1;
-    if (primal <= options.tolerance * scale &&
-        dual <= options.tolerance * scale) {
-      result.converged = true;
-      break;
+
+      // NaN/Inf sentinel: a poisoned iterate shows up in the residual sums.
+      // Keep the last clean feasible z and stop -- degraded, not dead.
+      if (!std::isfinite(sums.primal2) || !std::isfinite(sums.dual2)) {
+        result.status = robust::make_status(
+            robust::StatusCode::kNumericalFailure,
+            "non-finite iterate at iteration " + std::to_string(it + 1) +
+                "; rolled back to last clean feasible point");
+        break;
+      }
+      std::swap(z, z_next);
+      // norm2(x - z) and norm2(z - z_prev): sqrt of the ascending sums.
+      const double primal = std::sqrt(sums.primal2);
+      const double dual = options.rho * std::sqrt(sums.dual2);
+      if (primal <= options.tolerance * scale &&
+          dual <= options.tolerance * scale) {
+        result.converged = true;
+        break;
+      }
+      if (!ready(it + 1)) break;
+      s_inv_b = sums.x;
     }
   }
-  if (!result.converged && result.status.ok())
-    result.status = robust::make_status(robust::StatusCode::kNonConverged,
-                                        "max_iterations exhausted");
+  if (!result.converged && result.status.ok()) {
+    // make_status's text, written in place: a reused result's capped exit
+    // allocates nothing.
+    result.status.code = robust::StatusCode::kNonConverged;
+    result.status.detail.assign("max_iterations exhausted");
+    result.status.trail.clear();
+  }
   result.x.assign(z, z + n);  // feasible by construction
   if (structured) {
     // x^T P x = sum_i (P_ii - c) x_i^2 + c (1^T x)^2.

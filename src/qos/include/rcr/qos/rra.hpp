@@ -58,6 +58,12 @@ Vec waterfill(const Vec& gains, double total_power);
 /// lowest user index (deterministic).
 Assignment best_gain_assignment(const RraProblem& problem);
 
+/// The same assignment written into `assignment` (resized; its capacity is
+/// reused), scanning the gain matrix row by row with no heap allocation.
+/// Throws what validate() throws, with the same messages; on a throw the
+/// contents of `assignment` are unspecified.
+void best_gain_assignment(const RraProblem& problem, Assignment& assignment);
+
 /// Per-RB effective gains under a fixed assignment:
 /// gains[rb] = gain(assignment[rb], rb).  Throws std::invalid_argument on an
 /// assignment of the wrong length or with out-of-range user indices.

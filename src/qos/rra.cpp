@@ -10,17 +10,33 @@
 
 #include "rcr/pso/swarm.hpp"
 #include "rcr/robust/fault_injection.hpp"
+#include "rcr/rt/scratch_arena.hpp"
+#include "rcr/rt/simd.hpp"
 
 namespace rcr::qos {
 
-void RraProblem::validate() const {
-  if (gain.empty()) throw std::invalid_argument("RraProblem: empty gain matrix");
-  if (min_rate.size() != gain.rows())
+namespace {
+
+// validate()'s checks before its negative-gain scan.
+void validate_shape(const RraProblem& problem) {
+  if (problem.gain.empty())
+    throw std::invalid_argument("RraProblem: empty gain matrix");
+  if (problem.min_rate.size() != problem.gain.rows())
     throw std::invalid_argument("RraProblem: min_rate size != users");
-  if (total_power <= 0.0)
+  if (problem.total_power <= 0.0)
     throw std::invalid_argument("RraProblem: non-positive power budget");
+}
+
+void throw_negative_gain() {
+  throw std::invalid_argument("RraProblem: negative gain");
+}
+
+}  // namespace
+
+void RraProblem::validate() const {
+  validate_shape(*this);
   for (double g : gain.data())
-    if (g < 0.0) throw std::invalid_argument("RraProblem: negative gain");
+    if (g < 0.0) throw_negative_gain();
 }
 
 namespace {
@@ -152,15 +168,45 @@ RraSolution evaluate_assignment(const RraProblem& problem,
 }
 
 Assignment best_gain_assignment(const RraProblem& problem) {
-  problem.validate();
-  Assignment assignment(problem.num_rbs(), 0);
-  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb) {
-    std::size_t best = 0;
-    for (std::size_t u = 1; u < problem.num_users(); ++u)
-      if (problem.gain(u, rb) > problem.gain(best, rb)) best = u;
-    assignment[rb] = best;
-  }
+  Assignment assignment;
+  best_gain_assignment(problem, assignment);
   return assignment;
+}
+
+void best_gain_assignment(const RraProblem& problem, Assignment& assignment) {
+  // validate(), with its negative-gain scan folded into the row pass.
+  validate_shape(problem);
+  const std::size_t users = problem.num_users();
+  const std::size_t rbs = problem.num_rbs();
+  // Per RB: the running best gain, its user (as an exact small double, so
+  // every update is a double select), and the lowest gain for the
+  // negative-gain check; the rows scan on rt::simd::Kernels::best_gain_row.
+  rt::ScratchArena& arena = rt::tls_arena();
+  const auto scope = arena.scope();
+  double* best = arena.alloc<double>(rbs);
+  double* owner = arena.alloc<double>(rbs);
+  double* lowest = arena.alloc<double>(rbs);
+  const double* g = problem.gain.data().data();  // row-major, user rows
+  for (std::size_t rb = 0; rb < rbs; ++rb) {
+    best[rb] = g[rb];
+    owner[rb] = 0.0;
+    // From 0.0, so a NaN gain (which < skips) never hides a negative one.
+    lowest[rb] = g[rb] < 0.0 ? g[rb] : 0.0;
+  }
+  // A strict > against the running best keeps the lowest index on ties and
+  // matches the column scan's comparisons exactly: a NaN never wins, and a
+  // NaN best (user 0's) is never beaten.
+  const rt::simd::Kernels& kernels = rt::simd::active();
+  for (std::size_t u = 1; u < users; ++u)
+    kernels.best_gain_row(g + u * rbs, rbs, static_cast<double>(u), best,
+                          owner, lowest);
+  assignment.resize(rbs);
+  bool negative = false;
+  for (std::size_t rb = 0; rb < rbs; ++rb) {
+    assignment[rb] = static_cast<std::size_t>(owner[rb]);
+    negative |= lowest[rb] < 0.0;
+  }
+  if (negative) throw_negative_gain();
 }
 
 Vec assigned_gains(const RraProblem& problem, const Assignment& assignment) {

@@ -3,8 +3,9 @@
 // The repo's determinism contract (DESIGN.md Sec. 6-7, 12): every kernel is
 // bit-exact.  The table holds lane-independent elementwise ops, paired plane
 // rotations, FFT butterflies, the *_seq reductions (SIMD products,
-// scalar-ordered adds) and the two passes of the structured box-QP ADMM
-// sweep.  Their vectorized forms perform the identical sequence of IEEE
+// scalar-ordered adds), the two passes of the structured box-QP ADMM
+// sweep, the best-gain row scan and the 4-wide log2 buckets of the cache
+// signature.  Their vectorized forms perform the identical sequence of IEEE
 // roundings as the scalar fallback, so the active path may change between
 // builds/machines without changing a single output bit.
 //
@@ -26,16 +27,19 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 namespace rcr::rt::simd {
 
 /// Instruction-set paths this build can dispatch to.
 enum class Path { kScalar, kAvx2, kNeon };
 
-/// Ascending-order residual sums returned by Kernels::boxqp_zu_seq.
-struct ResidualSums {
-  double primal2 = 0.0;  ///< sum_i (x_i - z_i)^2, i ascending from 0.0.
-  double dual2 = 0.0;    ///< sum_i (z_i - z_prev_i)^2, likewise.
+/// Ascending-order sums returned by Kernels::boxqp_x_seq, each from 0.0.
+struct SweepSums {
+  double x = 0.0;        ///< sum_i x_i of the pass-1 output.
+  double primal2 = 0.0;  ///< sum_i of the primal residual terms handed in.
+  double dual2 = 0.0;    ///< sum_i of the dual residual terms handed in.
 };
 
 /// Vectorized kernel table.  One function pointer per kernel; the scalar
@@ -83,22 +87,57 @@ struct Kernels {
   /// operator (opt::admm_box_qp): the diagonal half of the Sherman-Morrison
   /// x-update,
   ///   x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i],
-  /// returning 0.0 + x[0] + x[1] + ... added in ascending order.  `x` must
-  /// not alias an input.
-  double (*boxqp_x_seq)(double rho, const double* z, const double* u,
-                        const double* q, const double* d, double* x,
-                        std::size_t n);
+  /// returning 0.0 + x[0] + x[1] + ... added in ascending order, and beside
+  /// it the ascending sums of `primal_terms` and `dual_terms` (the previous
+  /// pass 2's residual terms): three independent serial chains in one loop,
+  /// so the residual sums of iteration k hide under the x-sum of k + 1.
+  /// `x` must not alias an input.
+  SweepSums (*boxqp_x_seq)(double rho, const double* z, const double* u,
+                           const double* q, const double* d, double* x,
+                           const double* primal_terms,
+                           const double* dual_terms, std::size_t n);
   /// Pass 2: the rank-one correction, box projection and dual update,
   ///   xi = x[i] - gamma / d[i];  zi = std::clamp(xi + u[i], lo[i], hi[i]);
-  ///   u[i] += xi - zi;  z_out[i] = zi,
-  /// returning the ascending sums of (xi - zi)^2 and (zi - z[i])^2.  A NaN
-  /// xi passes the projection unchanged, as in std::clamp.  `z_out` must
-  /// not alias any input; `x` is left as pass 1 wrote it.
-  ResidualSums (*boxqp_zu_seq)(double gamma, const double* d,
-                               const double* x, const double* lo,
-                               const double* hi, const double* z, double* u,
-                               double* z_out, std::size_t n);
+  ///   u[i] += xi - zi;  z_out[i] = zi;
+  ///   primal_terms[i] = (xi - zi)^2;  dual_terms[i] = (zi - z[i])^2.
+  /// A NaN xi passes the projection unchanged, as in std::clamp.  `z_out`
+  /// and the term arrays must not alias any input; `x` is left as pass 1
+  /// wrote it.
+  void (*boxqp_zu_seq)(double gamma, const double* d, const double* x,
+                       const double* lo, const double* hi, const double* z,
+                       double* u, double* z_out, double* primal_terms,
+                       double* dual_terms, std::size_t n);
+  /// One user row of the best-gain scan (qos::best_gain_assignment): for
+  /// each i, with v = row[i],
+  ///   if (v > best[i]) { best[i] = v; owner[i] = user; }
+  ///   if (v < lowest[i]) lowest[i] = v;
+  /// (a NaN v changes nothing; owner holds small integers as doubles).
+  void (*best_gain_row)(const double* row, std::size_t n, double user,
+                        double* best, double* owner, double* lowest);
+  /// log2_bucket (below) on n gains, four at a time on every path:
+  /// bucket[i] = log2_bucket(gain[i], inv_quantum), bit for bit.  Returns
+  /// false when some bucket is kLog2BucketSlow.
+  bool (*log2_buckets)(const double* gain, std::size_t n, double inv_quantum,
+                       std::int64_t* bucket);
 };
+
+/// log2_bucket's answer for a gain its fast path does not settle.
+inline constexpr std::int64_t kLog2BucketSlow =
+    std::numeric_limits<std::int64_t>::min() + 2;
+
+/// The log2-free bucket behind serve::quantize_gain's fast path: roughly
+/// round(log2(gain) * inv_quantum), from a fixed-point quotient.  For a
+/// gain g = 2^e m (m in [1, 2)) with a normal, positive encoding, the top 8
+/// mantissa bits pick a centre c_j = 1 + (j + 1/2) / 256, r = m * (1 / c_j)
+/// - 1 has |r| <= 2^-9, and
+///   y = (e + log2 c_j + r (C1 + r (C2 + r C3))) * inv_quantum + 1.5 * 2^28
+/// (C_k = (-1)^(k+1) / (k ln 2)) puts the quotient on a 2^-24 grid; half a
+/// step up, y's bits above the low 24 are the rounded quotient plus a
+/// constant.  Returns kLog2BucketSlow for any other gain and for a grid
+/// value within 2 steps of a half-integer, which the caller settles on its
+/// reference path.  Plain IEEE operations in this order on every path (no
+/// FMA), so every path returns the same bucket.
+std::int64_t log2_bucket(double gain, double inv_quantum);
 
 /// The resolved dispatch path for this process: best compiled path admitted
 /// by the runtime CPU check and RCR_SIMD.  Constant after first call.

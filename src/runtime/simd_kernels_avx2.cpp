@@ -18,6 +18,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace rcr::rt::simd::detail {
 namespace {
@@ -216,11 +218,12 @@ void avx2_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-double avx2_boxqp_x_seq(double rho, const double* z, const double* u,
-                        const double* q, const double* d, double* x,
-                        std::size_t n) {
+SweepSums avx2_boxqp_x_seq(double rho, const double* z, const double* u,
+                           const double* q, const double* d, double* x,
+                           const double* primal_terms,
+                           const double* dual_terms, std::size_t n) {
   const __m256d vr = _mm256_set1_pd(rho);
-  double sum = 0.0;
+  SweepSums sums;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d r = _mm256_sub_pd(
@@ -228,29 +231,29 @@ double avx2_boxqp_x_seq(double rho, const double* z, const double* u,
                                         _mm256_loadu_pd(u + i))),
         _mm256_loadu_pd(q + i));
     _mm256_storeu_pd(x + i, _mm256_div_pd(r, _mm256_loadu_pd(d + i)));
-    sum += x[i];
-    sum += x[i + 1];
-    sum += x[i + 2];
-    sum += x[i + 3];
+    for (std::size_t k = i; k < i + 4; ++k) {
+      sums.primal2 += primal_terms[k];
+      sums.dual2 += dual_terms[k];
+      sums.x += x[k];
+    }
   }
   for (; i < n; ++i) {
     x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
-    sum += x[i];
+    sums.x += x[i];
+    sums.primal2 += primal_terms[i];
+    sums.dual2 += dual_terms[i];
   }
-  return sum;
+  return sums;
 }
 
-ResidualSums avx2_boxqp_zu_seq(double gamma, const double* d,
-                               const double* x, const double* lo,
-                               const double* hi, const double* z, double* u,
-                               double* z_out, std::size_t n) {
+void avx2_boxqp_zu_seq(double gamma, const double* d, const double* x,
+                       const double* lo, const double* hi, const double* z,
+                       double* u, double* z_out, double* primal_terms,
+                       double* dual_terms, std::size_t n) {
   // std::clamp(v, lo, hi) is min(max(v, lo), hi) = (hi < m ? hi : m) with
   // m = (v < lo ? lo : v).  Ordered less-than compares are false on NaN, so
   // the blends keep a NaN v, exactly as the scalar reference does.
   const __m256d vg = _mm256_set1_pd(gamma);
-  ResidualSums sums;
-  double pp[4];
-  double dq[4];
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d xi = _mm256_sub_pd(
@@ -267,16 +270,8 @@ ResidualSums avx2_boxqp_zu_seq(double gamma, const double* d,
     _mm256_storeu_pd(u + i, _mm256_add_pd(ui, pd));
     _mm256_storeu_pd(z_out + i, zi);
     const __m256d dd = _mm256_sub_pd(zi, _mm256_loadu_pd(z + i));
-    _mm256_storeu_pd(pp, _mm256_mul_pd(pd, pd));
-    _mm256_storeu_pd(dq, _mm256_mul_pd(dd, dd));
-    sums.primal2 += pp[0];
-    sums.primal2 += pp[1];
-    sums.primal2 += pp[2];
-    sums.primal2 += pp[3];
-    sums.dual2 += dq[0];
-    sums.dual2 += dq[1];
-    sums.dual2 += dq[2];
-    sums.dual2 += dq[3];
+    _mm256_storeu_pd(primal_terms + i, _mm256_mul_pd(pd, pd));
+    _mm256_storeu_pd(dual_terms + i, _mm256_mul_pd(dd, dd));
   }
   for (; i < n; ++i) {
     const double xs = x[i] - gamma / d[i];
@@ -284,11 +279,108 @@ ResidualSums avx2_boxqp_zu_seq(double gamma, const double* d,
     const double pd = xs - zs;
     u[i] += pd;
     z_out[i] = zs;
-    sums.primal2 += pd * pd;
+    primal_terms[i] = pd * pd;
     const double dd = zs - z[i];
-    sums.dual2 += dd * dd;
+    dual_terms[i] = dd * dd;
   }
-  return sums;
+}
+
+void avx2_best_gain_row(const double* row, std::size_t n, double user,
+                        double* best, double* owner, double* lowest) {
+  // Ordered compares are false on NaN, so a NaN gain selects nothing.
+  const __m256d vu = _mm256_set1_pd(user);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(row + i);
+    const __m256d b = _mm256_loadu_pd(best + i);
+    const __m256d l = _mm256_loadu_pd(lowest + i);
+    const __m256d better = _mm256_cmp_pd(v, b, _CMP_GT_OQ);
+    _mm256_storeu_pd(best + i, _mm256_blendv_pd(b, v, better));
+    _mm256_storeu_pd(owner + i,
+                     _mm256_blendv_pd(_mm256_loadu_pd(owner + i), vu, better));
+    _mm256_storeu_pd(lowest + i,
+                     _mm256_blendv_pd(l, v, _mm256_cmp_pd(v, l, _CMP_LT_OQ)));
+  }
+  scalar_best_gain_row(row + i, n - i, user, best + i, owner + i, lowest + i);
+}
+
+bool avx2_log2_buckets(const double* gain, std::size_t n, double inv_quantum,
+                       std::int64_t* bucket) {
+  // log2_bucket four gains at a time.  The centre lookups are scalar loads
+  // (hardware gathers are slower than four loads on some cores).  The
+  // exponent converts
+  // exactly through the 2^52 trick: the double with bits 0x433... | biased
+  // is 2^52 + biased, and subtracting 2^52 + 1023 leaves biased - 1023.
+  const __m256i mant = _mm256_set1_epi64x(0x000FFFFFFFFFFFFFll);
+  const __m256i one = _mm256_set1_epi64x(0x3FF0000000000000ll);
+  const __m256i two52 = _mm256_set1_epi64x(0x4330000000000000ll);
+  const __m256i top_normal = _mm256_set1_epi64x(0x7FE);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i half = _mm256_set1_epi64x(kLog2FixedHalf);
+  const __m256i frac_mask = _mm256_set1_epi64x(kLog2FracMask);
+  const __m256i two = _mm256_set1_epi64x(2);
+  const __m256i frac_top = _mm256_set1_epi64x(kLog2FracMask - 2);
+  const __m256i offset = _mm256_set1_epi64x(kLog2FixedOffset);
+  const __m256i slow = _mm256_set1_epi64x(kLog2BucketSlow);
+  const __m256d bias = _mm256_set1_pd(0x1p52 + 1023.0);
+  const __m256d c1 = _mm256_set1_pd(kLog2C1);
+  const __m256d c2 = _mm256_set1_pd(kLog2C2);
+  const __m256d c3 = _mm256_set1_pd(kLog2C3);
+  const __m256d vone = _mm256_set1_pd(1.0);
+  const __m256d inv_q = _mm256_set1_pd(inv_quantum);
+  const __m256d magic = _mm256_set1_pd(kLog2FixedMagic);
+  __m256i any_slow = zero;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i bits =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(gain + i));
+    const __m256i biased = _mm256_srli_epi64(bits, 52);
+    const __m256d m = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_and_si256(bits, mant), one));
+    // The table indices straight from the gains' bits in memory: a round
+    // trip of `j` through a store would stall on store forwarding.
+    std::uint64_t idx[4];
+    for (std::size_t k = 0; k < 4; ++k)
+      idx[k] = (std::bit_cast<std::uint64_t>(gain[i + k]) >>
+                (52 - kLog2TableBits)) &
+               (kLog2TableSize - 1);
+    const __m256d inv_c =
+        _mm256_set_pd(kLog2InvCentre[idx[3]], kLog2InvCentre[idx[2]],
+                      kLog2InvCentre[idx[1]], kLog2InvCentre[idx[0]]);
+    const __m256d log2_c =
+        _mm256_set_pd(kLog2Centre[idx[3]], kLog2Centre[idx[2]],
+                      kLog2Centre[idx[1]], kLog2Centre[idx[0]]);
+    const __m256d r = _mm256_sub_pd(_mm256_mul_pd(m, inv_c), vone);
+    const __m256d e = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(biased, two52)), bias);
+    const __m256d head = _mm256_add_pd(e, log2_c);
+    const __m256d series = _mm256_mul_pd(
+        r, _mm256_add_pd(
+               c1, _mm256_mul_pd(
+                       r, _mm256_add_pd(c2, _mm256_mul_pd(r, c3)))));
+    const __m256d y = _mm256_add_pd(
+        _mm256_mul_pd(_mm256_add_pd(head, series), inv_q), magic);
+    const __m256i fixed = _mm256_add_epi64(_mm256_castpd_si256(y), half);
+    const __m256i frac = _mm256_and_si256(fixed, frac_mask);
+    // biased - 1 >= 0x7FE unsigned, and (frac - 2) >= mask - 3 unsigned,
+    // as signed compares on the small non-negative values.
+    const __m256i flag = _mm256_or_si256(
+        _mm256_or_si256(_mm256_cmpeq_epi64(biased, zero),
+                        _mm256_cmpgt_epi64(biased, top_normal)),
+        _mm256_or_si256(_mm256_cmpgt_epi64(two, frac),
+                        _mm256_cmpgt_epi64(frac, frac_top)));
+    const __m256i b =
+        _mm256_sub_epi64(_mm256_srli_epi64(fixed, kLog2FracBits), offset);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(bucket + i),
+                        _mm256_blendv_epi8(b, slow, flag));
+    any_slow = _mm256_or_si256(any_slow, flag);
+  }
+  bool settled = _mm256_testz_si256(any_slow, any_slow) != 0;
+  for (; i < n; ++i) {
+    bucket[i] = log2_bucket(gain[i], inv_quantum);
+    settled &= bucket[i] != kLog2BucketSlow;
+  }
+  return settled;
 }
 
 }  // namespace
@@ -301,6 +393,7 @@ const Kernels kAvx2Table = {
     avx2_choose_dot_seq, avx2_masked_dot_seq,
     avx2_choose_mul, avx2_butterfly,
     avx2_boxqp_x_seq, avx2_boxqp_zu_seq,
+    avx2_best_gain_row, avx2_log2_buckets,
 };
 
 }  // namespace rcr::rt::simd::detail

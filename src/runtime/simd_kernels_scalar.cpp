@@ -4,6 +4,8 @@
 // -ffp-contract=off (see CMakeLists) so an -mfma build cannot change the
 // reference roundings.
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "simd_internal.hpp"
@@ -86,33 +88,85 @@ void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-double scalar_boxqp_x_seq(double rho, const double* z, const double* u,
-                          const double* q, const double* d, double* x,
-                          std::size_t n) {
-  double sum = 0.0;
+SweepSums scalar_boxqp_x_seq(double rho, const double* z, const double* u,
+                             const double* q, const double* d, double* x,
+                             const double* primal_terms,
+                             const double* dual_terms, std::size_t n) {
+  SweepSums sums;
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
-    sum += x[i];
+    sums.x += x[i];
+    sums.primal2 += primal_terms[i];
+    sums.dual2 += dual_terms[i];
   }
-  return sum;
+  return sums;
 }
 
-ResidualSums scalar_boxqp_zu_seq(double gamma, const double* d,
-                                 const double* x, const double* lo,
-                                 const double* hi, const double* z, double* u,
-                                 double* z_out, std::size_t n) {
-  ResidualSums sums;
+void scalar_boxqp_zu_seq(double gamma, const double* d, const double* x,
+                         const double* lo, const double* hi, const double* z,
+                         double* u, double* z_out, double* primal_terms,
+                         double* dual_terms, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double xi = x[i] - gamma / d[i];
     const double zi = std::clamp(xi + u[i], lo[i], hi[i]);
     const double pd = xi - zi;
     u[i] += pd;
     z_out[i] = zi;
-    sums.primal2 += pd * pd;
+    primal_terms[i] = pd * pd;
     const double dd = zi - z[i];
-    sums.dual2 += dd * dd;
+    dual_terms[i] = dd * dd;
   }
-  return sums;
+}
+
+namespace {
+
+struct Log2Centres {
+  std::array<double, kLog2TableSize> log2_c;
+  std::array<double, kLog2TableSize> inv_c;
+};
+
+Log2Centres make_log2_centres() {
+  Log2Centres t;
+  for (std::size_t j = 0; j < kLog2TableSize; ++j) {
+    const double c = 1.0 + (static_cast<double>(j) + 0.5) /
+                               static_cast<double>(kLog2TableSize);
+    t.log2_c[j] = std::log2(c);
+    t.inv_c[j] = 1.0 / c;
+  }
+  return t;
+}
+
+const Log2Centres kCentres = make_log2_centres();
+
+}  // namespace
+
+const double* const kLog2Centre = kCentres.log2_c.data();
+const double* const kLog2InvCentre = kCentres.inv_c.data();
+
+void scalar_best_gain_row(const double* row, std::size_t n, double user,
+                          double* best, double* owner, double* lowest) {
+  // The owner update o + m (user - o) with m in {0, 1} is exact on small
+  // integers and branch-free, so this loop vectorizes at the base ISA.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = row[i];
+    const double b = best[i];
+    const double o = owner[i];
+    const double m = v > b ? 1.0 : 0.0;
+    best[i] = v > b ? v : b;
+    owner[i] = o + m * (user - o);
+    const double l = lowest[i];
+    lowest[i] = v < l ? v : l;
+  }
+}
+
+bool scalar_log2_buckets(const double* gain, std::size_t n,
+                         double inv_quantum, std::int64_t* bucket) {
+  bool settled = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    bucket[i] = log2_bucket(gain[i], inv_quantum);
+    settled &= bucket[i] != kLog2BucketSlow;
+  }
+  return settled;
 }
 
 const Kernels kScalarTable = {
@@ -123,6 +177,34 @@ const Kernels kScalarTable = {
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
     scalar_boxqp_x_seq, scalar_boxqp_zu_seq,
+    scalar_best_gain_row, scalar_log2_buckets,
 };
 
 }  // namespace rcr::rt::simd::detail
+
+namespace rcr::rt::simd {
+
+std::int64_t log2_bucket(double gain, double inv_quantum) {
+  using namespace detail;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(gain);
+  // One unsigned test catches zero, subnormals, +inf, NaN and the sign bit.
+  const std::uint64_t biased = bits >> 52;
+  if (biased - 1 >= 0x7FE) return kLog2BucketSlow;
+  const std::size_t j =
+      (bits >> (52 - kLog2TableBits)) & (kLog2TableSize - 1);
+  const double m = std::bit_cast<double>((bits & 0x000FFFFFFFFFFFFFull) |
+                                         0x3FF0000000000000ull);
+  const double r = m * kLog2InvCentre[j] - 1.0;
+  const double head =
+      static_cast<double>(static_cast<int>(biased) - 1023) + kLog2Centre[j];
+  const double series = r * (kLog2C1 + r * (kLog2C2 + r * kLog2C3));
+  const std::uint64_t fixed =
+      std::bit_cast<std::uint64_t>((head + series) * inv_quantum +
+                                   kLog2FixedMagic) +
+      kLog2FixedHalf;
+  if ((fixed & kLog2FracMask) - 2 >= kLog2FracMask - 3)
+    return kLog2BucketSlow;
+  return static_cast<std::int64_t>(fixed >> kLog2FracBits) - kLog2FixedOffset;
+}
+
+}  // namespace rcr::rt::simd

@@ -13,9 +13,10 @@
 //     signature returns the previous allocation outright when the problem
 //     did not change materially (block-fading coherence intervals).
 //  3. Batched parallel solves -- cells fan out across the global ThreadPool
-//     via rt::parallel_for with per-cell scratch arenas; the chunk
-//     decomposition and per-cell state make results bit-exact for every
-//     RCR_THREADS setting.
+//     via rt::parallel_for in groups of cells_per_chunk rounded up to a
+//     multiple of kSignatureChains, whose cache signatures are hashed
+//     together; the chunk decomposition and per-cell state make results
+//     bit-exact for every RCR_THREADS setting.
 //
 // Degradation: each cell solves through a FallbackChain "serve.cell"
 // (warm-started ADMM power QP -> water-filling -> equal power); when the
@@ -59,7 +60,8 @@ struct ServiceConfig {
   /// Scale of the soft power-budget penalty added to the QP Hessian
   /// (multiplied by the largest curvature entry).
   double budget_penalty = 1.0;
-  /// parallel_for grain: cells per chunk.
+  /// parallel_for grain: cells per chunk, rounded up to a multiple of
+  /// kSignatureChains (signature.hpp).
   std::size_t cells_per_chunk = 1;
   /// Overload-control layer (DESIGN.md §15); every piece defaults off, so a
   /// default-configured service behaves exactly as before this layer existed.
@@ -174,9 +176,11 @@ class AllocationService {
 
   /// Per-cell solve buffers, kept from tick to tick so a steady cache-miss
   /// solve builds its QP and runs ADMM into storage it already owns: the
-  /// assigned gains, q and the box, the structured factor and the ADMM
-  /// result.  Touched only by the cell's own pool task.
+  /// best-gain assignment, the assigned gains, q and the box, the
+  /// structured factor and the ADMM result.  Touched only by the cell's own
+  /// pool task.
   struct CellScratch {
+    qos::Assignment assignment;
     Vec gains;
     Vec q;
     Vec lo;
@@ -185,9 +189,19 @@ class AllocationService {
     opt::AdmmResult admm;
   };
 
-  CellAllocation solve_cell(const RraProblem& problem, std::size_t cell,
-                            std::uint64_t tick, std::uint64_t stamp,
-                            const robust::Deadline& deadline);
+  /// Serve cells [c0, c1), one fan-out group, for this tick: best-gain
+  /// assignments and cache signatures for the admitted cells, then each
+  /// cell in turn.
+  void serve_group(std::size_t c0, std::size_t c1, std::uint64_t tick,
+                   const AdmissionPlan& plan,
+                   const robust::Deadline& deadline,
+                   const ProblemFn& problem_of);
+  /// Solve admitted cell `cell` into current_[cell]: cache lookup under
+  /// `sig`, then the fallback chain, breakers, sum rate and cache put.
+  /// Its assignment is already in scratch_[cell].
+  void solve_cell(const RraProblem& problem, std::size_t cell,
+                  std::uint64_t tick, std::uint64_t stamp, std::uint64_t sig,
+                  const robust::Deadline& deadline);
   /// Serve a non-admitted cell from its snapshot (or an equal-power
   /// rebuild when the snapshot no longer matches the problem shape).
   CellAllocation serve_from_snapshot(const RraProblem& problem,

@@ -84,33 +84,71 @@ AllocationService::AllocationService(const ServiceConfig& config,
     throw std::invalid_argument("AllocationService: zero cells");
 }
 
-CellAllocation AllocationService::solve_cell(const RraProblem& problem,
-                                             std::size_t cell,
-                                             std::uint64_t tick,
-                                             std::uint64_t stamp,
-                                             const robust::Deadline& deadline) {
+void AllocationService::serve_group(std::size_t c0, std::size_t c1,
+                                    std::uint64_t tick,
+                                    const AdmissionPlan& plan,
+                                    const robust::Deadline& deadline,
+                                    const ProblemFn& problem_of) {
+  const std::size_t cells = warm_.size();
+  rt::ScratchArena& arena = rt::tls_arena();
+  const auto arena_scope = arena.scope();
+
+  // Assignments, then the signatures of the admitted cells, whose chains
+  // advance together.
+  const std::size_t span = c1 - c0;
+  const RraProblem** cell_problems = arena.alloc<const RraProblem*>(span);
+  const RraProblem** problems = arena.alloc<const RraProblem*>(span);
+  const qos::Assignment** assignments =
+      arena.alloc<const qos::Assignment*>(span);
+  std::uint64_t* sigs = arena.alloc<std::uint64_t>(span);
+  std::size_t keyed = 0;
+  for (std::size_t c = c0; c < c1; ++c) {
+    const RraProblem& problem = problem_of(c);
+    cell_problems[c - c0] = &problem;
+    if (plan.decisions[c] != AdmitDecision::kAdmit) continue;
+    qos::best_gain_assignment(problem, scratch_[c].assignment);
+    problems[keyed] = &problem;
+    assignments[keyed] = &scratch_[c].assignment;
+    sigs[keyed] = 0;
+    ++keyed;
+  }
+  // The signature only keys the cache: a cache-off service never needs it.
+  if (config_.cache_enabled && keyed > 0)
+    problem_signatures({problems, keyed}, {assignments, keyed},
+                       config_.signature, {sigs, keyed});
+
+  std::size_t k = 0;
+  for (std::size_t c = c0; c < c1; ++c) {
+    const RraProblem& problem = *cell_problems[c - c0];
+    if (plan.decisions[c] == AdmitDecision::kAdmit)
+      solve_cell(problem, c, tick, tick * cells + c, sigs[k++], deadline);
+    else
+      current_[c] = serve_from_snapshot(problem, c, tick, plan.decisions[c],
+                                        plan.injected[c]);
+  }
+}
+
+void AllocationService::solve_cell(const RraProblem& problem,
+                                   std::size_t cell, std::uint64_t tick,
+                                   std::uint64_t stamp, std::uint64_t sig,
+                                   const robust::Deadline& deadline) {
   // Injection decisions are keyed by the deterministic cell stamp: cells
   // solve on pool threads in schedule-dependent order, and a counter-keyed
   // stream would make which cell degrades depend on that schedule.
   namespace faults = robust::faults;
-  CellAllocation alloc;
-  const qos::Assignment assignment = qos::best_gain_assignment(problem);
-  // The signature only keys the cache: a cache-off service never needs it.
-  std::uint64_t sig = 0;
-  if (config_.cache_enabled) {
-    sig = problem_signature(problem, assignment, config_.signature);
-    if (!faults::should_inject("serve.cache.drop", stamp) &&
-        cache_.get(sig, stamp, alloc)) {
-      serve_as(alloc, Served::kCache);
-      alloc.iterations = 0;
-      return alloc;
-    }
+  CellScratch& work = scratch_[cell];
+  if (config_.cache_enabled &&
+      !faults::should_inject("serve.cache.drop", stamp) &&
+      cache_.get(sig, stamp, current_[cell])) {
+    serve_as(current_[cell], Served::kCache);
+    current_[cell].iterations = 0;
+    return;
   }
 
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
-  CellScratch& work = scratch_[cell];
+  const qos::Assignment& assignment = work.assignment;
   qos::assigned_gains(problem, assignment, work.gains);
   const Vec& gains = work.gains;
 
@@ -268,6 +306,7 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
     advance(rtc.admm_breaker, 0);  // kChainSteps[0], kAdmm
     advance(rtc.waterfill_breaker, 1);  // kChainSteps[1], kWaterfill
   }
+  CellAllocation alloc;
   if (outcome.status.code == robust::StatusCode::kFallbackExhausted) {
     // Deadline fired before any step could run: every cell still gets an
     // answer -- the zero-information equal split.
@@ -295,7 +334,7 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   // surfaces as a NaN sum rate, and the watchdog (not the cache) owns it.
   if (config_.cache_enabled && std::isfinite(alloc.sum_rate))
     cache_.put(sig, stamp, alloc);
-  return alloc;
+  current_[cell] = std::move(alloc);
 }
 
 CellAllocation AllocationService::serve_from_snapshot(
@@ -320,7 +359,7 @@ CellAllocation AllocationService::serve_from_snapshot(
     alloc.assignment = rtc.snapshot_assignment;
     alloc.power = rtc.snapshot_power;
   } else {
-    alloc.assignment = qos::best_gain_assignment(problem);
+    qos::best_gain_assignment(problem, alloc.assignment);
     alloc.power.assign(n, budget / static_cast<double>(n));
   }
   rescale_to_budget(alloc.power, budget);
@@ -416,19 +455,15 @@ TickReport AllocationService::tick(std::size_t tick_index,
   // pressure (in-place mutation would let a racing get's refresh land
   // before or after a racing put's eviction scan).
   if (config_.cache_enabled) cache_.begin_deferred();
-  rt::parallel_for(
-      0, cells, std::max<std::size_t>(1, config_.cells_per_chunk),
-      [&](std::size_t c0, std::size_t c1) {
-        for (std::size_t c = c0; c < c1; ++c) {
-          const std::uint64_t stamp = tick * cells + c;
-          if (plan.decisions[c] == AdmitDecision::kAdmit)
-            current_[c] = solve_cell(problem_of(c), c, tick, stamp, deadline);
-          else
-            current_[c] = serve_from_snapshot(problem_of(c), c, tick,
-                                              plan.decisions[c],
-                                              plan.injected[c]);
-        }
-      });
+  // Chunks hold whole groups of kSignatureChains cells, so each group's
+  // signature chains advance together.
+  constexpr std::size_t kGroup = kSignatureChains;
+  const std::size_t grain =
+      (std::max<std::size_t>(1, config_.cells_per_chunk) + kGroup - 1) /
+      kGroup * kGroup;
+  rt::parallel_for(0, cells, grain, [&](std::size_t c0, std::size_t c1) {
+    serve_group(c0, c1, tick, plan, deadline, problem_of);
+  });
   if (config_.cache_enabled) cache_.flush();
 
   TickReport report;

@@ -1,21 +1,57 @@
 #include "rcr/serve/signature.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "rcr/rt/scratch_arena.hpp"
+#include "rcr/rt/simd.hpp"
+
 namespace rcr::serve {
+
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// kFnvPrimePow[k] = P^k mod 2^64.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k)
+    pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
+}  // namespace
 
 std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
                           std::uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // A zero byte's step is (h ^ 0) * P = h * P, so a word whose top k
+    // bytes are zero takes its low 8 - k bytes' steps, then one multiply by
+    // P^k: a small index word hashes with one xor and one multiply by P^8.
+    for (; i + 8 <= bytes; i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, p + i, 8);
+      const int live = 8 - std::countl_zero(w) / 8;
+      for (int b = 0; b < live; ++b) {
+        h ^= (w >> (8 * b)) & 0xFF;
+        h *= kFnvPrime;
+      }
+      if (live < 8) h *= kFnvPrimePow[8 - live];
+    }
+  }
+  for (; i < bytes; ++i) {
     h ^= p[i];
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -62,44 +98,15 @@ std::int64_t reference_bucket(double gain, double log2_quantum) {
   return static_cast<std::int64_t>(std::llround(x));
 }
 
-// log2 on normal doubles: g = 2^e m with m in [1, 2); the top 8 mantissa
-// bits pick a centre c_j = 1 + (j + 1/2) / 256, r = m / c_j - 1 has
-// |r| <= 2^-9, and log2 m = log2 c_j + log2(1 + r) by a degree-3 series
-// (truncation below 5.3e-12).
-constexpr int kTableBits = 8;
-constexpr std::size_t kTableSize = std::size_t{1} << kTableBits;
-constexpr int kIndexShift = 52 - kTableBits;
-
-struct Log2Table {
-  std::array<double, kTableSize> log2_c;
-  std::array<double, kTableSize> inv_c;
-};
-
-Log2Table make_log2_table() {
-  Log2Table t;
-  for (std::size_t j = 0; j < kTableSize; ++j) {
-    const double c =
-        1.0 + (static_cast<double>(j) + 0.5) / static_cast<double>(kTableSize);
-    t.log2_c[j] = std::log2(c);
-    t.inv_c[j] = 1.0 / c;
-  }
-  return t;
-}
-
-const Log2Table kLog2Table = make_log2_table();
-
 // Exactness.  For a quantum of at least kFastMinQuantum the fast quotient x
-// (|x| < 1.1e6) is within 6e-9 of the reference quotient: series truncation
-// 5.3e-12 / q, plus under 1e-9 from every other rounding on either side.
-// Adding kFixedMagic = 1.5 * 2^28 rounds x onto a 2^-24 grid (3e-8 more), so
-// a grid value at least 2 steps (1.2e-7) from a half-integer rounds like the
-// reference; one closer takes the reference itself, as does every smaller
-// quantum.  FMA contraction only makes x more accurate.
+// of rt::simd::log2_bucket (|x| < 1.1e6) is within 6e-9 of the reference
+// quotient: series truncation 5.3e-12 / q, plus under 1e-9 from every other
+// rounding on either side.  Its 1.5 * 2^28 offset rounds x onto a 2^-24
+// grid (3e-8 more), so a grid value at least 2 steps (1.2e-7) from a
+// half-integer rounds like the reference; log2_bucket leaves one closer to
+// the reference itself (kLog2BucketSlow), as it does every gain that is not
+// normal and positive.  Smaller quanta always take the reference.
 constexpr double kFastMinQuantum = 1e-3;
-constexpr double kFixedMagic = 0x1.8p28;
-constexpr int kFracBits = 24;
-constexpr std::uint64_t kFracMask = (std::uint64_t{1} << kFracBits) - 1;
-constexpr std::uint64_t kHalf = std::uint64_t{1} << (kFracBits - 1);
 
 /// quantize_gain by the reference expression, explicit buckets first.
 std::int64_t slow_bucket(double gain, double log2_quantum) {
@@ -108,37 +115,51 @@ std::int64_t slow_bucket(double gain, double log2_quantum) {
   return reference_bucket(gain, log2_quantum);
 }
 
-/// quantize_gain for a quantum of at least kFastMinQuantum.
-inline std::int64_t quantize_gain_fast(double gain, double log2_quantum,
-                                       double inv_quantum) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(gain);
-  // One unsigned test catches zero, subnormals, +inf, NaN and the sign bit.
-  const std::uint64_t biased = bits >> 52;
-  if (biased - 1 >= 0x7FE) [[unlikely]]
-    return slow_bucket(gain, log2_quantum);
+/// Words signature_words writes for `problem` and an assignment of its RB
+/// count, sized from the vectors it walks (an unvalidated problem's floors
+/// need not match its user count).
+std::size_t word_count(const RraProblem& problem) {
+  return 3 + problem.min_rate.size() + problem.num_rbs() +
+         problem.gain.data().size();
+}
 
-  constexpr double kC1 = 1.4426950408889634074;  // (-1)^(k+1) / (k ln 2)
-  constexpr double kC2 = -kC1 / 2.0;
-  constexpr double kC3 = kC1 / 3.0;
-  const std::size_t j = (bits >> kIndexShift) & (kTableSize - 1);
-  const double m = std::bit_cast<double>((bits & 0x000FFFFFFFFFFFFFull) |
-                                         0x3FF0000000000000ull);
-  const double r = m * kLog2Table.inv_c[j] - 1.0;
-  const double head =
-      static_cast<double>(static_cast<int>(biased) - 1023) +
-      kLog2Table.log2_c[j];
-  const double series = r * (kC1 + r * (kC2 + r * kC3));
-  // The low kFracBits of the sum's bits are x's fraction on the grid; with
-  // half a step added the bits above them are round(x) + a constant.
-  const std::uint64_t fixed =
-      std::bit_cast<std::uint64_t>((head + series) * inv_quantum +
-                                   kFixedMagic) +
-      kHalf;
-  if ((fixed & kFracMask) - 2 >= kFracMask - 3) [[unlikely]]
-    return reference_bucket(gain, log2_quantum);
-  constexpr std::int64_t kOffset = static_cast<std::int64_t>(
-      std::bit_cast<std::uint64_t>(kFixedMagic) >> kFracBits);
-  return static_cast<std::int64_t>(fixed >> kFracBits) - kOffset;
+/// The signature's word stream for one problem into `words`: dimensions,
+/// quantized budget and floors, the active-set fingerprint (which user wins
+/// each RB: quantization can leave the gain grid unchanged while the argmax
+/// flips on a near-tie, so folding it in keeps such problems apart), then
+/// every quantized gain in row-major order.
+void signature_words(const RraProblem& problem,
+                     const qos::Assignment& assignment,
+                     const SignatureConfig& config,
+                     const rt::simd::Kernels& kernels, std::uint64_t* words) {
+  const auto word = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(v);
+  };
+  std::size_t w = 0;
+  words[w++] = problem.num_users();
+  words[w++] = problem.num_rbs();
+  words[w++] =
+      word(quantize_scalar(problem.total_power, config.scalar_quantum));
+  for (double r : problem.min_rate)
+    words[w++] = word(quantize_scalar(r, config.scalar_quantum));
+  for (std::size_t user : assignment) words[w++] = user;
+
+  const double q = config.gain_log2_quantum;
+  const std::vector<double>& gains = problem.gain.data();  // row-major
+  const std::size_t count = gains.size();
+  std::uint64_t* out = words + w;
+  if (q >= kFastMinQuantum) {
+    // Buckets land as int64 in the word slots; only a gain the fast path
+    // leaves open takes the reference.
+    auto* buckets = reinterpret_cast<std::int64_t*>(out);
+    if (!kernels.log2_buckets(gains.data(), count, 1.0 / q, buckets))
+      for (std::size_t i = 0; i < count; ++i)
+        if (buckets[i] == rt::simd::kLog2BucketSlow)
+          buckets[i] = slow_bucket(gains[i], q);
+  } else {
+    for (std::size_t i = 0; i < count; ++i)
+      out[i] = word(slow_bucket(gains[i], q));
+  }
 }
 
 }  // namespace
@@ -146,7 +167,9 @@ inline std::int64_t quantize_gain_fast(double gain, double log2_quantum,
 std::int64_t quantize_gain(double gain, double log2_quantum) {
   if (!(log2_quantum >= kFastMinQuantum))
     return slow_bucket(gain, log2_quantum);
-  return quantize_gain_fast(gain, log2_quantum, 1.0 / log2_quantum);
+  const std::int64_t bucket = rt::simd::log2_bucket(gain, 1.0 / log2_quantum);
+  return bucket == rt::simd::kLog2BucketSlow ? slow_bucket(gain, log2_quantum)
+                                             : bucket;
 }
 
 std::uint64_t problem_signature(const RraProblem& problem,
@@ -158,39 +181,58 @@ std::uint64_t problem_signature(const RraProblem& problem,
 std::uint64_t problem_signature(const RraProblem& problem,
                                 const qos::Assignment& assignment,
                                 const SignatureConfig& config) {
+  const RraProblem* p = &problem;
+  const qos::Assignment* a = &assignment;
+  std::uint64_t sig = 0;
+  problem_signatures({&p, 1}, {&a, 1}, config, {&sig, 1});
+  return sig;
+}
+
+void problem_signatures(std::span<const RraProblem* const> problems,
+                        std::span<const qos::Assignment* const> assignments,
+                        const SignatureConfig& config,
+                        std::span<std::uint64_t> out) {
   if (!(config.gain_log2_quantum > 0.0) || !(config.scalar_quantum > 0.0))
     throw std::invalid_argument("problem_signature: quanta must be > 0");
-  const std::size_t users = problem.num_users();
-  const std::size_t rbs = problem.num_rbs();
-  if (assignment.size() != rbs)
-    throw std::invalid_argument(
-        "problem_signature: assignment length mismatch");
+  const std::size_t count = problems.size();
+  if (assignments.size() != count || out.size() != count)
+    throw std::invalid_argument("problem_signatures: span length mismatch");
+  for (std::size_t k = 0; k < count; ++k)
+    if (assignments[k]->size() != problems[k]->num_rbs())
+      throw std::invalid_argument(
+          "problem_signature: assignment length mismatch");
 
-  const auto word = [](std::int64_t v) {
-    return static_cast<std::uint64_t>(v);
-  };
-  std::uint64_t h = mix_word(1469598103934665603ull, users);
-  h = mix_word(h, rbs);
-  h = mix_word(h, word(quantize_scalar(problem.total_power,
-                                       config.scalar_quantum)));
-  for (double r : problem.min_rate)
-    h = mix_word(h, word(quantize_scalar(r, config.scalar_quantum)));
-
-  // Active-set fingerprint: which user wins each RB.  Quantization can leave
-  // the gain grid unchanged while the argmax flips on a near-tie; folding
-  // the argmax in keeps such problems on separate entries.
-  for (std::size_t user : assignment) h = mix_word(h, user);
-
-  const double q = config.gain_log2_quantum;
-  const double inv_q = 1.0 / q;
-  const std::vector<double>& gains = problem.gain.data();  // row-major
-  if (q >= kFastMinQuantum) {
-    for (double g : gains)
-      h = mix_word(h, word(quantize_gain_fast(g, q, inv_q)));
-  } else {
-    for (double g : gains) h = mix_word(h, word(slow_bucket(g, q)));
+  const rt::simd::Kernels& kernels = rt::simd::active();
+  rt::ScratchArena& arena = rt::tls_arena();
+  constexpr std::size_t kChains = kSignatureChains;
+  for (std::size_t k0 = 0; k0 < count; k0 += kChains) {
+    const std::size_t m = std::min(kChains, count - k0);
+    const auto scope = arena.scope();
+    const std::uint64_t* words[kChains];
+    std::size_t len[kChains];
+    std::uint64_t h[kChains];
+    std::size_t common = std::numeric_limits<std::size_t>::max();
+    for (std::size_t j = 0; j < m; ++j) {
+      const RraProblem& problem = *problems[k0 + j];
+      len[j] = word_count(problem);
+      std::uint64_t* buf = arena.alloc<std::uint64_t>(len[j]);
+      signature_words(problem, *assignments[k0 + j], config, kernels, buf);
+      words[j] = buf;
+      h[j] = 1469598103934665603ull;
+      common = std::min(common, len[j]);
+    }
+    // The chains are independent: advancing them in one loop overlaps
+    // their multiply latencies, and each still sees its own words in order.
+    std::size_t w = 0;
+    if (m == kChains)
+      for (; w < common; ++w)
+        for (std::size_t j = 0; j < kChains; ++j)
+          h[j] = mix_word(h[j], words[j][w]);
+    for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t v = w; v < len[j]; ++v) h[j] = mix_word(h[j], words[j][v]);
+      out[k0 + j] = avalanche(h[j]);
+    }
   }
-  return avalanche(h);
 }
 
 }  // namespace rcr::serve

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace rcr::qos {
 namespace {
@@ -212,6 +215,86 @@ TEST(SolveExact, NodeBudgetReported) {
   const RraSolution sol = solve_exact(p, 1000);
   EXPECT_GT(sol.nodes_explored, 0u);
   EXPECT_LE(sol.nodes_explored, 1000u);
+}
+
+// The column scan best_gain_assignment ran before its row pass: validate(),
+// then per RB a strict > against the best user so far.
+Assignment column_scan(const RraProblem& problem) {
+  problem.validate();
+  Assignment assignment(problem.num_rbs(), 0);
+  for (std::size_t rb = 0; rb < problem.num_rbs(); ++rb) {
+    std::size_t best = 0;
+    for (std::size_t u = 1; u < problem.num_users(); ++u)
+      if (problem.gain(u, rb) > problem.gain(best, rb)) best = u;
+    assignment[rb] = best;
+  }
+  return assignment;
+}
+
+/// Both forms of the row pass against the column scan: the same picks, or
+/// the same exception with the same message.
+void expect_matches_column_scan(const RraProblem& problem) {
+  std::string column_error;
+  Assignment expected;
+  try {
+    expected = column_scan(problem);
+  } catch (const std::invalid_argument& e) {
+    column_error = e.what();
+  }
+  Assignment reused(3, 99);  // a stale buffer of the wrong length
+  try {
+    EXPECT_EQ(best_gain_assignment(problem), expected);
+    best_gain_assignment(problem, reused);
+    EXPECT_EQ(reused, expected);
+    EXPECT_TRUE(column_error.empty()) << "the row pass did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), column_error);
+  }
+}
+
+TEST(BestGainAssignment, RowPassMatchesColumnScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::uint64_t seed : {1u, 2u, 3u})
+    for (std::size_t users : {1u, 2u, 5u, 16u})
+      for (std::size_t rbs : {1u, 3u, 48u}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " users=" +
+                     std::to_string(users) + " rbs=" + std::to_string(rbs));
+        RraProblem p = small_problem(seed, users, rbs);
+        expect_matches_column_scan(p);
+        if (users > 1) {
+          // Ties: every user equal on RB 0, users 0 and last equal on RB 1
+          // as the best, a -0.0 / +0.0 tie on the last RB.
+          for (std::size_t u = 0; u < users; ++u) p.gain(u, 0) = 0.5;
+          if (rbs > 1) {
+            p.gain(0, 1) = 9.0;
+            p.gain(users - 1, 1) = 9.0;
+          }
+          p.gain(0, rbs - 1) = -0.0;
+          for (std::size_t u = 1; u < users; ++u) p.gain(u, rbs - 1) = 0.0;
+          expect_matches_column_scan(p);
+          // A NaN in user k never wins; a NaN in user 0 is never beaten.
+          p.gain(users - 1, 0) = nan;
+          p.gain(0, rbs - 1) = nan;
+          expect_matches_column_scan(p);
+        }
+      }
+}
+
+TEST(BestGainAssignment, RowPassKeepsValidationErrors) {
+  RraProblem p = small_problem(4, 3, 6);
+  p.gain(2, 4) = -1e-3;  // a negative gain anywhere, past a NaN too
+  p.gain(0, 4) = std::numeric_limits<double>::quiet_NaN();
+  expect_matches_column_scan(p);
+  p.gain(2, 4) = -0.0;  // -0.0 is not negative
+  expect_matches_column_scan(p);
+  p.total_power = 0.0;
+  expect_matches_column_scan(p);
+  p.total_power = 1.0;
+  p.min_rate.pop_back();
+  expect_matches_column_scan(p);
+  RraProblem empty;
+  empty.total_power = 1.0;
+  expect_matches_column_scan(empty);
 }
 
 }  // namespace

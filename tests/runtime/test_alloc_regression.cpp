@@ -166,6 +166,41 @@ TEST(AllocRegression, AdmmBoxQpAllocsIndependentOfIterationCount) {
   }
 }
 
+TEST(AllocRegression, CappedStructuredAdmmSolveIsAllocationFree) {
+  // A solve that exhausts max_iterations reports kNonConverged with the
+  // text "max_iterations exhausted", one character past the small-string
+  // buffer; written in place into a reused result it allocates nothing.
+  rt::ForceSerialGuard serial;
+  num::Rng rng(41);
+  const std::size_t n = 48;
+  Vec p_diag(n);
+  for (std::size_t i = 0; i < n; ++i) p_diag[i] = 0.9 + rng.uniform();
+  const Vec q = rng.normal_vec(n);
+  const Vec lo(n, -0.5);
+  const Vec hi(n, 0.5);
+  rcr::opt::AdmmOptions opts;
+  opts.tolerance = -1.0;  // never converges
+  opts.max_iterations = 64;
+  const auto factor = rcr::opt::try_prefactor_dpr1(p_diag.data(), n, 0.7,
+                                                   opts.rho);
+  ASSERT_TRUE(factor.has_value());
+  rcr::opt::AdmmWarmState warm;
+  rcr::opt::AdmmResult result;
+  const auto solve = [&] {
+    warm.clear();
+    rcr::opt::admm_box_qp(factor->value, q, lo, hi, opts, &warm, result);
+  };
+  solve();  // grows the result, warm state and arena
+  ASSERT_EQ(result.status.code, rcr::robust::StatusCode::kNonConverged);
+  const rt::AllocDelta delta;
+  solve();
+  EXPECT_EQ(delta.delta(), 0u);
+  EXPECT_EQ(result.status.code, rcr::robust::StatusCode::kNonConverged);
+  EXPECT_EQ(result.status.detail, "max_iterations exhausted");
+  EXPECT_TRUE(result.status.trail.empty());
+  EXPECT_EQ(result.iterations, 64u);
+}
+
 TEST(AllocRegression, StructuredAdmmSolveIsAllocationFreeWarm) {
   // The serve tick's solve: a structured factor rebuilt in place, a warm
   // state and a result reused from the previous solve, iterate buffers

@@ -1,0 +1,264 @@
+// The grouped tick: cells fan out in groups of kSignatureChains, whose
+// cache signatures hash together, one chain per cell.
+//
+// Every piece must reproduce its one-cell form bit for bit: the multi-
+// problem signature against problem_signature, the word-at-a-time FNV-1a
+// against the byte loop, and the tick's answers across thread counts, chunk
+// sizes and an armed fault spec.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rcr/numerics/rng.hpp"
+#include "rcr/robust/fault_injection.hpp"
+#include "rcr/rt/alloc_probe.hpp"
+#include "rcr/rt/parallel.hpp"
+#include "rcr/rt/thread_pool.hpp"
+#include "rcr/serve/service.hpp"
+
+namespace rcr::serve {
+namespace {
+
+/// tickbench's wide-refresh shape: 16 cells x 48 RBs, a fading refresh on
+/// every tick, 2 to 16 users.
+WorkloadConfig wide_refresh() {
+  WorkloadConfig wc;
+  wc.num_cells = 16;
+  wc.num_rbs = 48;
+  wc.min_users = 2;
+  wc.peak_users = 16;
+  wc.period_ticks = 128;
+  wc.coherence_ticks = 1;
+  wc.seed = 1;
+  return wc;
+}
+
+std::uint64_t byte_fnv1a(const unsigned char* p, std::size_t n,
+                         std::uint64_t h) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(TickGroups, WordFnvMatchesTheByteLoop) {
+  num::Rng rng(7);
+  std::vector<unsigned char> buf(80);
+  for (std::uint64_t seed : {1469598103934665603ull, 0ull, 42ull}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      // Random bytes with zero runs of every length, at every offset.
+      for (unsigned char& b : buf)
+        b = rng.uniform() < 0.5 ? 0
+                                : static_cast<unsigned char>(
+                                      1 + rng.uniform() * 254.0);
+      for (std::size_t start = 0; start < 8; ++start)
+        for (std::size_t len = 0; len <= 64; ++len)
+          ASSERT_EQ(fnv1a_bytes(buf.data() + start, len, seed),
+                    byte_fnv1a(buf.data() + start, len, seed))
+              << "start " << start << " len " << len;
+    }
+  }
+  // Index words below 256: one live byte each.
+  std::vector<std::size_t> users = {0, 1, 255, 7, 0, 0, 16, 254};
+  EXPECT_EQ(fnv1a_bytes(users.data(), users.size() * sizeof(std::size_t)),
+            byte_fnv1a(reinterpret_cast<const unsigned char*>(users.data()),
+                       users.size() * sizeof(std::size_t),
+                       1469598103934665603ull));
+}
+
+TEST(TickGroups, MultiProblemSignaturesMatchOneAtATime) {
+  WorkloadConfig wc = wide_refresh();
+  wc.num_cells = 9;
+  wc.num_rbs = 12;
+  DiurnalWorkload workload(wc);
+  for (std::size_t t = 0; t <= 40; ++t) workload.advance(t);
+  std::vector<RraProblem> problems;
+  for (std::size_t c = 0; c < wc.num_cells; ++c)
+    problems.push_back(workload.cell(c));
+  // A dead RB, an infinite gain and a subnormal one take the reference.
+  problems[2].gain(0, 3) = 0.0;
+  problems[4].gain(1, 0) = std::numeric_limits<double>::infinity();
+  problems[5].gain(0, 5) = 4.9e-324;
+  std::vector<qos::Assignment> assignments;
+  for (const RraProblem& p : problems)
+    assignments.push_back(qos::best_gain_assignment(p));
+  std::size_t mixed_users = 0;
+  for (std::size_t c = 1; c < problems.size(); ++c)
+    mixed_users += problems[c].num_users() != problems[0].num_users();
+  EXPECT_GT(mixed_users, 0u);
+
+  for (const double quantum : {0.05, 1e-4}) {
+    SignatureConfig config;
+    config.gain_log2_quantum = quantum;
+    for (std::size_t count = 1; count <= problems.size(); ++count) {
+      std::vector<const RraProblem*> ps;
+      std::vector<const qos::Assignment*> as;
+      for (std::size_t c = 0; c < count; ++c) {
+        ps.push_back(&problems[c]);
+        as.push_back(&assignments[c]);
+      }
+      std::vector<std::uint64_t> sigs(count);
+      problem_signatures(ps, as, config, sigs);
+      for (std::size_t c = 0; c < count; ++c)
+        ASSERT_EQ(sigs[c], problem_signature(problems[c], assignments[c],
+                                             config))
+            << "count " << count << " problem " << c << " quantum "
+            << quantum;
+    }
+  }
+  // Span lengths must agree, and each assignment must cover its RBs.
+  std::vector<std::uint64_t> two(2);
+  const RraProblem* p0 = &problems[0];
+  const qos::Assignment* a0 = &assignments[0];
+  EXPECT_THROW(problem_signatures({&p0, 1}, {&a0, 1}, {}, two),
+               std::invalid_argument);
+  const qos::Assignment short_assignment(3, 0);
+  const qos::Assignment* a_short = &short_assignment;
+  EXPECT_THROW(problem_signatures({&p0, 1}, {&a_short, 1}, {}, {two.data(), 1}),
+               std::invalid_argument);
+}
+
+TEST(TickGroups, SignaturesSizeTheirWordsFromTheFloorsGiven) {
+  // problem_signature does not validate: a floor vector longer than the
+  // user count is hashed in full, and so is every gain after it.
+  WorkloadConfig wc = wide_refresh();
+  wc.num_cells = 5;
+  wc.num_rbs = 6;
+  DiurnalWorkload workload(wc);
+  workload.advance(0);
+  std::vector<RraProblem> problems;
+  for (std::size_t c = 0; c < wc.num_cells; ++c) {
+    problems.push_back(workload.cell(c));
+    problems.back().min_rate.resize(problems.back().num_users() + 7, 0.5);
+  }
+  RraProblem moved = problems[3];
+  double& last_gain = moved.gain(moved.num_users() - 1, wc.num_rbs - 1);
+  last_gain = 4.0 * last_gain + 1.0;
+  // best_gain_assignment validates, so it runs on a copy with matching
+  // floors; the moved gain keeps problem 3's assignment.
+  std::vector<qos::Assignment> assignments;
+  for (const RraProblem& p : problems) {
+    RraProblem valid = p;
+    valid.min_rate.resize(p.num_users());
+    assignments.push_back(qos::best_gain_assignment(valid));
+  }
+  std::vector<const RraProblem*> ps;
+  std::vector<const qos::Assignment*> as;
+  for (std::size_t c = 0; c < problems.size(); ++c) {
+    ps.push_back(&problems[c]);
+    as.push_back(&assignments[c]);
+  }
+  std::vector<std::uint64_t> sigs(ps.size());
+  problem_signatures(ps, as, {}, sigs);
+  for (std::size_t c = 0; c < problems.size(); ++c)
+    EXPECT_EQ(sigs[c], problem_signature(problems[c], assignments[c]))
+        << "problem " << c;
+  EXPECT_NE(problem_signature(moved, assignments[3]), sigs[3]);
+}
+
+/// Per-tick witnesses: the solution hash and each cell's iterations, how it
+/// was served and what became of its warm state.
+std::vector<std::uint64_t> run_ticks(const ServiceConfig& config,
+                                     std::size_t ticks) {
+  const WorkloadConfig wc = wide_refresh();
+  DiurnalWorkload workload(wc);
+  AllocationService service(config, wc.num_cells);
+  std::vector<std::uint64_t> out;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    workload.advance(t);
+    const TickReport r = service.tick(t, workload);
+    out.push_back(r.solution_hash);
+    out.push_back(r.total_iterations);
+    for (std::size_t c = 0; c < wc.num_cells; ++c) {
+      const CellAllocation& a = service.allocation(c);
+      out.push_back(a.iterations * 64 + static_cast<std::uint64_t>(a.served) *
+                                            4 +
+                    static_cast<std::uint64_t>(a.warm_use));
+    }
+  }
+  return out;
+}
+
+class ThreadCount {
+ public:
+  explicit ThreadCount(std::size_t n) : saved_(rt::global_threads()) {
+    rt::set_global_threads(n);
+  }
+  ~ThreadCount() { rt::set_global_threads(saved_); }
+
+ private:
+  std::size_t saved_;
+};
+
+TEST(TickGroups, AnswersMatchAcrossThreadsChunksAndArmedSpecs) {
+  const std::size_t ticks = 24;
+  std::vector<std::uint64_t> serial;
+  {
+    rt::ForceSerialGuard guard;
+    serial = run_ticks(ServiceConfig{}, ticks);
+  }
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadCount pool(threads);
+    for (std::size_t chunk : {1u, 3u, 5u, 16u}) {
+      ServiceConfig config;
+      config.cells_per_chunk = chunk;
+      EXPECT_EQ(run_ticks(config, ticks), serial)
+          << "threads " << threads << " cells_per_chunk " << chunk;
+    }
+  }
+  // An armed spec that never fires polls every fault site: the same
+  // answers.
+  {
+    robust::faults::ScopedFaults armed("seed=3,rate=0,sites=serve.*");
+    ASSERT_TRUE(robust::faults::enabled());
+    EXPECT_EQ(run_ticks(ServiceConfig{}, ticks), serial);
+  }
+  // A firing serve.* storm: keyed by cell stamp, so identical across pools.
+  ServiceConfig stormy;
+  stormy.breaker.enabled = true;
+  stormy.watchdog.enabled = true;
+  std::vector<std::uint64_t> storm_serial;
+  {
+    robust::faults::ScopedFaults armed("seed=3,rate=0.2,sites=serve.*");
+    rt::ForceSerialGuard guard;
+    storm_serial = run_ticks(stormy, ticks);
+  }
+  EXPECT_NE(storm_serial, serial);
+  for (std::size_t threads : {2u, 4u}) {
+    ThreadCount pool(threads);
+    robust::faults::ScopedFaults armed("seed=3,rate=0.2,sites=serve.*");
+    EXPECT_EQ(run_ticks(stormy, ticks), storm_serial) << "threads " << threads;
+  }
+}
+
+TEST(TickGroups, SteadyWideRefreshTickAllocationsDoNotRise) {
+  // Allocations per steady 16-cell wide-refresh tick, serial (mean over
+  // ticks 400-2399): 184.2 with one assignment and signature per cell,
+  // 168.2 with the allocation-free assignment and grouped signatures.
+  const WorkloadConfig wc = wide_refresh();
+  DiurnalWorkload workload(wc);
+  AllocationService service(ServiceConfig{}, wc.num_cells);
+  rt::ForceSerialGuard serial;
+  for (std::size_t t = 0; t < 200; ++t) {
+    workload.advance(t);
+    service.tick(t, workload);
+  }
+  std::uint64_t allocations = 0;
+  const std::size_t measured = 200;
+  for (std::size_t t = 200; t < 200 + measured; ++t) {
+    workload.advance(t);
+    const rt::AllocDelta delta;
+    service.tick(t, workload);
+    allocations += delta.delta();
+  }
+  EXPECT_LE(allocations, 184u * measured);
+}
+
+}  // namespace
+}  // namespace rcr::serve

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -224,24 +225,31 @@ SweepCase sweep_case(std::size_t n, num::Rng& rng) {
 }
 
 struct SweepOut {
-  Vec x, u, z_out;
-  double sum = 0.0;
-  simd::ResidualSums sums;
+  Vec x, u, z_out, primal_terms, dual_terms;
+  simd::SweepSums pass1;  ///< Pass 1's x-sum, and the sums of c's terms.
+  simd::SweepSums sums;   ///< The sums of pass 2's residual terms.
 };
 
-/// Pass 1 into a scratch x (its sum kept), then pass 2 on the case's own x
-/// so the crafted bound hits reach the projection unchanged.
+/// Pass 1 into a scratch x (its sums kept, with the case's own residual
+/// terms alongside), then pass 2 on the case's own x so the crafted bound
+/// hits reach the projection unchanged, then the sums of pass 2's terms.
 SweepOut run_sweep(const simd::Kernels& k, const SweepCase& c) {
   const std::size_t n = c.z.size();
   SweepOut o;
   o.x.assign(n, 0.0);
   o.u = c.u;
   o.z_out.assign(n, 0.0);
-  o.sum = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(), c.d.data(),
-                        o.x.data(), n);
-  o.sums = k.boxqp_zu_seq(c.gamma, c.d.data(), c.x.data(), c.lo.data(),
-                          c.hi.data(), c.z.data(), o.u.data(), o.z_out.data(),
-                          n);
+  o.primal_terms.assign(n, 0.0);
+  o.dual_terms.assign(n, 0.0);
+  o.pass1 = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(),
+                          c.d.data(), o.x.data(), c.q.data(), c.d.data(), n);
+  k.boxqp_zu_seq(c.gamma, c.d.data(), c.x.data(), c.lo.data(), c.hi.data(),
+                 c.z.data(), o.u.data(), o.z_out.data(),
+                 o.primal_terms.data(), o.dual_terms.data(), n);
+  Vec scratch(n, 0.0);
+  o.sums = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(), c.d.data(),
+                         scratch.data(), o.primal_terms.data(),
+                         o.dual_terms.data(), n);
   return o;
 }
 
@@ -265,7 +273,11 @@ TEST(SimdKernels, BoxQpSweepMatchesScalarBitExact) {
         expect_vec_bits(active.x, scalar.x, len);
         expect_vec_bits(active.u, scalar.u, len);
         expect_vec_bits(active.z_out, scalar.z_out, len);
-        EXPECT_TRUE(tk::same_bits(active.sum, scalar.sum));
+        expect_vec_bits(active.primal_terms, scalar.primal_terms, len);
+        expect_vec_bits(active.dual_terms, scalar.dual_terms, len);
+        EXPECT_TRUE(tk::same_bits(active.pass1.x, scalar.pass1.x));
+        EXPECT_TRUE(tk::same_bits(active.pass1.primal2, scalar.pass1.primal2));
+        EXPECT_TRUE(tk::same_bits(active.pass1.dual2, scalar.pass1.dual2));
         EXPECT_TRUE(tk::same_bits(active.sums.primal2, scalar.sums.primal2));
         EXPECT_TRUE(tk::same_bits(active.sums.dual2, scalar.sums.dual2));
         // The projection is std::clamp's: a NaN passes through, and with
@@ -289,6 +301,62 @@ TEST(SimdKernels, BoxQpSweepMatchesScalarBitExact) {
       }
     }
   }
+}
+
+TEST(SimdKernels, Log2BucketsMatchScalarReference) {
+  num::Rng rng(127);
+  const double q = 0.05;
+  const double inv_q = 1.0 / q;
+  Vec gains;
+  for (int i = 0; i < 700; ++i) gains.push_back(std::exp2(6.0 * rng.normal()));
+  for (double g : {0.0, -0.0, -1.5, 4.9e-324, 2.2e-308, 1.7976931348623157e308,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::min()})
+    gains.push_back(g);
+  // Quotients on a bucket midpoint and a few 2^-24 grid steps to either
+  // side, so both guard bands of the fixed-point fraction are reached.
+  for (int k = -40; k < 40; ++k)
+    for (int step = -3; step <= 3; ++step)
+      gains.push_back(std::exp2((k + 0.5 + step * 0x1p-24) * q));
+  for (std::size_t len : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 64u, 600u}) {
+    for (std::size_t start : {0u, 1u, 3u}) {
+      if (start + len > gains.size()) continue;
+      SCOPED_TRACE("len=" + std::to_string(len) + " start=" +
+                   std::to_string(start));
+      std::vector<std::int64_t> a(len, 7), s(len, 7);
+      const bool settled_a =
+          simd::active().log2_buckets(gains.data() + start, len, inv_q, a.data());
+      bool settled = true;
+      for (std::size_t i = 0; i < len; ++i) {
+        s[i] = simd::log2_bucket(gains[start + i], inv_q);
+        settled &= s[i] != simd::kLog2BucketSlow;
+      }
+      EXPECT_EQ(settled_a, settled);
+      for (std::size_t i = 0; i < len; ++i) ASSERT_EQ(a[i], s[i]) << i;
+    }
+  }
+  std::vector<std::int64_t> all(gains.size());
+  const bool settled = simd::active().log2_buckets(gains.data(), gains.size(),
+                                                   inv_q, all.data());
+  EXPECT_FALSE(settled);
+  std::size_t slow = 0;
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    const double g = gains[i];
+    ASSERT_EQ(all[i], simd::log2_bucket(g, inv_q)) << "gain " << g;
+    if (all[i] == simd::kLog2BucketSlow) {
+      ++slow;
+      continue;
+    }
+    // A settled bucket is the reference's.
+    ASSERT_GT(g, 0.0);
+    ASSERT_EQ(all[i], std::llround(std::log2(g) / q)) << "gain " << g;
+  }
+  // The eight non-normal or non-positive specials and the 80 midpoints all
+  // fall back, with some of their near neighbours; random gains rarely do.
+  EXPECT_GE(slow, 8u + 80u);
+  EXPECT_LE(slow, 8u + 80u * 7u + 5u);
 }
 
 TEST(SimdKernels, ForceScalarGuardSwitchesDispatch) {
