@@ -3,8 +3,7 @@
 // Enumerates the declarative conformance fleet and replays every scenario
 // through the verdict grader (AllocationService underneath), measuring
 // grading throughput rather than solver quality: scenarios/s, p50/p99 grade
-// latency, and the verdict distribution -- both counts and ratios (the
-// pass_ratio is the CI drift gate against tests/scn/scn_baseline.json).
+// latency, and the verdict distribution -- both counts and ratios.
 // Each fleet also carries report_hash, FNV-1a over that fleet's
 // report_json bytes: with the verdict counts and cell_ticks it is the
 // answer key bench/soak_diff.py holds a fresh run to.
@@ -160,8 +159,8 @@ int main() {
       grade("conformance", rcr::scn::conformance_fleet(), smoke);
   const FleetRun overload = grade("overload", rcr::scn::overload_fleet(), smoke);
 
-  // Top-level pass_ratio/unsound keep the conformance fleet as the drift
-  // gate's subject; the overload fleet rides along as a second block.
+  // Top-level pass_ratio/unsound summarize the conformance fleet; the
+  // overload fleet rides along as a second block.
   const double n = conformance.scenarios > 0
                        ? static_cast<double>(conformance.scenarios)
                        : 1.0;

@@ -17,28 +17,19 @@
 //          watchdog); it mostly idles on a clean soak and is the leg a
 //          fault storm measures.
 //
-// An RB sweep first times the cache-miss cell solve at n in {12, 48, 192}
-// RBs on sampled serving problems, at a fixed ADMM iteration count so that
-// only n varies, and reports ns per cell-solve.  The factor is built the way
-// the service builds it, in O(n) from P's diagonal without a dense P, and
-// the x-update is O(n), so the cost grows linearly in n.
-//
 // Prints a per-leg table and writes BENCH_perf_serve.json with ticks/s,
 // p50/p99 tick latency, warm-vs-cold iteration counts and their ratio
 // (the acceptance bar is < 0.5), the cache hit rate, and the final-tick
 // solution hash (bit-exact across RCR_THREADS settings).  RCR_BENCH_SMOKE=1
 // shrinks the fleet and tick count for CI smoke jobs.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
 #include "rcr/obs/obs.hpp"
-#include "rcr/opt/admm.hpp"
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/serve/service.hpp"
 #include "rcr/serve/workload.hpp"
@@ -125,49 +116,6 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
   return r;
 }
 
-constexpr std::size_t kSweepIterations = 64;
-
-struct SweepPoint {
-  std::size_t rbs = 0;
-  std::size_t solves = 0;
-  double ns_per_solve = 0.0;
-};
-
-/// The cache-miss cell solve at `rbs` RBs: the power QPs of the workload's
-/// first `ticks` ticks, each factored as solve_cell factors it -- the O(n)
-/// structured build from P's diagonal and off-diagonal, no dense P -- and
-/// run for exactly kSweepIterations ADMM iterations (a negative tolerance
-/// never converges).
-SweepPoint sweep_point(WorkloadConfig wc, std::size_t rbs, std::size_t ticks) {
-  wc.num_rbs = rbs;
-  const std::vector<rcr::learn::PowerQpData> qps =
-      rcr::serve::sample_power_qps(wc, ticks);
-  rcr::opt::AdmmOptions opts;
-  opts.tolerance = -1.0;
-  opts.max_iterations = kSweepIterations;
-  std::vector<double> p_diag(rbs);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const rcr::learn::PowerQpData& qp : qps) {
-    const double off_diag = 2.0 * qp.lambda;
-    for (std::size_t i = 0; i < rbs; ++i) p_diag[i] = qp.curv[i] + off_diag;
-    const auto factor =
-        rcr::opt::try_prefactor_dpr1(p_diag.data(), rbs, off_diag, opts.rho);
-    if (!factor) {
-      std::fprintf(stderr, "sweep: structure test failed at %zu RBs\n", rbs);
-      std::exit(1);
-    }
-    rcr::opt::admm_box_qp(factor->value, qp.slope, qp.lo, qp.hi, opts);
-  }
-  const double s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  SweepPoint pt;
-  pt.rbs = rbs;
-  pt.solves = qps.size();
-  pt.ns_per_solve = 1e9 * s / static_cast<double>(qps.size());
-  return pt;
-}
-
 std::string leg_json(const LegResult& r) {
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
@@ -218,13 +166,6 @@ int main() {
       "coherence %zu ===\n\n",
       rcr::rt::global_threads(), smoke ? ", smoke" : "", wc.num_cells,
       wc.num_rbs, ticks, wc.coherence_ticks);
-
-  // RB sweep, run before metrics are armed so its solves stay out of the
-  // soak telemetry.
-  const std::size_t sweep_ticks = smoke ? 4 : 32;
-  std::vector<SweepPoint> sweep;
-  for (const std::size_t rbs : {12u, 48u, 192u})
-    sweep.push_back(sweep_point(wc, rbs, sweep_ticks));
 
   // Arm metrics for the whole soak so the JSON carries the serve telemetry
   // (cache counters, warm accept/reject, fallback depth) next to the timings.
@@ -290,13 +231,6 @@ int main() {
       static_cast<unsigned long long>(overload.brownout_transitions));
   if (ratio >= 0.5)
     std::printf("WARNING: warm/cold iteration ratio exceeded the 0.5 bar\n");
-  std::printf("\nRB sweep (cell solves of %zu ADMM iterations):\n"
-              "%6s %8s %14s %14s\n",
-              kSweepIterations, "rbs", "solves", "ns/solve", "ns/solve/rb");
-  for (const SweepPoint& pt : sweep)
-    std::printf("%6zu %8zu %14.0f %14.1f\n", pt.rbs, pt.solves,
-                pt.ns_per_solve,
-                pt.ns_per_solve / static_cast<double>(pt.rbs));
 
   std::string json = "{\"bench\":\"serve_soak\",\"threads\":" +
                      std::to_string(rcr::rt::global_threads()) +
@@ -323,17 +257,6 @@ int main() {
                   full.cache_hit_rate);
     json += buf;
   }
-  json += ",\"rb_sweep\":[";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"rbs\":%zu,\"admm_iterations\":%zu,"
-                  "\"ns_per_solve\":%.1f}",
-                  i == 0 ? "" : ",", sweep[i].rbs, kSweepIterations,
-                  sweep[i].ns_per_solve);
-    json += buf;
-  }
-  json += "]";
   if (rcr::obs::metrics_enabled())
     json += ",\"metrics\":" + rcr::bench::metrics_json();
   json += "}";

@@ -17,20 +17,6 @@
 
 namespace rcr::opt {
 
-Vec soft_threshold(const Vec& v, double kappa) {
-  Vec out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] > kappa) {
-      out[i] = v[i] - kappa;
-    } else if (v[i] < -kappa) {
-      out[i] = v[i] + kappa;
-    } else {
-      out[i] = 0.0;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 // The rank-one coefficient of the Sherman-Morrison solve: gamma =
@@ -443,117 +429,5 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
 }
 
 }  // namespace
-
-LassoFactor prefactor_lasso(const Matrix& a, double rho) {
-  // x-update solves (A^T A + rho I) x = A^T b + rho (z - u).  The Gram
-  // product is the dominant setup cost; cache its factorization.
-  Matrix m = num::multiply_at_b(a, a);
-  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho;
-  LassoFactor out;
-  out.factor = num::lu_decompose(std::move(m));
-  out.rho = rho;
-  return out;
-}
-
-AdmmResult admm_lasso(const Matrix& a, const Vec& b, double lambda,
-                      const AdmmOptions& options) {
-  return admm_lasso(a, prefactor_lasso(a, options.rho), b, lambda, options);
-}
-
-AdmmResult admm_lasso(const Matrix& a, const LassoFactor& factor, const Vec& b,
-                      double lambda, const AdmmOptions& options) {
-  const std::size_t n = a.cols();
-  if (a.rows() != b.size())
-    throw std::invalid_argument("admm_lasso: dimension mismatch");
-  if (lambda < 0.0)
-    throw std::invalid_argument("admm_lasso: negative lambda");
-  if (factor.rho != options.rho)
-    throw std::invalid_argument("admm_lasso: factor rho != options rho");
-
-  obs::Span span("admm.lasso");
-
-  const Vec atb = num::matvec_transposed(a, b);
-
-  Vec x(n, 0.0);
-  Vec z(n, 0.0);
-  Vec u(n, 0.0);
-
-  // Iteration-persistent workspaces (loop body is allocation-free).
-  Vec rhs(n);
-  Vec z_prev(n);
-  const double kappa = lambda / options.rho;
-
-  AdmmResult result;
-  const double scale = 1.0 + num::norm_inf(atb);
-  const bool faults_on = robust::faults::enabled();
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    if (options.budget.expired_at(it) ||
-        (faults_on && robust::faults::should_inject("admm.deadline"))) {
-      result.status = robust::make_status(
-          robust::StatusCode::kDeadlineExpired,
-          "deadline fired at iteration " + std::to_string(it));
-      break;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = atb[i] + options.rho * (z[i] - u[i]);
-    factor.factor.solve_into(rhs, x);
-    if (faults_on && !x.empty() &&
-        robust::faults::should_inject("admm.iterate.nan"))
-      x[0] = std::numeric_limits<double>::quiet_NaN();
-
-    z_prev = z;
-    // z = soft_threshold(x + u, kappa), elementwise in place.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = x[i] + u[i];
-      if (v > kappa) {
-        z[i] = v - kappa;
-      } else if (v < -kappa) {
-        z[i] = v + kappa;
-      } else {
-        z[i] = 0.0;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) u[i] += x[i] - z[i];
-
-    double primal2 = 0.0;
-    double dual2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double pd = x[i] - z[i];
-      primal2 += pd * pd;
-      const double dd = z[i] - z_prev[i];
-      dual2 += dd * dd;
-    }
-    if (!std::isfinite(primal2) || !std::isfinite(dual2)) {
-      z = z_prev;
-      result.status = robust::make_status(
-          robust::StatusCode::kNumericalFailure,
-          "non-finite iterate at iteration " + std::to_string(it + 1) +
-              "; rolled back to last clean point");
-      result.iterations = it + 1;
-      break;
-    }
-    const double primal = std::sqrt(primal2);
-    const double dual = options.rho * std::sqrt(dual2);
-    result.iterations = it + 1;
-    if (primal <= options.tolerance * scale &&
-        dual <= options.tolerance * scale) {
-      result.converged = true;
-      break;
-    }
-  }
-  if (!result.converged && result.status.ok())
-    result.status = robust::make_status(robust::StatusCode::kNonConverged,
-                                        "max_iterations exhausted");
-  result.x = z;
-  const Vec resid = num::sub(num::matvec(a, result.x), b);
-  result.objective =
-      0.5 * num::dot(resid, resid) + lambda * num::norm1(result.x);
-  obs::counter_add("rcr.admm.solves");
-  obs::counter_add("rcr.admm.iterations", result.iterations);
-  span.attr("iterations", static_cast<double>(result.iterations));
-  span.attr("converged", result.converged ? 1.0 : 0.0);
-  span.attr("objective", result.objective);
-  return result;
-}
 
 }  // namespace rcr::opt

@@ -2,9 +2,8 @@
 //
 // Sec. I of the paper lists ADMM among the general-purpose routes "for
 // nonconvex and nonsmooth functions" once a problem has been decomposed.
-// This module provides the two decompositions the RCR pipeline uses:
-//  - box-constrained QP (cross-checks the barrier solver), and
-//  - lasso (the sum-of-smooth-plus-nonsmooth decomposition of [1]).
+// This module provides the box-constrained QP decomposition the serve
+// tick's power head runs (it also cross-checks the barrier solver).
 #pragma once
 
 #include <optional>
@@ -82,8 +81,8 @@ robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
 /// P.  With n == 1 P has no off-diagonal entry and c is ignored (taken as
 /// 0, as the dense scan does).  Returns std::nullopt when the structure
 /// test fails (n == 0, c < 0 or non-finite, some P_ii - c + rho not finite
-/// and positive, or a non-finite sum_i 1/d_i); the caller then forms P and
-/// takes try_prefactor_box_qp's dense path.
+/// and positive, or a non-finite sum_i 1/d_i); a caller holding a dense P
+/// can then take try_prefactor_box_qp's LU path.
 std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
     const double* p_diag, std::size_t n, double c, double rho);
 
@@ -93,17 +92,6 @@ std::optional<robust::Result<BoxQpFactor>> try_prefactor_dpr1(
 /// structured.
 bool try_prefactor_dpr1(const double* p_diag, std::size_t n, double c,
                         double rho, robust::Result<BoxQpFactor>& out);
-
-/// Cached x-update operator for admm_lasso: the LU factors of A^T A + rho I.
-/// The Gram product is the dominant setup cost; building it once amortizes
-/// it across solves against many right-hand sides b.
-struct LassoFactor {
-  num::LuDecomposition factor;  ///< LU of A^T A + rho I.
-  double rho = 0.0;
-};
-
-/// Factor A^T A + rho I for the lasso x-update.
-LassoFactor prefactor_lasso(const Matrix& a, double rho);
 
 /// Primal/dual state carried between admm_box_qp solves (see warm.hpp for
 /// the acceptance/rejection/writeback contract).  `z` is the consensus
@@ -188,20 +176,5 @@ AdmmResult admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
 void admm_box_qp(const BoxQpFactor& factor, const Vec& q, const Vec& lo,
                  const Vec& hi, const AdmmOptions& options,
                  AdmmWarmState* warm, AdmmResult& result);
-
-/// Lasso:
-///   minimize (1/2) ||A x - b||^2 + lambda ||x||_1.
-/// Splitting: least-squares prox + soft-thresholding.
-AdmmResult admm_lasso(const Matrix& a, const Vec& b, double lambda,
-                      const AdmmOptions& options = {});
-
-/// Lasso with a prefactored Gram operator (see prefactor_lasso), skipping
-/// the per-call A^T A product and factorization.  `factor.rho` must match
-/// `options.rho`.
-AdmmResult admm_lasso(const Matrix& a, const LassoFactor& factor, const Vec& b,
-                      double lambda, const AdmmOptions& options = {});
-
-/// Soft-thresholding operator: sign(v) * max(|v| - kappa, 0).
-Vec soft_threshold(const Vec& v, double kappa);
 
 }  // namespace rcr::opt

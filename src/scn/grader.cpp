@@ -174,8 +174,7 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
     service_config.watchdog.enabled = true;
     if (spec.overload == OverloadLeg::kBrownout) {
       // Aggressive thresholds so the fault leg actually exercises the
-      // state machine within a short scenario.  latency_budget_us stays 0:
-      // pressure comes only from deterministic degradation signals.
+      // state machine within a short scenario.
       service_config.brownout.enabled = true;
       service_config.brownout.enter_brownout = 0.25;
       service_config.brownout.enter_shed = 0.9;

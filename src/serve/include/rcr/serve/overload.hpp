@@ -6,9 +6,9 @@
 // plans are computed serially at the tick boundary from per-cell gate inputs,
 // breakers advance on tick counts owned by exactly one cell's solve task, and
 // the brownout controller observes only deterministic per-tick aggregates
-// (degraded fraction, mean fallback depth) unless a wall-clock latency budget
-// is explicitly armed.  That keeps every admit/defer/shed decision bit-exact
-// across RCR_THREADS and replayable from a scenario seed.
+// (degraded fraction, mean fallback depth), never the wall clock.  That keeps
+// every admit/defer/shed decision bit-exact across RCR_THREADS and
+// replayable from a scenario seed.
 #pragma once
 
 #include <cstdint>
@@ -86,23 +86,17 @@ const char* to_string(BrownoutState state);
 
 struct BrownoutConfig {
   bool enabled = false;
-  /// Wall-clock p99 tick-latency budget in microseconds; 0 disables the
-  /// latency pressure term (the deterministic default -- arming it makes
-  /// state transitions timing-dependent by design).
-  double latency_budget_us = 0.0;
   double enter_brownout = 0.5;  ///< Pressure at which NORMAL -> BROWNOUT.
   double enter_shed = 0.9;      ///< Pressure at which BROWNOUT -> SHED.
-  double exit_margin = 0.5;     ///< Exit when pressure < threshold * margin.
   std::size_t enter_ticks = 2;  ///< Consecutive ticks above to escalate.
   std::size_t exit_ticks = 3;   ///< Consecutive ticks below to recover.
   /// ADMM iteration-cap scale applied while in BROWNOUT (cheaper head).
   double brownout_iteration_factor = 0.25;
 };
 
-/// EWMA weight of the latency estimate (latency_budget_us > 0 only).
-inline constexpr double kBrownoutEwmaAlpha = 0.25;
-/// Armed tick-deadline scale applied outside NORMAL.
-inline constexpr double kBrownoutDeadlineFactor = 0.5;
+/// A state is left once pressure stays below its entry threshold times
+/// this margin for exit_ticks ticks.
+inline constexpr double kBrownoutExitMargin = 0.5;
 
 /// Owned by the service driver thread; observe() runs serially at the end of
 /// each tick and the state is read serially at the start of the next.
@@ -114,11 +108,9 @@ class BrownoutController {
 
   BrownoutState state() const { return state_; }
 
-  /// Feed one tick's pressure signals.  `degraded_fraction` and `mean_depth`
-  /// (mean fallback-chain depth, 1.0 = every head answered) are deterministic;
-  /// `tick_latency_us` contributes only when latency_budget_us > 0.
-  void observe(double degraded_fraction, double mean_depth,
-               double tick_latency_us);
+  /// Feed one tick's pressure signals: `degraded_fraction` and `mean_depth`
+  /// (mean fallback-chain depth, 1.0 = every head answered).
+  void observe(double degraded_fraction, double mean_depth);
 
   std::uint64_t transitions() const { return transitions_; }
   /// Ticks observed while in `state` (dwell time).
@@ -131,8 +123,6 @@ class BrownoutController {
 
   BrownoutConfig config_;
   BrownoutState state_ = BrownoutState::kNormal;
-  double ewma_us_ = 0.0;
-  double peak_us_ = 0.0;  ///< Decaying max: the p99 proxy.
   std::size_t above_ = 0;
   std::size_t below_ = 0;
   std::uint64_t transitions_ = 0;
@@ -144,10 +134,14 @@ class BrownoutController {
 /// task that solves the cell, so no cross-thread state is shared.
 struct BreakerConfig {
   bool enabled = false;
-  std::size_t failure_threshold = 3;  ///< Consecutive failures to open.
-  std::size_t open_ticks = 8;         ///< Initial open window (ticks).
-  std::size_t max_open_ticks = 64;    ///< Backoff doubling cap.
 };
+
+/// Consecutive failures that open a closed breaker.
+inline constexpr std::size_t kBreakerFailureThreshold = 3;
+/// First open window, in ticks.
+inline constexpr std::size_t kBreakerOpenTicks = 8;
+/// Cap of the open window as failed probes double it.
+inline constexpr std::size_t kBreakerMaxOpenTicks = 64;
 
 struct CircuitBreaker {
   std::size_t failures = 0;        ///< Consecutive failures while closed.
@@ -158,15 +152,12 @@ struct CircuitBreaker {
 
   /// Step gate: true while the open window is still running.
   bool blocked(std::uint64_t tick) const { return tick < open_until; }
-  /// True when the open window elapsed and the next run is the probe.
-  bool probing(std::uint64_t tick) const {
-    return awaiting_probe && tick >= open_until;
-  }
   /// The stage ran clean: close (half-open probe success recovers fully).
-  void record_success(const BreakerConfig& config, std::uint64_t tick);
-  /// The stage failed: trip after failure_threshold consecutive failures;
-  /// a failed half-open probe re-opens with doubled backoff.
-  void record_failure(const BreakerConfig& config, std::uint64_t tick);
+  void record_success();
+  /// The stage failed at `tick`: trip after kBreakerFailureThreshold
+  /// consecutive failures; a failed half-open probe re-opens with doubled
+  /// backoff.
+  void record_failure(std::uint64_t tick);
 };
 
 /// Watchdog: a cell whose solve output is non-finite is quarantined and

@@ -53,12 +53,12 @@ struct ServiceConfig {
   /// deterministic default -- an armed deadline makes degradation
   /// timing-dependent by design).
   double tick_deadline_s = 0.0;
-  /// ADMM knobs for the per-cell power QP.
+  /// ADMM knobs for the per-cell power QP; admm_rho must be finite and > 0.
   double admm_rho = 1.0;
   double admm_tolerance = 1e-8;
   std::size_t admm_max_iterations = 4000;
   /// Scale of the soft power-budget penalty added to the QP Hessian
-  /// (multiplied by the largest curvature entry).
+  /// (multiplied by the largest curvature entry); must be finite and > 0.
   double budget_penalty = 1.0;
   /// parallel_for grain: cells per chunk, rounded up to a multiple of
   /// kSignatureChains (signature.hpp).
@@ -140,6 +140,8 @@ class AllocationService {
   /// Reads cell c's current problem; must be valid for the tick() call.
   using ProblemFn = std::function<const RraProblem&(std::size_t)>;
 
+  /// Throws std::invalid_argument on zero cells, or when budget_penalty or
+  /// admm_rho is not finite and positive.
   AllocationService(const ServiceConfig& config, std::size_t num_cells);
 
   /// Solve every cell for `tick_index`.  `problem_of` is called once per

@@ -96,9 +96,8 @@ class DiurnalWorkload {
 /// `ticks` ticks of a DiurnalWorkload(config): best-gain assignment +
 /// Taylor coefficients, built exactly the way solve_cell builds them.
 /// This is the training/eval dataset for rcr::learn's warm-start
-/// predictor, and the problem set of bench_serve_soak's RB sweep --
-/// generated here so both see the serving distribution without depending
-/// on the service itself.
+/// predictor -- generated here so it sees the serving distribution without
+/// depending on the service itself.
 std::vector<learn::PowerQpData> sample_power_qps(const WorkloadConfig& config,
                                                  std::size_t ticks,
                                                  double budget_penalty = 1.0);

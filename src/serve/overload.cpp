@@ -120,8 +120,8 @@ void BrownoutController::transition(BrownoutState next) {
                  static_cast<double>(static_cast<int>(state_)));
 }
 
-void BrownoutController::observe(double degraded_fraction, double mean_depth,
-                                 double tick_latency_us) {
+void BrownoutController::observe(double degraded_fraction,
+                                 double mean_depth) {
   if (!config_.enabled) return;
   ++dwell_[static_cast<std::size_t>(state_)];
 
@@ -129,17 +129,6 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
   // mean_depth == 1 means every chain head answered; each extra fallback
   // step across the fleet is load the cheap heads should be absorbing.
   pressure = std::max(pressure, (mean_depth - 1.0) * 0.5);
-  if (config_.latency_budget_us > 0.0) {
-    ewma_us_ = ewma_us_ == 0.0
-                   ? tick_latency_us
-                   : kBrownoutEwmaAlpha * tick_latency_us +
-                         (1.0 - kBrownoutEwmaAlpha) * ewma_us_;
-    // Decaying max approximates the p99 without a reservoir.
-    peak_us_ = std::max(tick_latency_us, 0.8 * peak_us_);
-    pressure =
-        std::max(pressure, std::max(ewma_us_, peak_us_) /
-                               config_.latency_budget_us);
-  }
 
   switch (state_) {
     case BrownoutState::kNormal:
@@ -155,7 +144,7 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
       if (pressure >= config_.enter_shed) {
         below_ = 0;
         if (++above_ >= config_.enter_ticks) transition(BrownoutState::kShed);
-      } else if (pressure < config_.enter_brownout * config_.exit_margin) {
+      } else if (pressure < config_.enter_brownout * kBrownoutExitMargin) {
         above_ = 0;
         if (++below_ >= config_.exit_ticks) transition(BrownoutState::kNormal);
       } else {
@@ -164,7 +153,7 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
       }
       break;
     case BrownoutState::kShed:
-      if (pressure < config_.enter_shed * config_.exit_margin) {
+      if (pressure < config_.enter_shed * kBrownoutExitMargin) {
         if (++below_ >= config_.exit_ticks)
           transition(BrownoutState::kBrownout);
       } else {
@@ -174,10 +163,7 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
   }
 }
 
-void CircuitBreaker::record_success(const BreakerConfig& config,
-                                    std::uint64_t tick) {
-  (void)config;
-  (void)tick;
+void CircuitBreaker::record_success() {
   failures = 0;
   if (awaiting_probe) {
     // Half-open probe succeeded: fully close and forget the backoff.
@@ -187,21 +173,20 @@ void CircuitBreaker::record_success(const BreakerConfig& config,
   }
 }
 
-void CircuitBreaker::record_failure(const BreakerConfig& config,
-                                    std::uint64_t tick) {
+void CircuitBreaker::record_failure(std::uint64_t tick) {
   if (awaiting_probe) {
     // Failed half-open probe: re-open with doubled (capped) backoff.
-    backoff = std::min(backoff == 0 ? config.open_ticks : backoff * 2,
-                       config.max_open_ticks);
+    backoff = std::min(backoff == 0 ? kBreakerOpenTicks : backoff * 2,
+                       kBreakerMaxOpenTicks);
     open_until = tick + 1 + backoff;
     ++trips;
     obs::counter_add("rcr.breaker.opened");
     return;
   }
-  if (++failures >= config.failure_threshold) {
+  if (++failures >= kBreakerFailureThreshold) {
     failures = 0;
-    backoff = backoff == 0 ? config.open_ticks
-                           : std::min(backoff, config.max_open_ticks);
+    backoff = backoff == 0 ? kBreakerOpenTicks
+                           : std::min(backoff, kBreakerMaxOpenTicks);
     open_until = tick + 1 + backoff;
     awaiting_probe = true;
     ++trips;

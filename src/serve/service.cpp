@@ -39,13 +39,18 @@ void serve_as(CellAllocation& alloc, Served served) {
   alloc.step = to_string(served);
 }
 
-/// Sum spectral efficiency of an allocation over its per-RB gains.
+/// Sum spectral efficiency of an allocation over its per-RB gains.  An
+/// unpowered RB adds nothing, whatever its gain: water-filling gives a NaN
+/// gain zero power, and 0 * NaN must not poison the sum.
 double sum_rate_of(const Vec& gains, const Vec& power) {
   double rate = 0.0;
   for (std::size_t rb = 0; rb < gains.size(); ++rb)
-    rate += std::log2(1.0 + power[rb] * gains[rb]);
+    if (power[rb] != 0.0) rate += std::log2(1.0 + power[rb] * gains[rb]);
   return rate;
 }
+
+/// True when `v` is finite and positive.
+bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
 
@@ -82,6 +87,14 @@ AllocationService::AllocationService(const ServiceConfig& config,
       brownout_(config.brownout) {
   if (num_cells == 0)
     throw std::invalid_argument("AllocationService: zero cells");
+  // Both scale the head's power QP; with them finite and positive the
+  // structured factor declines only a non-finite gain.
+  if (!finite_positive(config.budget_penalty))
+    throw std::invalid_argument(
+        "AllocationService: budget_penalty must be finite and > 0");
+  if (!finite_positive(config.admm_rho))
+    throw std::invalid_argument(
+        "AllocationService: admm_rho must be finite and > 0");
 }
 
 void AllocationService::serve_group(std::size_t c0, std::size_t c1,
@@ -159,8 +172,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
   // with a soft penalty lambda (1^T d)^2 holding the total at the budget and
   // the box d in [-p0, budget - p0] keeping p nonnegative and bounded.
   // P is kept as its diagonal P_ii = curv_i + 2 lambda and the common
-  // off-diagonal 2 lambda; the dense matrix is formed only if the O(n)
-  // structure test fails.
+  // off-diagonal 2 lambda, and is never formed.
   const double p0 = budget / static_cast<double>(n);
   double* p_diag = rt::tls_arena().alloc<double>(n);
   Vec& q = work.q;
@@ -217,22 +229,21 @@ void AllocationService::solve_cell(const RraProblem& problem,
                    "injected serve.breaker.trip");
                return out;
              }
-             // The structured factor is rebuilt in the cell's own buffers;
-             // only a P the O(n) test declines is formed and LU-factored.
-             Matrix p_mat;
-             robust::Result<opt::BoxQpFactor> dense;
-             const bool structured = opt::try_prefactor_dpr1(
-                 p_diag, n, off_diag, config_.admm_rho, work.factor);
-             if (!structured) {
-               p_mat = Matrix(n, n, off_diag);
-               for (std::size_t rb = 0; rb < n; ++rb)
-                 p_mat(rb, rb) = p_diag[rb];
-               dense = opt::try_prefactor_box_qp(p_mat, config_.admm_rho);
+             // The structured factor is rebuilt in the cell's own buffers.
+             // The constructor holds rho and the penalty finite and
+             // positive, so it declines only a non-finite curvature: a gain
+             // the Taylor model cannot price.  The head then fails without
+             // iterating, and the next solve starts cold.
+             if (!opt::try_prefactor_dpr1(p_diag, n, off_diag,
+                                          config_.admm_rho, work.factor)) {
+               if (warm != nullptr) warm->clear();
+               out.status = robust::make_status(
+                   robust::StatusCode::kNumericalFailure,
+                   "power QP has a non-finite curvature");
+               return out;
              }
-             const robust::Result<opt::BoxQpFactor>& factor =
-                 structured ? work.factor : dense;
-             if (!factor.status.ok()) {
-               out.status = factor.status;
+             if (!work.factor.status.ok()) {
+               out.status = work.factor.status;
                return out;
              }
              opt::AdmmOptions aopts;
@@ -242,11 +253,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
              aopts.budget.deadline = deadline;
              aopts.budget.check_stride = 16;
              opt::AdmmResult& r = work.admm;
-             if (factor.value.structured())
-               opt::admm_box_qp(factor.value, q, lo, hi, aopts, warm, r);
-             else
-               r = opt::admm_box_qp(p_mat, factor.value, q, lo, hi, aopts,
-                                    warm);
+             opt::admm_box_qp(work.factor.value, q, lo, hi, aopts, warm, r);
              if (!r.status.usable()) {
                out.status = r.status;
                return out;
@@ -297,9 +304,9 @@ void AllocationService::solve_cell(const RraProblem& problem,
     // needed and the evolution is schedule-independent.
     const auto advance = [&](CircuitBreaker& breaker, std::size_t step) {
       if (outcome.winner == step)
-        breaker.record_success(config_.breaker, tick);
+        breaker.record_success();
       else if (outcome.records[step].outcome == robust::StepOutcome::kFailed)
-        breaker.record_failure(config_.breaker, tick);
+        breaker.record_failure(tick);
       // Skipped (gated) and not-run steps record nothing: the open window
       // just ages.  A banked winner is a success despite its kFailed record.
     };
@@ -434,13 +441,10 @@ TickReport AllocationService::tick(std::size_t tick_index,
   const std::uint64_t tick = static_cast<std::uint64_t>(tick_index);
   const BrownoutState bstate = brownout_.state();
 
-  double deadline_s = config_.tick_deadline_s;
-  if (config_.brownout.enabled && bstate != BrownoutState::kNormal &&
-      deadline_s > 0.0)
-    deadline_s *= kBrownoutDeadlineFactor;
   const robust::Deadline deadline =
-      deadline_s > 0.0 ? robust::Deadline::after_seconds(deadline_s)
-                       : robust::Deadline::unlimited();
+      config_.tick_deadline_s > 0.0
+          ? robust::Deadline::after_seconds(config_.tick_deadline_s)
+          : robust::Deadline::unlimited();
 
   // A deadline that is already gone at the tick boundary means no solver
   // can possibly finish: shed the whole tick up front and serve every cell
@@ -567,8 +571,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
         chain_cells > 0 ? static_cast<double>(chain_steps) /
                               static_cast<double>(chain_cells)
                         : 1.0;
-    brownout_.observe(degraded_fraction, mean_depth,
-                      report.tick_seconds * 1e6);
+    brownout_.observe(degraded_fraction, mean_depth);
     obs::gauge_set("rcr.brownout.state",
                    static_cast<double>(static_cast<int>(brownout_.state())));
   }

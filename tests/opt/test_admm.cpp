@@ -9,16 +9,6 @@
 namespace rcr::opt {
 namespace {
 
-TEST(SoftThreshold, PiecewiseDefinition) {
-  const Vec v = {3.0, -3.0, 0.5, -0.5, 0.0};
-  const Vec s = soft_threshold(v, 1.0);
-  EXPECT_DOUBLE_EQ(s[0], 2.0);
-  EXPECT_DOUBLE_EQ(s[1], -2.0);
-  EXPECT_DOUBLE_EQ(s[2], 0.0);
-  EXPECT_DOUBLE_EQ(s[3], 0.0);
-  EXPECT_DOUBLE_EQ(s[4], 0.0);
-}
-
 TEST(AdmmBoxQp, DimensionChecks) {
   EXPECT_THROW(admm_box_qp(Matrix(2, 2), {1.0}, {0.0}, {1.0}),
                std::invalid_argument);
@@ -79,74 +69,6 @@ TEST(AdmmBoxQp, SolutionAlwaysFeasible) {
     EXPECT_GE(v, -0.5 - 1e-12);
     EXPECT_LE(v, 0.5 + 1e-12);
   }
-}
-
-TEST(AdmmLasso, ZeroLambdaIsLeastSquares) {
-  num::Rng rng(3);
-  Matrix a(6, 3);
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = rng.normal();
-  const Vec x_true = {1.0, -2.0, 0.5};
-  const Vec b = num::matvec(a, x_true);
-  const AdmmResult r = admm_lasso(a, b, 0.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_TRUE(num::approx_equal(r.x, x_true, 1e-5));
-}
-
-TEST(AdmmLasso, LargeLambdaZeroesSolution) {
-  num::Rng rng(4);
-  Matrix a(5, 3);
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = rng.normal();
-  const Vec b = rng.normal_vec(5);
-  const AdmmResult r = admm_lasso(a, b, 1e4);
-  EXPECT_TRUE(r.converged);
-  for (double v : r.x) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(AdmmLasso, SparsityIncreasesWithLambda) {
-  num::Rng rng(5);
-  Matrix a(20, 8);
-  for (std::size_t i = 0; i < 20; ++i)
-    for (std::size_t j = 0; j < 8; ++j) a(i, j) = rng.normal();
-  // Sparse ground truth.
-  Vec x_true(8, 0.0);
-  x_true[1] = 2.0;
-  x_true[5] = -1.5;
-  Vec b = num::matvec(a, x_true);
-  for (double& v : b) v += rng.normal(0.0, 0.01);
-
-  auto nnz = [](const Vec& x) {
-    std::size_t n = 0;
-    for (double v : x)
-      if (std::abs(v) > 1e-8) ++n;
-    return n;
-  };
-  const AdmmResult loose = admm_lasso(a, b, 0.01);
-  const AdmmResult tight = admm_lasso(a, b, 2.0);
-  EXPECT_GE(nnz(loose.x), nnz(tight.x));
-  // Moderate lambda recovers the support.
-  const AdmmResult mid = admm_lasso(a, b, 0.5);
-  EXPECT_GT(std::abs(mid.x[1]), 0.5);
-  EXPECT_GT(std::abs(mid.x[5]), 0.3);
-}
-
-TEST(AdmmLasso, NegativeLambdaThrows) {
-  EXPECT_THROW(admm_lasso(Matrix(2, 2), {0.0, 0.0}, -1.0),
-               std::invalid_argument);
-}
-
-TEST(AdmmLasso, ObjectiveNeverBelowOptimalLeastSquares) {
-  // Sanity: lasso objective with lambda > 0 is >= the LS-residual part of
-  // the lambda = 0 solution.
-  num::Rng rng(6);
-  Matrix a(10, 4);
-  for (std::size_t i = 0; i < 10; ++i)
-    for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.normal();
-  const Vec b = rng.normal_vec(10);
-  const AdmmResult ls = admm_lasso(a, b, 0.0);
-  const AdmmResult lasso = admm_lasso(a, b, 0.3);
-  EXPECT_GE(lasso.objective, ls.objective - 1e-8);
 }
 
 }  // namespace

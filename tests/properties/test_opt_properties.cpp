@@ -71,58 +71,6 @@ TEST(OptProperties, PrefactoredBoxQpBitIdenticalToFresh) {
       }()));
 }
 
-struct LassoCase {
-  Matrix a;
-  Vec b;
-  double lambda = 0.1;
-};
-
-tk::Gen<LassoCase> gen_lasso() {
-  tk::Gen<LassoCase> g;
-  g.sample = [](rcr::num::Rng& rng) {
-    LassoCase c;
-    const std::size_t m =
-        static_cast<std::size_t>(rng.uniform_int(2, 10));
-    const std::size_t n =
-        static_cast<std::size_t>(rng.uniform_int(1, 6));
-    c.a = Matrix(m, n);
-    for (auto& v : c.a.data()) v = rng.normal();
-    c.b = rng.normal_vec(m);
-    c.lambda = rng.uniform(0.01, 0.5);
-    return c;
-  };
-  g.show = [](const LassoCase& c) {
-    return "A = " + tk::show_matrix(c.a) + ", b = " + tk::show_vec(c.b) +
-           ", lambda = " + tk::show_double(c.lambda);
-  };
-  return g;
-}
-
-TEST(OptProperties, PrefactoredLassoBitIdenticalToFresh) {
-  RCR_EXPECT_PROP(tk::check<LassoCase>(
-      "admm_lasso prefactored == fresh", gen_lasso(),
-      [](const LassoCase& c) {
-        opt::AdmmOptions options;
-        options.max_iterations = 2000;
-        const opt::AdmmResult fresh =
-            opt::admm_lasso(c.a, c.b, c.lambda, options);
-        const opt::LassoFactor factor =
-            opt::prefactor_lasso(c.a, options.rho);
-        const opt::AdmmResult cached =
-            opt::admm_lasso(c.a, factor, c.b, c.lambda, options);
-        if (fresh.iterations != cached.iterations)
-          return std::string("iteration counts diverge");
-        if (!tk::same_bits(fresh.objective, cached.objective))
-          return std::string("objectives diverge");
-        return tk::expect_bits(fresh.x, cached.x, "prefactored x");
-      },
-      [] {
-        tk::CheckOptions o;
-        o.cases = 30;
-        return o;
-      }()));
-}
-
 tk::Gen<opt::Qcqp> gen_qcqp() {
   tk::Gen<opt::Qcqp> g;
   g.sample = [](rcr::num::Rng& rng) {

@@ -229,13 +229,14 @@ void run_serve_overload_workload() {
                               qos::ServiceClass::kEmbb,
                               qos::ServiceClass::kMmtc};
   sc.breaker.enabled = true;
-  sc.breaker.failure_threshold = 2;
-  sc.breaker.open_ticks = 2;
   sc.watchdog.enabled = true;
   sc.watchdog.quarantine_ticks = 2;
   serve::DiurnalWorkload wl(wc);
   serve::AllocationService service(sc, wc.num_cells);
-  for (std::size_t t = 0; t < 4; ++t) {
+  // Enough ticks for a breaker to trip and probe once its window ends.
+  const std::size_t ticks = serve::kBreakerFailureThreshold +
+                            serve::kBreakerOpenTicks + 1;
+  for (std::size_t t = 0; t < ticks; ++t) {
     wl.advance(t);
     const serve::TickReport report = service.tick(t, wl);
     EXPECT_EQ(report.cells, wc.num_cells);

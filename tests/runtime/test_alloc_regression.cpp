@@ -233,26 +233,6 @@ TEST(AllocRegression, StructuredAdmmSolveIsAllocationFreeWarm) {
   EXPECT_EQ(result.warm_use, rcr::opt::WarmUse::kAccepted);
 }
 
-TEST(AllocRegression, AdmmLassoAllocsIndependentOfIterationCount) {
-  rt::ForceSerialGuard serial;
-  num::Rng rng(37);
-  const Matrix a = random_matrix(32, 20, rng);
-  const Vec b = rng.normal_vec(32);
-  rcr::opt::AdmmOptions opts;
-  opts.tolerance = -1.0;
-  const rcr::opt::LassoFactor factor = rcr::opt::prefactor_lasso(a, opts.rho);
-
-  auto allocs_for = [&](std::size_t iterations) {
-    opts.max_iterations = iterations;
-    rcr::opt::admm_lasso(a, factor, b, 0.1, opts);  // warm
-    const rt::AllocDelta delta;
-    rcr::opt::admm_lasso(a, factor, b, 0.1, opts);
-    return delta.delta();
-  };
-
-  EXPECT_EQ(allocs_for(10), allocs_for(200));
-}
-
 TEST(AllocRegression, EigenSymIntoIsAllocationFreeWarm) {
   rt::ForceSerialGuard serial;
   num::Rng rng(41);

@@ -16,71 +16,77 @@
 namespace rcr::serve {
 namespace {
 
-BreakerConfig breaker_config() {
-  BreakerConfig bc;
-  bc.enabled = true;
-  bc.failure_threshold = 3;
-  bc.open_ticks = 4;
-  bc.max_open_ticks = 16;
-  return bc;
+// The literal ticks and windows below are written against these values.
+static_assert(kBreakerFailureThreshold == 3);
+static_assert(kBreakerOpenTicks == 8);
+static_assert(kBreakerMaxOpenTicks == 64);
+
+// Feed the failures that open a closed breaker, all at `tick`.
+void trip(CircuitBreaker& brk, std::uint64_t tick) {
+  for (std::size_t i = 0; i < kBreakerFailureThreshold; ++i)
+    brk.record_failure(tick);
 }
 
 TEST(CircuitBreaker, StaysClosedBelowTheFailureThreshold) {
-  const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
-  brk.record_failure(bc, 0);
-  brk.record_failure(bc, 1);
-  EXPECT_FALSE(brk.blocked(2));
+  for (std::uint64_t t = 0; t + 1 < kBreakerFailureThreshold; ++t)
+    brk.record_failure(t);
+  EXPECT_FALSE(brk.blocked(kBreakerFailureThreshold));
   EXPECT_EQ(brk.trips, 0u);
 }
 
 TEST(CircuitBreaker, SuccessResetsTheFailureStreak) {
-  const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
-  brk.record_failure(bc, 0);
-  brk.record_failure(bc, 1);
-  brk.record_success(bc, 2);
-  brk.record_failure(bc, 3);
-  brk.record_failure(bc, 4);
+  brk.record_failure(0);
+  brk.record_failure(1);
+  brk.record_success();
+  brk.record_failure(3);
+  brk.record_failure(4);
   EXPECT_FALSE(brk.blocked(5)) << "streak should have reset at tick 2";
+  EXPECT_EQ(brk.trips, 0u);
 }
 
 TEST(CircuitBreaker, TripsOpenForOpenTicksThenProbes) {
-  const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
-  brk.record_failure(bc, 5);
-  brk.record_failure(bc, 5);
-  brk.record_failure(bc, 5);  // third consecutive failure trips
+  brk.record_failure(5);
+  brk.record_failure(5);
+  EXPECT_EQ(brk.trips, 0u);
+  brk.record_failure(5);  // third consecutive failure trips
   EXPECT_EQ(brk.trips, 1u);
-  EXPECT_EQ(brk.open_until, 5 + 1 + bc.open_ticks);
-  EXPECT_TRUE(brk.blocked(9));
-  EXPECT_FALSE(brk.blocked(10));
-  EXPECT_TRUE(brk.probing(10));
+  EXPECT_EQ(brk.open_until, 5 + 1 + kBreakerOpenTicks);
+  EXPECT_TRUE(brk.blocked(5 + kBreakerOpenTicks));
+  EXPECT_FALSE(brk.blocked(5 + 1 + kBreakerOpenTicks));
+  EXPECT_TRUE(brk.awaiting_probe) << "the first run after the window probes";
 }
 
 TEST(CircuitBreaker, ProbeSuccessFullyCloses) {
-  const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
-  for (int i = 0; i < 3; ++i) brk.record_failure(bc, 5);
-  brk.record_success(bc, 10);  // half-open probe came back clean
-  EXPECT_FALSE(brk.blocked(11));
-  EXPECT_FALSE(brk.probing(11));
+  trip(brk, 5);
+  brk.record_success();  // half-open probe came back clean
+  EXPECT_FALSE(brk.blocked(5 + 1 + kBreakerOpenTicks));
+  EXPECT_FALSE(brk.awaiting_probe);
   EXPECT_EQ(brk.backoff, 0u) << "a clean probe resets the backoff";
+  // Closed again: a single failure does not re-open it.
+  brk.record_failure(20);
+  EXPECT_FALSE(brk.blocked(21));
 }
 
 TEST(CircuitBreaker, ProbeFailureDoublesTheBackoffUpToTheCap) {
-  const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
-  for (int i = 0; i < 3; ++i) brk.record_failure(bc, 5);
-  EXPECT_EQ(brk.backoff, 4u);
-  brk.record_failure(bc, 10);  // probe failed: 4 -> 8
+  trip(brk, 5);
   EXPECT_EQ(brk.backoff, 8u);
-  EXPECT_EQ(brk.open_until, 10 + 1 + 8u);
-  brk.record_failure(bc, 19);  // 8 -> 16
+  std::uint64_t tick = brk.open_until;  // each probe runs once the window ends
+  brk.record_failure(tick);  // probe failed: 8 -> 16
   EXPECT_EQ(brk.backoff, 16u);
-  brk.record_failure(bc, 36);  // capped at max_open_ticks
-  EXPECT_EQ(brk.backoff, 16u);
-  EXPECT_EQ(brk.trips, 4u);
+  EXPECT_EQ(brk.open_until, tick + 1 + 16u);
+  const std::size_t expected[] = {32, 64, 64, 64};  // capped at 64
+  for (std::size_t want : expected) {
+    tick = brk.open_until;
+    brk.record_failure(tick);
+    EXPECT_EQ(brk.backoff, want);
+    EXPECT_EQ(brk.open_until, tick + 1 + want);
+  }
+  EXPECT_EQ(brk.trips, 6u);
 }
 
 WorkloadConfig breaker_workload() {
@@ -98,9 +104,7 @@ WorkloadConfig breaker_workload() {
 ServiceConfig breaker_service_config() {
   ServiceConfig sc;
   sc.cache_enabled = false;
-  sc.breaker = breaker_config();
-  sc.breaker.failure_threshold = 2;
-  sc.breaker.open_ticks = 3;
+  sc.breaker.enabled = true;
   return sc;
 }
 
@@ -155,10 +159,11 @@ TEST(Breaker, RecoversAfterTheStormLifts) {
       service.tick(t, wl);
     }
   }
-  // Storm over: after the open window drains, probes succeed and the ADMM
-  // head serves again.
+  // Storm over: after the open window drains (the breakers tripped at tick
+  // 2 and stay open through tick 2 + kBreakerOpenTicks), probes succeed and
+  // the ADMM head serves again.
   bool admm_back = false;
-  for (std::size_t t = 4; t < 14; ++t) {
+  for (std::size_t t = 4; t < 4 + 2 * kBreakerOpenTicks; ++t) {
     wl.advance(t);
     service.tick(t, wl);
     for (std::size_t c = 0; c < wc.num_cells; ++c)
@@ -177,7 +182,8 @@ TEST(Breaker, DecisionsBitExactSerialVsParallel) {
     DiurnalWorkload wl(wc);
     AllocationService service(sc, wc.num_cells);
     std::vector<std::string> trace;
-    for (std::size_t t = 0; t < 10; ++t) {
+    // Long enough for trips, probes and re-opened windows.
+    for (std::size_t t = 0; t < 32; ++t) {
       wl.advance(t);
       const TickReport r = service.tick(t, wl);
       trace.push_back(std::to_string(r.solution_hash));

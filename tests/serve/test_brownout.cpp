@@ -21,18 +21,17 @@ BrownoutConfig fast_config() {
   bc.enabled = true;
   bc.enter_brownout = 0.5;
   bc.enter_shed = 0.9;
-  bc.exit_margin = 0.5;
   bc.enter_ticks = 2;
   bc.exit_ticks = 2;
   return bc;
 }
 
-// Pressure here comes only from degraded_fraction; depth 1.0 and zero
-// latency keep the other two terms quiet.
+// Pressure here comes only from degraded_fraction; depth 1.0 keeps the
+// other term quiet.
 void feed(BrownoutController& ctl, double degraded_fraction,
           std::size_t ticks) {
   for (std::size_t i = 0; i < ticks; ++i)
-    ctl.observe(degraded_fraction, 1.0, 0.0);
+    ctl.observe(degraded_fraction, 1.0);
 }
 
 TEST(BrownoutController, DisabledNeverLeavesNormal) {
@@ -68,7 +67,7 @@ TEST(BrownoutController, EscalatesToShedAndRecoversStepwise) {
   feed(ctl, 0.95, 2);
   ASSERT_EQ(ctl.state(), BrownoutState::kShed);
   // Recovery is stepwise: SHED -> BROWNOUT -> NORMAL, each gated by
-  // exit_ticks below the exit threshold (enter x exit_margin).
+  // exit_ticks below the exit threshold (enter x kBrownoutExitMargin).
   feed(ctl, 0.3, 2);  // below 0.9*0.5 = 0.45
   EXPECT_EQ(ctl.state(), BrownoutState::kBrownout);
   feed(ctl, 0.1, 2);  // below 0.5*0.5 = 0.25
@@ -77,10 +76,13 @@ TEST(BrownoutController, EscalatesToShedAndRecoversStepwise) {
 }
 
 TEST(BrownoutController, MiddleZoneHoldsBrownout) {
+  static_assert(kBrownoutExitMargin == 0.5);
   BrownoutController ctl(fast_config());
   feed(ctl, 0.6, 2);
   ASSERT_EQ(ctl.state(), BrownoutState::kBrownout);
   feed(ctl, 0.4, 20);  // above exit (0.25), below shed-entry (0.9)
+  EXPECT_EQ(ctl.state(), BrownoutState::kBrownout);
+  feed(ctl, 0.25, 20);  // exactly enter_brownout x 0.5 is not below it
   EXPECT_EQ(ctl.state(), BrownoutState::kBrownout);
   EXPECT_EQ(ctl.transitions(), 1u);
 }
@@ -97,13 +99,12 @@ TEST(BrownoutController, DwellCountsSumToObservedTicks) {
   EXPECT_GT(ctl.dwell(BrownoutState::kShed), 0u);
 }
 
-TEST(BrownoutController, LatencyPressureUsesEwmaAgainstBudget) {
-  BrownoutConfig bc = fast_config();
-  bc.latency_budget_us = 1000.0;
-  BrownoutController ctl(bc);
-  // Latency at 2x budget with zero degradation still builds pressure.
-  ctl.observe(0.0, 1.0, 2000.0);
-  ctl.observe(0.0, 1.0, 2000.0);
+TEST(BrownoutController, FallbackDepthBuildsPressure) {
+  // No degraded cells, but every solve fell through 1.2 steps on average:
+  // pressure (depth - 1) / 2 = 0.6 is above enter_brownout.
+  BrownoutController ctl(fast_config());
+  ctl.observe(0.0, 2.2);
+  ctl.observe(0.0, 2.2);
   EXPECT_EQ(ctl.state(), BrownoutState::kBrownout);
 }
 

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "rcr/obs/obs.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/rt/thread_pool.hpp"
 
@@ -278,26 +282,93 @@ TEST(AllocationService, ExpiredDeadlineStillAnswersEveryCell) {
   }
 }
 
-TEST(AllocationService, QpOutsideTheStructureTestSolvesOnTheDensePath) {
-  // A negative budget penalty gives P a negative common off-diagonal, which
-  // the O(n) structured build declines: solve_cell then forms the dense P
-  // and factors it by LU.  The head still answers every cell.
-  const WorkloadConfig wc = small_workload();
-  DiurnalWorkload wl(wc);
-  ServiceConfig sc;
-  sc.budget_penalty = -1e-3;
-  sc.cache_enabled = false;  // every cell-tick reaches the head
-  AllocationService service(sc, wc.num_cells);
-  for (std::size_t t = 0; t < 4; ++t) {
-    wl.advance(t);
-    const TickReport report = service.tick(t, wl);
-    EXPECT_EQ(report.degraded, 0u);
-    for (std::size_t c = 0; c < wc.num_cells; ++c) {
-      const CellAllocation& a = service.allocation(c);
-      EXPECT_EQ(a.step, "admm");
-      EXPECT_TRUE(a.status.usable());
-      EXPECT_GT(a.sum_rate, 0.0);
+TEST(AllocationService, RejectsANonPositiveOrNonFiniteQpScale) {
+  // budget_penalty and admm_rho scale the head's power QP.  A penalty at or
+  // below 0 let the head serve a heuristic equal split labelled `admm`; a
+  // non-finite value leaves no factor, and rho <= 0 no proximal step.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double penalty : {0.0, -1e-3, nan, inf}) {
+    ServiceConfig sc;
+    sc.budget_penalty = penalty;
+    EXPECT_THROW(AllocationService(sc, 1), std::invalid_argument)
+        << "budget_penalty " << penalty;
+  }
+  for (double rho : {0.0, -1.0, nan}) {
+    ServiceConfig sc;
+    sc.admm_rho = rho;
+    EXPECT_THROW(AllocationService(sc, 1), std::invalid_argument)
+        << "admm_rho " << rho;
+  }
+}
+
+/// One user on four RBs, RB 1's gain `gain1`.
+RraProblem four_rbs(double gain1) {
+  RraProblem problem;
+  problem.gain = Matrix(1, 4);
+  problem.gain(0, 0) = 0.8;
+  problem.gain(0, 1) = gain1;
+  problem.gain(0, 2) = 1.5;
+  problem.gain(0, 3) = 0.3;
+  problem.total_power = 1.0;
+  problem.min_rate = {0.0};
+  return problem;
+}
+
+double counter(const char* name) {
+  double total = 0.0;
+  for (const obs::MetricSample& s : obs::metrics_snapshot())
+    if (s.name == name) total += s.value;
+  return total;
+}
+
+TEST(AllocationService, NonFiniteCurvatureFailsTheHeadBeforeAnyIteration) {
+  // A gain whose Taylor curvature is not finite (NaN, +inf, or one so large
+  // that g^2 overflows) has no structured factor: the head fails typed
+  // without running ADMM, and water-filling answers exactly as it would on
+  // its own.
+  const RraProblem good = four_rbs(1.1);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 1e200}) {
+    SCOPED_TRACE("gain " + std::to_string(bad));
+    const RraProblem problem = four_rbs(bad);
+    const Vec gains = problem.gain.row(0);
+    const Vec expected = qos::waterfill(gains, problem.total_power);
+    ServiceConfig sc;
+    sc.cache_enabled = false;
+    AllocationService service(sc, 1);
+    const RraProblem* current = &good;
+    const AllocationService::ProblemFn problem_of =
+        [&](std::size_t) -> const RraProblem& { return *current; };
+    service.tick(0, problem_of);  // leaves a warm state behind
+    ASSERT_EQ(service.allocation(0).served, Served::kAdmm);
+
+    obs::ScopedMetrics metrics;
+    current = &problem;
+    for (std::size_t t = 1; t < 4; ++t) {
+      const TickReport report = service.tick(t, problem_of);
+      const CellAllocation& a = service.allocation(0);
+      EXPECT_EQ(a.served, Served::kWaterfill);
+      EXPECT_EQ(a.fallthrough, 1u);
+      EXPECT_EQ(report.total_iterations, 0u);
+      ASSERT_FALSE(a.status.trail.empty());
+      EXPECT_NE(a.status.trail[0].find("step 'admm' failed (numerical-failure"),
+                std::string::npos)
+          << a.status.to_string();
+      ASSERT_EQ(a.power.size(), expected.size());
+      for (std::size_t rb = 0; rb < expected.size(); ++rb)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.power[rb]),
+                  std::bit_cast<std::uint64_t>(expected[rb]))
+            << "rb " << rb;
     }
+    EXPECT_EQ(counter("rcr.admm.solves"), 0.0);
+    EXPECT_EQ(counter("rcr.admm.iterations"), 0.0);
+
+    // The failed head dropped the warm state: the next clean solve is cold.
+    current = &good;
+    service.tick(4, problem_of);
+    EXPECT_EQ(service.allocation(0).served, Served::kAdmm);
+    EXPECT_EQ(service.allocation(0).warm_use, opt::WarmUse::kCold);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,38 @@ TEST(Watchdog, QuarantinedCellsRecoverAfterTheWindow) {
     EXPECT_NE(service.allocation(c).step, "quarantine") << "cell " << c;
     EXPECT_TRUE(all_finite(service.allocation(c)));
   }
+}
+
+TEST(Watchdog, NanGainCellIsServedByWaterfillAndNeverQuarantined) {
+  // Water-filling gives the NaN-gain RB no power, and an unpowered RB adds
+  // nothing to the sum rate, so the answer is finite and the watchdog has
+  // nothing to catch.
+  RraProblem problem;
+  problem.gain = Matrix(1, 4);
+  problem.gain(0, 0) = 0.8;
+  problem.gain(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  problem.gain(0, 2) = 1.5;
+  problem.gain(0, 3) = 0.3;
+  problem.total_power = 1.0;
+  problem.min_rate = {0.0};
+  ServiceConfig sc = watchdog_config();
+  sc.cache_enabled = false;  // every tick reaches the chain
+  obs::ScopedMetrics metrics;
+  AllocationService service(sc, 1);
+  for (std::size_t t = 0; t < 6; ++t) {
+    const TickReport report = service.tick(
+        t, [&](std::size_t) -> const RraProblem& { return problem; });
+    const CellAllocation& a = service.allocation(0);
+    EXPECT_EQ(a.served, Served::kWaterfill) << "tick " << t;
+    EXPECT_TRUE(all_finite(a)) << "tick " << t;
+    EXPECT_EQ(a.power[1], 0.0);
+    EXPECT_EQ(report.quarantined, 0u);
+    EXPECT_TRUE(std::isfinite(report.sum_rate));
+  }
+  double trips = 0.0;
+  for (const obs::MetricSample& s : obs::metrics_snapshot())
+    if (s.name == "rcr.watchdog.trips") trips += s.value;
+  EXPECT_EQ(trips, 0.0);
 }
 
 TEST(Watchdog, DisabledWatchdogMeansTheSiteNeverFires) {
