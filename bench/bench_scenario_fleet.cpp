@@ -159,18 +159,11 @@ int main() {
       grade("conformance", rcr::scn::conformance_fleet(), smoke);
   const FleetRun overload = grade("overload", rcr::scn::overload_fleet(), smoke);
 
-  // Top-level pass_ratio/unsound summarize the conformance fleet; the
-  // overload fleet rides along as a second block.
-  const double n = conformance.scenarios > 0
-                       ? static_cast<double>(conformance.scenarios)
-                       : 1.0;
-  char head[256];
+  char head[128];
   std::snprintf(head, sizeof(head),
                 "{\"bench\":\"scenario_fleet\",\"threads\":%zu,\"smoke\":%d,"
-                "\"pass_ratio\":%.4f,\"unsound\":%zu,\"fleets\":[",
-                rcr::rt::global_threads(), smoke ? 1 : 0,
-                static_cast<double>(conformance.counts[0]) / n,
-                conformance.counts[3] + overload.counts[3]);
+                "\"fleets\":[",
+                rcr::rt::global_threads(), smoke ? 1 : 0);
   const std::string json =
       std::string(head) + run_json(conformance) + "," + run_json(overload) +
       "]}";

@@ -18,13 +18,17 @@
 //          fault storm measures.
 //
 // Prints a per-leg table and writes BENCH_perf_serve.json with ticks/s,
-// p50/p99 tick latency, warm-vs-cold iteration counts and their ratio
+// p50/p99 tick latency, the driver thread's mean CPU time per tick
+// (CLOCK_THREAD_CPUTIME_ID: steadier than the wall-clock legs on a shared
+// host, and at RCR_THREADS > 1 it leaves out the pool workers' share),
+// warm-vs-cold iteration counts and their ratio
 // (the acceptance bar is < 0.5), the cache hit rate, and the final-tick
 // solution hash (bit-exact across RCR_THREADS settings).  RCR_BENCH_SMOKE=1
 // shrinks the fleet and tick count for CI smoke jobs.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -48,6 +52,7 @@ struct LegResult {
   double ticks_per_s = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
+  double cpu_us_per_tick = 0.0;  ///< Driver-thread CPU time, mean per tick.
   std::uint64_t iterations = 0;     ///< ADMM iterations over ticks >= 1.
   std::uint64_t warm_accepted = 0;  ///< Solves that reused warm state.
   std::uint64_t cache_hits = 0;
@@ -66,6 +71,14 @@ struct LegResult {
   std::uint64_t dwell_shed = 0;
 };
 
+/// CPU time this thread has used, in seconds.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
@@ -83,9 +96,12 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
   std::vector<double> latency_us;
   latency_us.reserve(ticks);
   double total_s = 0.0;
+  double cpu_s = 0.0;
   for (std::size_t t = 0; t < ticks; ++t) {
     workload.advance(t);
+    const double cpu_start = thread_cpu_s();
     const TickReport rep = service.tick(t, workload);
+    cpu_s += thread_cpu_s() - cpu_start;
     latency_us.push_back(rep.tick_seconds * 1e6);
     total_s += rep.tick_seconds;
     // Tick 0 is a cold solve in every leg; excluding it from the iteration
@@ -108,6 +124,8 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
   r.ticks_per_s = total_s > 0.0 ? static_cast<double>(ticks) / total_s : 0.0;
   r.p50_us = percentile(latency_us, 0.50);
   r.p99_us = percentile(latency_us, 0.99);
+  r.cpu_us_per_tick =
+      ticks > 0 ? cpu_s * 1e6 / static_cast<double>(ticks) : 0.0;
   r.cache_hit_rate = service.cache_stats().hit_rate();
   r.brownout_transitions = service.brownout().transitions();
   r.dwell_normal = service.brownout().dwell(BrownoutState::kNormal);
@@ -120,7 +138,8 @@ std::string leg_json(const LegResult& r) {
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"ticks_per_s\":%.1f,\"p50_us\":%.1f,"
-                "\"p99_us\":%.1f,\"iterations\":%llu,\"warm_accepted\":%llu,"
+                "\"p99_us\":%.1f,\"cpu_us_per_tick\":%.2f,"
+                "\"iterations\":%llu,\"warm_accepted\":%llu,"
                 "\"cache_hits\":%llu,\"degraded\":%llu,"
                 "\"cache_hit_rate\":%.4f,\"final_sum_rate\":%.6f,"
                 "\"solution_hash\":\"%llu\","
@@ -129,6 +148,7 @@ std::string leg_json(const LegResult& r) {
                 "\"brownout_dwell\":{\"normal\":%llu,\"brownout\":%llu,"
                 "\"shed\":%llu}}",
                 r.name.c_str(), r.ticks_per_s, r.p50_us, r.p99_us,
+                r.cpu_us_per_tick,
                 static_cast<unsigned long long>(r.iterations),
                 static_cast<unsigned long long>(r.warm_accepted),
                 static_cast<unsigned long long>(r.cache_hits),
@@ -198,11 +218,13 @@ int main() {
   const LegResult full = run_leg("full", full_cfg, wc, ticks);
   const LegResult overload = run_leg("overload", overload_cfg, wc, ticks);
 
-  std::printf("%-8s %12s %10s %10s %12s %10s %10s\n", "leg", "ticks/s",
-              "p50(us)", "p99(us)", "iterations", "hits", "hit-rate");
+  std::printf("%-8s %12s %10s %10s %12s %12s %10s %10s\n", "leg", "ticks/s",
+              "p50(us)", "p99(us)", "cpu(us)/tick", "iterations", "hits",
+              "hit-rate");
   for (const LegResult* r : {&cold, &warm, &full, &overload}) {
-    std::printf("%-8s %12.1f %10.1f %10.1f %12llu %10llu %9.1f%%\n",
+    std::printf("%-8s %12.1f %10.1f %10.1f %12.2f %12llu %10llu %9.1f%%\n",
                 r->name.c_str(), r->ticks_per_s, r->p50_us, r->p99_us,
+                r->cpu_us_per_tick,
                 static_cast<unsigned long long>(r->iterations),
                 static_cast<unsigned long long>(r->cache_hits),
                 100.0 * r->cache_hit_rate);

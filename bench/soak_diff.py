@@ -24,7 +24,7 @@ KEYS = {
     "serve_soak": ("BENCH_perf_serve.json", "legs", "name",
                    ("iterations", "cache_hits", "degraded", "admitted",
                     "deferred", "shed", "solution_hash"),
-                   ("ticks_per_s", "p50_us", "p99_us")),
+                   ("ticks_per_s", "p50_us", "p99_us", "cpu_us_per_tick")),
     "scenario_fleet": ("BENCH_perf_scn.json", "fleets", "fleet",
                        ("verdicts", "cell_ticks", "report_hash"),
                        ("scenarios_per_s", "grade_p50_us", "grade_p99_us")),
@@ -59,7 +59,8 @@ def main(argv):
             if got != want:
                 mismatches.append(f"{name}.{key}: {got} != committed {want}")
         timings = "  ".join(
-            f"{key} {fresh[name][key]} (committed {committed[name][key]})"
+            f"{key} {fresh[name].get(key)} "
+            f"(committed {committed[name].get(key)})"
             for key in timed)
         print(f"{name:<11} {timings}")
     for line in mismatches:
