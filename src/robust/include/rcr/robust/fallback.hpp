@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "rcr/obs/obs.hpp"
 #include "rcr/robust/budget.hpp"
@@ -41,8 +40,9 @@ struct StepRecord {
   StatusCode code = StatusCode::kOk;
 };
 
-/// Steps one chain may hold; the per-step records are a fixed array, so a
-/// run allocates nothing for them.  add() past this throws.
+/// Steps one chain may hold; the steps and the per-step records are fixed
+/// arrays, so building and running a chain allocates nothing for them.
+/// add() past this throws.
 inline constexpr std::size_t kMaxChainSteps = 4;
 
 /// `ChainOutcome::winner` when no step produced the value.
@@ -103,13 +103,13 @@ class FallbackChain {
   /// Circuit breakers plug in here.
   FallbackChain& add_gated(const char* name, Soundness soundness, GateFn gate,
                            StepFn run) {
-    if (steps_.size() == kMaxChainSteps)
+    if (size_ == kMaxChainSteps)
       throw std::length_error("FallbackChain: more than kMaxChainSteps steps");
-    steps_.push_back({name, soundness, std::move(gate), std::move(run)});
+    steps_[size_++] = Step{name, soundness, std::move(gate), std::move(run)};
     return *this;
   }
 
-  std::size_t size() const { return steps_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Execute: first step whose Result is fully ok wins.  A usable-but-
   /// degraded result is banked and returned (code kDegraded) only when no
@@ -138,7 +138,7 @@ class FallbackChain {
     ChainOutcome<T> out;
     std::size_t banked = kNoWinner;
 
-    for (std::size_t i = 0; i < steps_.size(); ++i) {
+    for (std::size_t i = 0; i < size_; ++i) {
       const Step& step = steps_[i];
       if (deadline.expired()) {
         out.status.note(std::string("deadline expired before step '") +
@@ -202,13 +202,14 @@ class FallbackChain {
   }
 
   struct Step {
-    const char* name;
-    Soundness soundness;
+    const char* name = "";
+    Soundness soundness = Soundness::kHeuristic;
     GateFn gate;  ///< Optional; non-null reason skips the step.
     StepFn run;
   };
   const char* name_;
-  std::vector<Step> steps_;
+  std::array<Step, kMaxChainSteps> steps_;  ///< The first size_ are live.
+  std::size_t size_ = 0;
 };
 
 }  // namespace rcr::robust

@@ -103,19 +103,27 @@ class ShardedLruCache {
   /// smallest stamp (oldest deterministic recency; ties to smaller key) is
   /// evicted first.  In the deferred window the insert is buffered and
   /// applied -- in stamp order -- at flush().  `value` is copy-assigned into
-  /// a reused buffer slot and from there swapped into the map, so a steady
-  /// put-and-evict cycle of equal-shaped values allocates nothing.
+  /// a staging value taken from a pool the shards share and from there
+  /// swapped into the map; the staging value takes the replaced entry's
+  /// storage back to the pool.  So a steady put-and-evict cycle of
+  /// equal-shaped values allocates nothing once the pool holds as many
+  /// values as a deferred window ever buffers puts, whichever shards the
+  /// keys fall on.
   void put(std::uint64_t key, std::uint64_t stamp, const V& value) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    PendingOp& op = next_pending(shard);
-    op.stamp = stamp;
-    op.key = key;
-    op.insert = true;
-    op.value = value;
-    if (deferred_) return;
-    --shard.pending_count;  // immediate: the slot only stages the copy
-    apply_put(shard, key, stamp, op.value);
+    std::unique_ptr<V> staged = acquire_value();
+    *staged = value;
+    if (deferred_) {
+      PendingOp& op = next_pending(shard);
+      op.stamp = stamp;
+      op.key = key;
+      op.insert = true;
+      op.value = std::move(staged);
+      return;
+    }
+    apply_put(shard, key, stamp, *staged);
+    release_value(std::move(staged));
   }
 
   /// Enter the deferred window: gets read the committed map without
@@ -128,8 +136,17 @@ class ShardedLruCache {
   /// resulting map, stamps, and eviction victims are independent of which
   /// thread buffered which op.  Call from the driver thread after the
   /// parallel phase joined.  No-op when not in a deferred window.
+  ///
+  /// Every shard's buffer is then reserved to the window's op count over
+  /// all shards, so a later window with no more ops than that grows no
+  /// buffer, however its keys fall.
   void flush() {
     if (!deferred_) return;
+    std::size_t window_ops = 0;
+    for (auto& shard_ptr : shards_) {
+      std::lock_guard<std::mutex> lock(shard_ptr->mu);
+      window_ops += shard_ptr->pending_count;
+    }
     for (auto& shard_ptr : shards_) {
       Shard& shard = *shard_ptr;
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -142,13 +159,15 @@ class ShardedLruCache {
                 });
       for (auto op = shard.pending.begin(); op != live; ++op) {
         if (op->insert) {
-          apply_put(shard, op->key, op->stamp, op->value);
+          apply_put(shard, op->key, op->stamp, *op->value);
+          release_value(std::move(op->value));
         } else {
           auto it = shard.map.find(op->key);
           if (it != shard.map.end()) restamp(shard, it->second, op->stamp);
         }
       }
       shard.pending_count = 0;
+      shard.pending.reserve(window_ops);
     }
     deferred_ = false;
   }
@@ -197,14 +216,14 @@ class ShardedLruCache {
     std::uint64_t stamp = 0;
     std::uint64_t key = 0;
     bool insert = false;  ///< false: stamp refresh from a deferred get.
-    V value{};
+    std::unique_ptr<V> value;  ///< An insert's staged copy, from the pool.
   };
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Entry> map;
     std::vector<HeapNode> heap;  ///< Min-heap on (stamp, key) over map.
     /// Buffered ops: the first pending_count slots are live; the rest are
-    /// kept (with their values' storage) for reuse.
+    /// kept for reuse.
     std::vector<PendingOp> pending;
     std::size_t pending_count = 0;
     std::uint64_t hits = 0;
@@ -220,9 +239,24 @@ class ShardedLruCache {
     return shard.pending[shard.pending_count++];
   }
 
+  /// A staging value from the pool (a new one only past the pool's
+  /// high-water mark); it keeps the storage its last user left in it.
+  std::unique_ptr<V> acquire_value() {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (pool_.empty()) return std::make_unique<V>();
+    std::unique_ptr<V> value = std::move(pool_.back());
+    pool_.pop_back();
+    return value;
+  }
+
+  void release_value(std::unique_ptr<V> value) {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool_.push_back(std::move(value));
+  }
+
   /// Insert/overwrite with LRU eviction; the shard mutex must be held.
   /// `value` is swapped into the map and receives the storage it replaces
-  /// (the overwritten or evicted value), which the slot reuses next time.
+  /// (the overwritten or evicted value), which the pool hands out next.
   void apply_put(Shard& shard, std::uint64_t key, std::uint64_t stamp,
                  V& value) {
     using std::swap;
@@ -305,6 +339,10 @@ class ShardedLruCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t per_shard_capacity_ = 1;
+  /// Staging values not in use, shared by the shards; locked after a
+  /// shard's mutex, never before.
+  std::mutex pool_mu_;
+  std::vector<std::unique_ptr<V>> pool_;
   /// Toggled only by the driver thread while no pool worker is inside the
   /// cache (parallel_for dispatch/join provides the happens-before edge).
   bool deferred_ = false;

@@ -79,6 +79,12 @@ struct AdmissionPlan {
 AdmissionPlan plan_admission(const std::vector<CellGate>& cells,
                              const AdmissionInputs& in);
 
+/// The same plan written into `plan`, every field overwritten and its
+/// vectors' storage reused: a service that keeps one plan from tick to tick
+/// plans without allocating.
+void plan_admission(const std::vector<CellGate>& cells,
+                    const AdmissionInputs& in, AdmissionPlan& plan);
+
 /// Brownout hysteresis state machine: NORMAL -> BROWNOUT -> SHED.
 enum class BrownoutState { kNormal = 0, kBrownout = 1, kShed = 2 };
 

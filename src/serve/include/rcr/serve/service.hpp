@@ -36,6 +36,7 @@
 #include "rcr/qos/rra.hpp"
 #include "rcr/robust/status.hpp"
 #include "rcr/serve/cache.hpp"
+#include "rcr/serve/cached_answer.hpp"
 #include "rcr/serve/overload.hpp"
 #include "rcr/serve/signature.hpp"
 #include "rcr/serve/workload.hpp"
@@ -109,6 +110,13 @@ struct CellAllocation {
   robust::Status status;       ///< Audit text; decide nothing from it.
 };
 
+/// True when the watchdog passes `alloc` and the solution cache may keep
+/// it: every power finite and a sum rate that is not NaN or -inf.  A +inf
+/// gain on a powered RB rates +inf with finite powers and is a sound
+/// answer; serve.solve.corrupt poisons a power, which is caught.  Anything
+/// that replays the service's cache decisions should ask this predicate.
+bool servable(const CellAllocation& alloc);
+
 /// Per-tick accounting.
 struct TickReport {
   std::size_t tick = 0;
@@ -176,11 +184,13 @@ class AllocationService {
     CircuitBreaker waterfill_breaker;
   };
 
-  /// Per-cell solve buffers, kept from tick to tick so a steady cache-miss
-  /// solve builds its QP and runs ADMM into storage it already owns: the
-  /// best-gain assignment, the assigned gains, q and the box, the
-  /// structured factor and the ADMM result.  Touched only by the cell's own
-  /// pool task.
+  /// Per-cell solve buffers, kept from tick to tick so a steady tick
+  /// solves, caches and serves into storage it already owns: the best-gain
+  /// assignment, the assigned gains, q and the box, the structured factor
+  /// and the ADMM result; the power buffer the chain's steps write into,
+  /// which trades places with current_'s on every solve; and the cache entry
+  /// a hit is copied into and a put is staged in.  Touched only by the
+  /// cell's own pool task.
   struct CellScratch {
     qos::Assignment assignment;
     Vec gains;
@@ -189,6 +199,8 @@ class AllocationService {
     Vec hi;
     robust::Result<opt::BoxQpFactor> factor;
     opt::AdmmResult admm;
+    Vec power;
+    detail::CachedAnswer entry;
   };
 
   /// Serve cells [c0, c1), one fan-out group, for this tick: best-gain
@@ -209,15 +221,17 @@ class AllocationService {
   CellAllocation serve_from_snapshot(const RraProblem& problem,
                                      std::size_t cell, std::uint64_t tick,
                                      AdmitDecision reason, bool injected);
-  AdmissionPlan build_plan(std::uint64_t tick, bool full_shed,
-                           BrownoutState state) const;
+  /// The tick's admission plan, into plan_ (gates_ holds its inputs).
+  void build_plan(std::uint64_t tick, bool full_shed, BrownoutState state);
 
   ServiceConfig config_;
-  ShardedLruCache<CellAllocation> cache_;
+  ShardedLruCache<detail::CachedAnswer> cache_;
   std::vector<opt::AdmmWarmState> warm_;
   std::vector<CellScratch> scratch_;
   std::vector<CellAllocation> current_;
   std::vector<CellRuntime> runtime_;
+  std::vector<CellGate> gates_;
+  AdmissionPlan plan_;
   BrownoutController brownout_;
 };
 

@@ -1,10 +1,10 @@
 #include "rcr/serve/overload.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "rcr/obs/metrics.hpp"
 #include "rcr/robust/fault_injection.hpp"
+#include "rcr/rt/scratch_arena.hpp"
 
 namespace rcr::serve {
 
@@ -22,10 +22,20 @@ std::size_t priority_rank(qos::ServiceClass service) {
 
 AdmissionPlan plan_admission(const std::vector<CellGate>& cells,
                              const AdmissionInputs& in) {
-  const std::size_t n = cells.size();
   AdmissionPlan plan;
+  plan_admission(cells, in, plan);
+  return plan;
+}
+
+void plan_admission(const std::vector<CellGate>& cells,
+                    const AdmissionInputs& in, AdmissionPlan& plan) {
+  const std::size_t n = cells.size();
   plan.decisions.assign(n, AdmitDecision::kAdmit);
   plan.injected.assign(n, false);
+  plan.admitted = 0;
+  plan.deferred = 0;
+  plan.shed = 0;
+  plan.quarantined = 0;
 
   if (in.full_shed) {
     // Deadline gone before the tick even started: nothing solves, every
@@ -33,7 +43,7 @@ AdmissionPlan plan_admission(const std::vector<CellGate>& cells,
     std::fill(plan.decisions.begin(), plan.decisions.end(),
               AdmitDecision::kShed);
     plan.shed = n;
-    return plan;
+    return;
   }
 
   for (std::size_t c = 0; c < n; ++c) {
@@ -45,28 +55,30 @@ AdmissionPlan plan_admission(const std::vector<CellGate>& cells,
 
   if (!in.admission_enabled && !in.shed_lowest) {
     plan.admitted = n - plan.quarantined;
-    return plan;
+    return;
   }
 
   // Deterministic admit order: highest priority first, then the most stale
   // (their last-known-good answer ages worst), then cell index as the final
-  // total-order tiebreak.
-  std::vector<std::size_t> order;
-  order.reserve(n);
+  // total-order tiebreak.  The order is total, so an unstable sort over
+  // arena storage gives the one order there is.
+  rt::ScratchArena& arena = rt::tls_arena();
+  const auto arena_scope = arena.scope();
+  std::size_t* order = arena.alloc<std::size_t>(n);
+  std::size_t ordered = 0;
   for (std::size_t c = 0; c < n; ++c)
-    if (!cells[c].quarantined) order.push_back(c);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (cells[a].rank != cells[b].rank)
-                       return cells[a].rank < cells[b].rank;
-                     if (cells[a].staleness != cells[b].staleness)
-                       return cells[a].staleness > cells[b].staleness;
-                     return a < b;
-                   });
+    if (!cells[c].quarantined) order[ordered++] = c;
+  std::sort(order, order + ordered, [&](std::size_t a, std::size_t b) {
+    if (cells[a].rank != cells[b].rank) return cells[a].rank < cells[b].rank;
+    if (cells[a].staleness != cells[b].staleness)
+      return cells[a].staleness > cells[b].staleness;
+    return a < b;
+  });
 
-  const std::size_t top_rank = order.empty() ? 0 : cells[order[0]].rank;
+  const std::size_t top_rank = ordered == 0 ? 0 : cells[order[0]].rank;
   std::size_t taken = 0;
-  for (std::size_t c : order) {
+  for (std::size_t k = 0; k < ordered; ++k) {
+    const std::size_t c = order[k];
     const bool over_budget = in.budget > 0 && taken >= in.budget;
     const bool below_top = in.shed_lowest && cells[c].rank != top_rank;
     if (!over_budget && !below_top) {
@@ -94,7 +106,6 @@ AdmissionPlan plan_admission(const std::vector<CellGate>& cells,
       ++plan.deferred;
     }
   }
-  return plan;
 }
 
 const char* to_string(BrownoutState state) {

@@ -52,7 +52,52 @@ double sum_rate_of(const Vec& gains, const Vec& power) {
 /// True when `v` is finite and positive.
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
+/// A serve.cell step's answer.  The assignment is always the cell's
+/// best-gain one, so only the power vector and the head's iteration record
+/// travel through the chain.
+struct StepAnswer {
+  Vec power;
+  std::size_t iterations = 0;
+  opt::WarmUse warm_use = opt::WarmUse::kCold;
+};
+
 }  // namespace
+
+bool servable(const CellAllocation& alloc) {
+  if (std::isnan(alloc.sum_rate) ||
+      alloc.sum_rate == -std::numeric_limits<double>::infinity())
+    return false;
+  for (double p : alloc.power)
+    if (!std::isfinite(p)) return false;
+  return true;
+}
+
+namespace detail {
+
+void store_answer(const CellAllocation& alloc, CachedAnswer& entry) {
+  entry.power = alloc.power;
+  entry.sum_rate = alloc.sum_rate;
+  entry.status = alloc.status;
+  entry.fallthrough = static_cast<std::uint8_t>(alloc.fallthrough);
+  entry.warm_use = alloc.warm_use;
+}
+
+bool restore_answer(const CachedAnswer& entry,
+                    const qos::Assignment& assignment, CellAllocation& out) {
+  if (entry.power.size() != assignment.size()) return false;
+  out.assignment = assignment;
+  out.power = entry.power;
+  out.sum_rate = entry.sum_rate;
+  out.iterations = 0;
+  out.warm_use = entry.warm_use;
+  serve_as(out, Served::kCache);
+  out.fallthrough = entry.fallthrough;
+  out.injected = false;
+  out.status = entry.status;
+  return true;
+}
+
+}  // namespace detail
 
 const char* to_string(Served served) {
   switch (served) {
@@ -84,6 +129,7 @@ AllocationService::AllocationService(const ServiceConfig& config,
       scratch_(num_cells),
       current_(num_cells),
       runtime_(num_cells),
+      gates_(num_cells),
       brownout_(config.brownout) {
   if (num_cells == 0)
     throw std::invalid_argument("AllocationService: zero cells");
@@ -150,20 +196,17 @@ void AllocationService::solve_cell(const RraProblem& problem,
   // stream would make which cell degrades depend on that schedule.
   namespace faults = robust::faults;
   CellScratch& work = scratch_[cell];
+  CellAllocation& alloc = current_[cell];
   if (config_.cache_enabled &&
       !faults::should_inject("serve.cache.drop", stamp) &&
-      cache_.get(sig, stamp, current_[cell])) {
-    serve_as(current_[cell], Served::kCache);
-    current_[cell].iterations = 0;
+      cache_.get(sig, stamp, work.entry) &&
+      detail::restore_answer(work.entry, work.assignment, alloc))
     return;
-  }
 
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
-  const qos::Assignment& assignment = work.assignment;
-  qos::assigned_gains(problem, assignment, work.gains);
-  const Vec& gains = work.gains;
+  qos::assigned_gains(problem, work.assignment, work.gains);
 
   // Power model: second-order Taylor expansion of -sum log2(1 + g p) around
   // the equal split p0 = budget / n, in the step variable d = p - p0:
@@ -175,21 +218,15 @@ void AllocationService::solve_cell(const RraProblem& problem,
   // off-diagonal 2 lambda, and is never formed.
   const double p0 = budget / static_cast<double>(n);
   double* p_diag = rt::tls_arena().alloc<double>(n);
-  Vec& q = work.q;
-  Vec& lo = work.lo;
-  Vec& hi = work.hi;
-  q.resize(n);
-  lo.assign(n, -p0);
-  hi.assign(n, budget - p0);
-  const double max_curv =
-      learn::power_qp_coeffs(gains.data(), n, p0, p_diag, q.data());
+  work.q.resize(n);
+  work.lo.assign(n, -p0);
+  work.hi.assign(n, budget - p0);
+  const double max_curv = learn::power_qp_coeffs(work.gains.data(), n, p0,
+                                                 p_diag, work.q.data());
   const double lambda =
       config_.budget_penalty * (max_curv > 0.0 ? max_curv : 1.0);
   const double off_diag = 2.0 * lambda;
   for (std::size_t rb = 0; rb < n; ++rb) p_diag[rb] += off_diag;
-
-  opt::AdmmWarmState* warm =
-      config_.warm_start ? &warm_[cell] : nullptr;
 
   // Brownout cheapens the head: a BROWNOUT tick caps ADMM iterations, a
   // SHED tick gates the head off entirely.  The state only mutates at the
@@ -202,67 +239,104 @@ void AllocationService::solve_cell(const RraProblem& problem,
                static_cast<double>(max_iterations) *
                config_.brownout.brownout_iteration_factor));
 
-  CellRuntime& rtc = runtime_[cell];
-  robust::FallbackChain<CellAllocation> chain("serve.cell");
+  // Everything the steps read, behind the one pointer each gate and step
+  // captures, so every std::function holds its lambda inline.  A step that
+  // answers takes work.power as its buffer; the winner's buffer trades
+  // places with alloc.power below, and the one it replaces comes back.
+  struct Solve {
+    const ServiceConfig& config;
+    CellScratch& work;
+    CellRuntime& rtc;
+    opt::AdmmWarmState* warm;
+    const robust::Deadline& deadline;
+    const double* p_diag;
+    std::uint64_t tick;
+    std::uint64_t stamp;
+    std::size_t n;
+    std::size_t max_iterations;
+    double budget;
+    double p0;
+    double off_diag;
+    BrownoutState bstate;
+  };
+  const Solve solve{config_,
+                    work,
+                    runtime_[cell],
+                    config_.warm_start ? &warm_[cell] : nullptr,
+                    deadline,
+                    p_diag,
+                    tick,
+                    stamp,
+                    n,
+                    max_iterations,
+                    budget,
+                    p0,
+                    off_diag,
+                    bstate};
+
+  robust::FallbackChain<StepAnswer> chain("serve.cell");
   chain
       .add_gated(
           to_string(kChainSteps[0]), robust::Soundness::kRelaxation,
-          [&]() -> const char* {
-            if (config_.brownout.enabled && bstate == BrownoutState::kShed)
+          [s = &solve]() -> const char* {
+            if (s->config.brownout.enabled && s->bstate == BrownoutState::kShed)
               return "brownout shed";
-            if (config_.breaker.enabled && rtc.admm_breaker.blocked(tick))
+            if (s->config.breaker.enabled &&
+                s->rtc.admm_breaker.blocked(s->tick))
               return "breaker open";
             return nullptr;
           },
-          [&]() -> robust::Result<CellAllocation> {
-             robust::Result<CellAllocation> out;
-             if (faults::should_inject("serve.admm.outage", stamp)) {
+          [s = &solve]() -> robust::Result<StepAnswer> {
+             robust::Result<StepAnswer> out;
+             if (faults::should_inject("serve.admm.outage", s->stamp)) {
                out.status = robust::make_status(
                    robust::StatusCode::kNumericalFailure,
                    "injected serve.admm.outage");
                return out;
              }
-             if (config_.breaker.enabled &&
-                 faults::should_inject("serve.breaker.trip", stamp)) {
+             if (s->config.breaker.enabled &&
+                 faults::should_inject("serve.breaker.trip", s->stamp)) {
                out.status = robust::make_status(
                    robust::StatusCode::kNumericalFailure,
                    "injected serve.breaker.trip");
                return out;
              }
+             CellScratch& w = s->work;
              // The structured factor is rebuilt in the cell's own buffers.
              // The constructor holds rho and the penalty finite and
              // positive, so it declines only a non-finite curvature: a gain
              // the Taylor model cannot price.  The head then fails without
              // iterating, and the next solve starts cold.
-             if (!opt::try_prefactor_dpr1(p_diag, n, off_diag,
-                                          config_.admm_rho, work.factor)) {
-               if (warm != nullptr) warm->clear();
+             if (!opt::try_prefactor_dpr1(s->p_diag, s->n, s->off_diag,
+                                          s->config.admm_rho, w.factor)) {
+               if (s->warm != nullptr) s->warm->clear();
                out.status = robust::make_status(
                    robust::StatusCode::kNumericalFailure,
                    "power QP has a non-finite curvature");
                return out;
              }
-             if (!work.factor.status.ok()) {
-               out.status = work.factor.status;
+             if (!w.factor.status.ok()) {
+               out.status = w.factor.status;
                return out;
              }
              opt::AdmmOptions aopts;
-             aopts.rho = config_.admm_rho;
-             aopts.tolerance = config_.admm_tolerance;
-             aopts.max_iterations = max_iterations;
-             aopts.budget.deadline = deadline;
+             aopts.rho = s->config.admm_rho;
+             aopts.tolerance = s->config.admm_tolerance;
+             aopts.max_iterations = s->max_iterations;
+             aopts.budget.deadline = s->deadline;
              aopts.budget.check_stride = 16;
-             opt::AdmmResult& r = work.admm;
-             opt::admm_box_qp(work.factor.value, q, lo, hi, aopts, warm, r);
+             opt::AdmmResult& r = w.admm;
+             opt::admm_box_qp(w.factor.value, w.q, w.lo, w.hi, aopts, s->warm,
+                              r);
              if (!r.status.usable()) {
                out.status = r.status;
                return out;
              }
-             out.value.assignment = assignment;
-             out.value.power.resize(n);
-             for (std::size_t rb = 0; rb < n; ++rb)
-               out.value.power[rb] = p0 + r.x[rb];
-             rescale_to_budget(out.value.power, budget);
+             out.value.power.swap(w.power);
+             out.value.power.resize(s->n);
+             for (std::size_t rb = 0; rb < s->n; ++rb)
+               out.value.power[rb] = s->p0 + r.x[rb];
+             rescale_to_budget(out.value.power, s->budget);
              out.value.iterations = r.iterations;
              out.value.warm_use = r.warm_use;
              out.status = r.status;
@@ -270,34 +344,34 @@ void AllocationService::solve_cell(const RraProblem& problem,
            })
       .add_gated(
           to_string(kChainSteps[1]), robust::Soundness::kRelaxation,
-          [&]() -> const char* {
-            if (config_.breaker.enabled &&
-                rtc.waterfill_breaker.blocked(tick))
+          [s = &solve]() -> const char* {
+            if (s->config.breaker.enabled &&
+                s->rtc.waterfill_breaker.blocked(s->tick))
               return "breaker open";
             return nullptr;
           },
-          [&]() -> robust::Result<CellAllocation> {
-             robust::Result<CellAllocation> out;
-             if (faults::should_inject("serve.waterfill.outage", stamp)) {
+          [s = &solve]() -> robust::Result<StepAnswer> {
+             robust::Result<StepAnswer> out;
+             if (faults::should_inject("serve.waterfill.outage", s->stamp)) {
                out.status = robust::make_status(
                    robust::StatusCode::kNumericalFailure,
                    "injected serve.waterfill.outage");
                return out;
              }
-             out.value.assignment = assignment;
-             out.value.power = qos::waterfill(gains, budget);
+             out.value.power = qos::waterfill(s->work.gains, s->budget);
              return out;
            })
       .add(to_string(kChainSteps[2]), robust::Soundness::kHeuristic,
-           [&]() -> robust::Result<CellAllocation> {
-             robust::Result<CellAllocation> out;
-             out.value.assignment = assignment;
-             out.value.power.assign(n, p0);
+           [s = &solve]() -> robust::Result<StepAnswer> {
+             robust::Result<StepAnswer> out;
+             out.value.power.swap(s->work.power);
+             out.value.power.assign(s->n, s->p0);
              return out;
            });
 
-  robust::ChainOutcome<CellAllocation> outcome = chain.run(deadline);
+  robust::ChainOutcome<StepAnswer> outcome = chain.run(deadline);
 
+  CellRuntime& rtc = runtime_[cell];
   if (config_.breaker.enabled) {
     // Advance the breakers from the chain's step records.  This runtime
     // state belongs to this cell's pool task alone, so no synchronization is
@@ -313,35 +387,40 @@ void AllocationService::solve_cell(const RraProblem& problem,
     advance(rtc.admm_breaker, 0);  // kChainSteps[0], kAdmm
     advance(rtc.waterfill_breaker, 1);  // kChainSteps[1], kWaterfill
   }
-  CellAllocation alloc;
-  if (outcome.status.code == robust::StatusCode::kFallbackExhausted) {
+  // Every field of the cell's answer is rewritten in place.
+  alloc.assignment = work.assignment;
+  alloc.iterations = outcome.value.iterations;
+  alloc.warm_use = outcome.value.warm_use;
+  alloc.fallthrough = outcome.fallthrough();
+  alloc.injected = false;
+  alloc.status = std::move(outcome.status);
+  if (alloc.status.code == robust::StatusCode::kFallbackExhausted) {
     // Deadline fired before any step could run: every cell still gets an
     // answer -- the zero-information equal split.
-    alloc.assignment = assignment;
     alloc.power.assign(n, p0);
     serve_as(alloc, Served::kDeadlineFill);
-    alloc.status = outcome.status;
     alloc.status.note("deadline expired before any step; equal-power fill");
     obs::counter_add("rcr.serve.deadline_fills");
   } else {
-    alloc = std::move(outcome.value);
+    alloc.power.swap(outcome.value.power);
     serve_as(alloc, kChainSteps[outcome.winner]);
-    alloc.status = outcome.status;
   }
-  alloc.fallthrough = outcome.fallthrough();
+  // The buffer the answer replaced is the next solve's step buffer.
+  if (outcome.value.power.capacity() > work.power.capacity())
+    work.power.swap(outcome.value.power);
   if (config_.watchdog.enabled &&
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
     alloc.power[0] = std::numeric_limits<double>::quiet_NaN();
     alloc.status.note("injected serve.solve.corrupt");
   }
-  alloc.sum_rate = sum_rate_of(gains, alloc.power);
+  alloc.sum_rate = sum_rate_of(work.gains, alloc.power);
 
-  // Never cache a corrupted answer: a NaN anywhere in the power vector
-  // surfaces as a NaN sum rate, and the watchdog (not the cache) owns it.
-  if (config_.cache_enabled && std::isfinite(alloc.sum_rate))
-    cache_.put(sig, stamp, alloc);
-  current_[cell] = std::move(alloc);
+  // Never cache an answer the watchdog would catch: it owns those.
+  if (config_.cache_enabled && servable(alloc)) {
+    detail::store_answer(alloc, work.entry);
+    cache_.put(sig, stamp, work.entry);
+  }
 }
 
 CellAllocation AllocationService::serve_from_snapshot(
@@ -404,19 +483,17 @@ CellAllocation AllocationService::serve_from_snapshot(
   return alloc;
 }
 
-AdmissionPlan AllocationService::build_plan(std::uint64_t tick,
-                                            bool full_shed,
-                                            BrownoutState state) const {
+void AllocationService::build_plan(std::uint64_t tick, bool full_shed,
+                                   BrownoutState state) {
   const std::size_t cells = runtime_.size();
-  std::vector<CellGate> gates(cells);
   const auto& slices = config_.admission.cell_slices;
   for (std::size_t c = 0; c < cells; ++c) {
-    gates[c].rank =
+    gates_[c].rank =
         slices.empty() ? 1 : priority_rank(slices[c % slices.size()]);
-    gates[c].staleness = tick >= runtime_[c].last_fresh_tick
-                             ? tick - runtime_[c].last_fresh_tick
-                             : 0;
-    gates[c].quarantined =
+    gates_[c].staleness = tick >= runtime_[c].last_fresh_tick
+                              ? tick - runtime_[c].last_fresh_tick
+                              : 0;
+    gates_[c].quarantined =
         config_.watchdog.enabled && tick < runtime_[c].quarantine_until;
   }
 
@@ -430,7 +507,7 @@ AdmissionPlan AllocationService::build_plan(std::uint64_t tick,
   in.admission_enabled = config_.admission.enabled;
   in.shed_lowest = config_.brownout.enabled && state == BrownoutState::kShed;
   in.full_shed = full_shed;
-  return plan_admission(gates, in);
+  plan_admission(gates_, in, plan_);
 }
 
 TickReport AllocationService::tick(std::size_t tick_index,
@@ -450,7 +527,8 @@ TickReport AllocationService::tick(std::size_t tick_index,
   // can possibly finish: shed the whole tick up front and serve every cell
   // from its snapshot instead of racing the clock cell by cell.
   const bool full_shed = !deadline.is_unlimited() && deadline.expired();
-  AdmissionPlan plan = build_plan(tick, full_shed, bstate);
+  build_plan(tick, full_shed, bstate);
+  AdmissionPlan& plan = plan_;
 
   // Two-phase cache protocol: the parallel fan-out reads the committed map
   // and buffers its stamp refreshes / inserts; the serial flush applies
@@ -484,10 +562,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
   for (std::size_t c = 0; c < cells; ++c) {
     if (config_.watchdog.enabled &&
         plan.decisions[c] == AdmitDecision::kAdmit) {
-      bool finite = std::isfinite(current_[c].sum_rate);
-      for (double p : current_[c].power)
-        if (!std::isfinite(p)) finite = false;
-      if (!finite) {
+      if (!servable(current_[c])) {
         // Unsound solve output: quarantine the cell and fall back to its
         // last-known-good snapshot right now.
         runtime_[c].quarantine_until =

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "rcr/rt/alloc_probe.hpp"
+
 namespace rcr::robust {
 namespace {
 
@@ -180,6 +182,41 @@ TEST(FallbackChain, AddPastCapacityThrows) {
                                [] { return ok_result(0); }),
                std::length_error);
   EXPECT_EQ(chain.size(), kMaxChainSteps);
+}
+
+TEST(FallbackChain, BuildingAndRunningAChainAllocatesNothing) {
+  // The serve head's shape: gated steps whose lambdas capture one pointer,
+  // so every std::function holds its lambda inline, and a fixed step array.
+  struct Context {
+    int head_runs = 0;
+    double answer = 2.5;
+  } context;
+  const rcr::rt::AllocDelta delta;
+  FallbackChain<double> chain("alloc-free");
+  chain
+      .add_gated(
+          "head", Soundness::kRelaxation,
+          [c = &context]() -> const char* {
+            return c->head_runs < 0 ? "never" : nullptr;
+          },
+          [c = &context]() -> Result<double> {
+            ++c->head_runs;
+            return {c->answer, Status{}};
+          })
+      .add_gated(
+          "fill", Soundness::kRelaxation,
+          [c = &context]() -> const char* {
+            return c->head_runs < 0 ? "never" : nullptr;
+          },
+          [c = &context]() -> Result<double> { return {c->answer, Status{}}; })
+      .add("tail", Soundness::kHeuristic,
+           []() -> Result<double> { return {0.0, Status{}}; });
+  const ChainOutcome<double> out = chain.run();
+  EXPECT_EQ(delta.delta(), 0u);
+  EXPECT_EQ(out.winner, 0u);
+  EXPECT_EQ(out.value, 2.5);
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_EQ(context.head_runs, 1);
 }
 
 TEST(FallbackChain, LateStepNotRunAfterEarlyWin) {

@@ -140,6 +140,44 @@ TEST(AdmissionPlanner, QuarantinedCellsNeverConsumeBudget) {
   EXPECT_EQ(plan.admitted, 2u);
 }
 
+TEST(AdmissionPlanner, InPlacePlanOverwritesEveryFieldOfAReusedPlan) {
+  // One plan object across ticks of different shapes and policies reads as
+  // a fresh plan each time.
+  std::vector<CellGate> budgeted(4);
+  budgeted[0].quarantined = true;
+  budgeted[2].rank = 2;
+  budgeted[3].staleness = 9;
+  AdmissionInputs tight;
+  tight.admission_enabled = true;
+  tight.budget = 1;
+  tight.max_stale_ticks = 4;
+  AdmissionInputs open;
+  AdmissionInputs shed_all;
+  shed_all.full_shed = true;
+  const std::vector<CellGate> three(3);
+  struct Case {
+    const std::vector<CellGate>* gates;
+    const AdmissionInputs* in;
+  };
+  const Case cases[] = {{&budgeted, &tight},
+                        {&three, &open},
+                        {&budgeted, &shed_all},
+                        {&three, &tight}};
+  AdmissionPlan reused;
+  for (int round = 0; round < 2; ++round) {
+    for (const Case& c : cases) {
+      plan_admission(*c.gates, *c.in, reused);
+      const AdmissionPlan fresh = plan_admission(*c.gates, *c.in);
+      EXPECT_EQ(reused.decisions, fresh.decisions);
+      EXPECT_EQ(reused.injected, fresh.injected);
+      EXPECT_EQ(reused.admitted, fresh.admitted);
+      EXPECT_EQ(reused.deferred, fresh.deferred);
+      EXPECT_EQ(reused.shed, fresh.shed);
+      EXPECT_EQ(reused.quarantined, fresh.quarantined);
+    }
+  }
+}
+
 TEST(Admission, BudgetCapsSolvesAndHighPriorityCellsStayFresh) {
   const WorkloadConfig wc = admission_workload();
   DiurnalWorkload wl(wc);

@@ -167,6 +167,32 @@ TEST(ShardedLruCache, SteadyPutAndEvictCycleAllocatesNothing) {
   EXPECT_FALSE(cache.get(key - 5, key, out));
 }
 
+TEST(ShardedLruCache, SteadyWindowsAllocateNothingHoweverKeysFallOnShards) {
+  // Sixteen full shards and deferred windows of eight puts on scattered
+  // keys: a window may land more puts on one shard than any window before,
+  // yet its staged values come from one pool and every shard's buffer was
+  // reserved to a whole window's ops, so nothing grows.
+  ShardedLruCache<std::vector<double>> cache(64, 16);
+  const std::vector<double> value(48, 0.5);
+  std::uint64_t state = 1;
+  std::uint64_t stamp = 0;
+  auto window = [&] {
+    cache.begin_deferred();
+    for (int i = 0; i < 8; ++i, ++stamp) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      cache.put(state >> 17, stamp, value);
+    }
+    cache.flush();
+  };
+  for (int t = 0; t < 100; ++t) window();
+  ASSERT_EQ(cache.stats().size, 64u);
+  const std::uint64_t evictions = cache.stats().evictions;
+  const rt::AllocDelta delta;
+  for (int t = 0; t < 400; ++t) window();
+  EXPECT_EQ(delta.delta(), 0u);
+  EXPECT_EQ(cache.stats().evictions, evictions + 400 * 8);
+}
+
 TEST(ShardedLruCache, ShardCountRoundsUpToPowerOfTwo) {
   ShardedLruCache<int> cache(100, 5);
   EXPECT_EQ(cache.num_shards(), 8u);

@@ -174,6 +174,41 @@ TEST(Watchdog, NanGainCellIsServedByWaterfillAndNeverQuarantined) {
   EXPECT_EQ(trips, 0.0);
 }
 
+TEST(Watchdog, InfGainCellIsCachedAndNeverQuarantined) {
+  // Water-filling powers the +inf-gain RB, so the answer rates +inf with
+  // every power finite: a sound answer, which the watchdog passes and the
+  // cache keeps, so every tick after the first is a hit.
+  RraProblem problem;
+  problem.gain = Matrix(1, 4);
+  problem.gain(0, 0) = 0.8;
+  problem.gain(0, 1) = std::numeric_limits<double>::infinity();
+  problem.gain(0, 2) = 1.5;
+  problem.gain(0, 3) = 0.3;
+  problem.total_power = 1.0;
+  problem.min_rate = {0.0};
+  ServiceConfig sc = watchdog_config();
+  sc.cache_enabled = true;
+  obs::ScopedMetrics metrics;
+  AllocationService service(sc, 1);
+  for (std::size_t t = 0; t < 6; ++t) {
+    const TickReport report = service.tick(
+        t, [&](std::size_t) -> const RraProblem& { return problem; });
+    const CellAllocation& a = service.allocation(0);
+    EXPECT_EQ(a.served, t == 0 ? Served::kWaterfill : Served::kCache)
+        << "tick " << t;
+    EXPECT_EQ(report.quarantined, 0u) << "tick " << t;
+    EXPECT_EQ(report.cache_hits, t == 0 ? 0u : 1u) << "tick " << t;
+    ASSERT_EQ(a.power.size(), 4u);
+    for (double p : a.power) EXPECT_TRUE(std::isfinite(p)) << "tick " << t;
+    EXPECT_GT(a.power[1], 0.0);
+    EXPECT_EQ(a.sum_rate, std::numeric_limits<double>::infinity());
+  }
+  double trips = 0.0;
+  for (const obs::MetricSample& s : obs::metrics_snapshot())
+    if (s.name == "rcr.watchdog.trips") trips += s.value;
+  EXPECT_EQ(trips, 0.0);
+}
+
 TEST(Watchdog, DisabledWatchdogMeansTheSiteNeverFires) {
   const WorkloadConfig wc = watchdog_workload();
   ServiceConfig sc;  // watchdog off: serve.solve.corrupt must be inert
