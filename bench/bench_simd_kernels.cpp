@@ -140,12 +140,13 @@ int main() {
     h.run("admm_boxqp", size, reps,
           [&] { rcr::opt::admm_box_qp(p, q, lo, hi); });
   }
-  {
+  for (const std::size_t n : {std::size_t{6}, smoke ? std::size_t{12}
+                                                     : std::size_t{48}}) {
     // The serve head's solve: a structured (diagonal-plus-rank-one) factor,
     // warm state and result reused, 64 fixed iterations of the box-QP sweep
     // (a negative tolerance never converges), so ns/op / 64 is the cost of
-    // one iteration.  Its own generator keeps the rows below unchanged.
-    const std::size_t n = smoke ? 12 : 48;
+    // one iteration.  n = 6 is a conformance-fleet cell, n = 48 a
+    // wide-refresh one.  Its own generator keeps the rows below unchanged.
     Rng srng(13);
     Vec p_diag(n);
     for (double& v : p_diag) v = 0.9 + srng.uniform();

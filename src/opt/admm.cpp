@@ -46,14 +46,15 @@ namespace {
 // p_diag[i * stride] and every off-diagonal entry c.  With n == 1 there is
 // no off-diagonal entry and c is taken as 0.  Requires c >= 0 finite, every
 // d_i = P_ii - c + rho + ridge finite and positive, and sum_i 1/d_i finite;
-// fills `out` and returns true only then; otherwise `out` is left empty (not
-// structured).  O(n), P is never formed, and `out`'s vectors keep their
-// capacity.
+// fills `out` (each 1/d_i kept as inv_d) and returns true only then;
+// otherwise `out` is left empty (not structured).  O(n), P is never formed,
+// and `out`'s vectors keep their capacity.
 bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
                 double c, double rho, double ridge, BoxQpFactor::Dpr1& out) {
   const auto decline = [&out] {
     out.p_diag.clear();
     out.d.clear();
+    out.inv_d.clear();
     return false;
   };
   if (n == 0) return decline();
@@ -61,12 +62,14 @@ bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
   if (!(c >= 0.0) || !std::isfinite(c)) return decline();
   out.p_diag.resize(n);
   out.d.resize(n);
+  out.inv_d.resize(n);
   double sum_inv = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     out.p_diag[i] = p_diag[i * stride];
     out.d[i] = out.p_diag[i] - c + rho + ridge;
     if (!(out.d[i] > 0.0) || !std::isfinite(out.d[i])) return decline();
-    sum_inv += 1.0 / out.d[i];
+    out.inv_d[i] = 1.0 / out.d[i];
+    sum_inv += out.inv_d[i];
   }
   if (!std::isfinite(sum_inv)) return decline();
   out.c = c;
@@ -304,16 +307,17 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   }
 
   // One iteration is two rt::simd passes (pass 1: x = S^-1 (rho (z - u) -
-  // q) and its ascending sum; pass 2: x -= gamma S^-1 1, project, dual
-  // update, residual terms) -- dpr1_solve's operation order, fused.  Pass 1
-  // of the next iteration runs ahead of the exit tests (x is scratch until
-  // then) and sums this iteration's residual terms beside its own x-sum, so
-  // the three serial add chains overlap.  The dense path runs the same
-  // passes on a unit diagonal with gamma = 0: dividing by 1 and subtracting
-  // 0/1 = +0 are exact, so pass 1 forms the LU right-hand side and pass 2
-  // projects the LU solution unchanged.
+  // q) and its sum; pass 2: x -= gamma S^-1 1, project, dual update,
+  // residual terms) -- the Sherman-Morrison update of dpr1_solve, fused,
+  // with S^-1 applied as a multiply by inv_d and the sums added in four
+  // lanes (rt::simd::SweepSums).  Pass 1 of the next iteration runs ahead of
+  // the exit tests (x is scratch until then) and sums this iteration's
+  // residual terms beside its own x-sum, so the add chains overlap.  The
+  // dense path runs the same passes on a unit inv_d with gamma = 0:
+  // multiplying by 1 and subtracting 0 * 1 = +0 are exact, so pass 1 forms
+  // the LU right-hand side and pass 2 projects the LU solution unchanged.
   const rt::simd::Kernels& kernels = rt::simd::active();
-  const double* d = factor.dpr1.d.data();
+  const double* inv_d = factor.dpr1.inv_d.data();
   double* x = arena.alloc<double>(n);  // pass-2 input
   double* pass1_out = x;
   double* primal_terms = arena.alloc<double>(n);
@@ -325,7 +329,7 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   if (!structured) {
     double* unit = arena.alloc<double>(n);
     std::fill(unit, unit + n, 1.0);
-    d = unit;
+    inv_d = unit;
     rhs.resize(n);
     x_dense.resize(n);
     pass1_out = rhs.data();
@@ -348,8 +352,8 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   };
   if (ready(0)) {
     double s_inv_b = kernels
-                         .boxqp_x_seq(options.rho, z, u, q.data(), d,
-                                      pass1_out, primal_terms, dual_terms, n)
+                         .boxqp_x(options.rho, z, u, q.data(), inv_d,
+                                  pass1_out, primal_terms, dual_terms, n)
                          .x;
     for (std::size_t it = 0;; ++it) {
       double gamma = 0.0;
@@ -360,11 +364,11 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
       if (faults_on && n > 0 &&
           robust::faults::should_inject("admm.iterate.nan"))
         x[0] = std::numeric_limits<double>::quiet_NaN();
-      kernels.boxqp_zu_seq(gamma, d, x, lo.data(), hi.data(), z, u, z_next,
-                           primal_terms, dual_terms, n);
+      kernels.boxqp_zu(gamma, inv_d, x, lo.data(), hi.data(), z, u, z_next,
+                       primal_terms, dual_terms, n);
       const rt::simd::SweepSums sums =
-          kernels.boxqp_x_seq(options.rho, z_next, u, q.data(), d, pass1_out,
-                              primal_terms, dual_terms, n);
+          kernels.boxqp_x(options.rho, z_next, u, q.data(), inv_d, pass1_out,
+                          primal_terms, dual_terms, n);
       result.iterations = it + 1;
 
       // NaN/Inf sentinel: a poisoned iterate shows up in the residual sums.
@@ -377,7 +381,7 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
         break;
       }
       std::swap(z, z_next);
-      // norm2(x - z) and norm2(z - z_prev): sqrt of the ascending sums.
+      // norm2(x - z) and norm2(z - z_prev): sqrt of the residual sums.
       const double primal = std::sqrt(sums.primal2);
       const double dual = options.rho * std::sqrt(sums.dual2);
       if (primal <= options.tolerance * scale &&

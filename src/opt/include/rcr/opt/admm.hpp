@@ -45,8 +45,9 @@ struct BoxQpFactor {
   struct Dpr1 {
     Vec p_diag;           ///< P_ii (the structured objective reads these).
     Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
+    Vec inv_d;            ///< 1 / d_i: the sweep multiplies by these.
     double c = 0.0;       ///< The common off-diagonal entry of P.
-    double sum_inv = 0.0; ///< sum_i 1 / d_i, ascending.
+    double sum_inv = 0.0; ///< sum_i inv_d_i, ascending.
   } dpr1;
 
   /// True when the x-update runs in O(n) on the structured operator.
@@ -57,11 +58,11 @@ struct BoxQpFactor {
 /// sum_inv = sum_i 1 / (d_i + shift) in ascending order; `x` may alias `b`.
 /// The operation order (x_i = b_i / s_i, ascending sum, gamma = (c sum x) /
 /// (1 + c sum_inv), x_i -= gamma / s_i) is fixed: the learned head's golden
-/// weights are trained through it.  learn::unrolled_admm_run calls it (its
-/// per-step rho is `shift`); admm_box_qp's structured x-update runs the same
-/// order fused into the rt::simd box-QP sweep (pass 1 up to the sum, pass 2
-/// from the correction on), bit for bit equal to this solve followed by the
-/// projection.
+/// weights are trained through it, and learn::unrolled_admm_run calls it
+/// (its per-step rho is `shift`).  admm_box_qp's structured x-update is the
+/// same algebra in another order: it multiplies by Dpr1::inv_d instead of
+/// dividing by d and adds the sum in four lanes (rt::simd::SweepSums), so
+/// its iterates agree with this solve to rounding, not bit for bit.
 void dpr1_solve(const double* d, double shift, double c, double sum_inv,
                 const double* b, double* x, std::size_t n);
 
@@ -140,8 +141,9 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 
 /// Box-QP with a prefactored operator (see prefactor_box_qp).
 /// `factor.rho` must match `options.rho`; throws std::invalid_argument
-/// otherwise.  Each iteration is the rt::simd box-QP sweep (two passes, bit
-/// for bit the same on every dispatch path) over iterate buffers taken from
+/// otherwise.  Each iteration is the rt::simd box-QP sweep (two passes by
+/// the reciprocal diagonal with four-lane sums, bit for bit the same on
+/// every dispatch path) over iterate buffers taken from
 /// the calling thread's rt::tls_arena(), so iterations are allocation-free
 /// once the arena is warm; a structured factor also evaluates the final
 /// objective in O(n).

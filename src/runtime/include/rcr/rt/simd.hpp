@@ -4,9 +4,10 @@
 // bit-exact.  The table holds lane-independent elementwise ops, paired plane
 // rotations, FFT butterflies, the *_seq reductions (SIMD products,
 // scalar-ordered adds), the two passes of the structured box-QP ADMM
-// sweep, the best-gain row scan and the 4-wide log2 buckets of the cache
-// signature.  Their vectorized forms perform the identical sequence of IEEE
-// roundings as the scalar fallback, so the active path may change between
+// sweep (whose sums the scalar reference itself adds in four lanes), the
+// best-gain row scan and the 4-wide log2 buckets of the cache signature.
+// Their vectorized forms perform the identical sequence of IEEE roundings
+// as the scalar fallback, so the active path may change between
 // builds/machines without changing a single output bit.
 //
 // Path selection: the best compiled path (AVX2 on x86-64, NEON on aarch64,
@@ -35,7 +36,10 @@ namespace rcr::rt::simd {
 /// Instruction-set paths this build can dispatch to.
 enum class Path { kScalar, kAvx2, kNeon };
 
-/// Ascending-order sums returned by Kernels::boxqp_x_seq, each from 0.0.
+/// The sums returned by Kernels::boxqp_x, each in the sweep's four-lane
+/// order: lane j (j = 0..3) adds the entries i = j mod 4 below the last
+/// multiple of 4 in ascending order from 0.0, the lanes combine as
+/// (l0 + l1) + (l2 + l3), and the tail entries then add in ascending order.
 struct SweepSums {
   double x = 0.0;        ///< sum_i x_i of the pass-1 output.
   double primal2 = 0.0;  ///< sum_i of the primal residual terms handed in.
@@ -85,28 +89,28 @@ struct Kernels {
                     const std::complex<double>* tw, std::size_t n);
   /// Pass 1 of one box-QP ADMM iteration on a diagonal-plus-rank-one
   /// operator (opt::admm_box_qp): the diagonal half of the Sherman-Morrison
-  /// x-update,
-  ///   x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i],
-  /// returning 0.0 + x[0] + x[1] + ... added in ascending order, and beside
-  /// it the ascending sums of `primal_terms` and `dual_terms` (the previous
-  /// pass 2's residual terms): three independent serial chains in one loop,
-  /// so the residual sums of iteration k hide under the x-sum of k + 1.
-  /// `x` must not alias an input.
-  SweepSums (*boxqp_x_seq)(double rho, const double* z, const double* u,
-                           const double* q, const double* d, double* x,
-                           const double* primal_terms,
-                           const double* dual_terms, std::size_t n);
+  /// x-update, by the reciprocal diagonal `inv_d`,
+  ///   x[i] = (rho * (z[i] - u[i]) - q[i]) * inv_d[i],
+  /// returning the sum of x and beside it the sums of `primal_terms` and
+  /// `dual_terms` (the previous pass 2's residual terms), each in the
+  /// four-lane order of SweepSums: twelve independent add chains in one
+  /// loop, so the residual sums of iteration k hide under the x-sum of
+  /// k + 1.  `x` must not alias an input.
+  SweepSums (*boxqp_x)(double rho, const double* z, const double* u,
+                       const double* q, const double* inv_d, double* x,
+                       const double* primal_terms, const double* dual_terms,
+                       std::size_t n);
   /// Pass 2: the rank-one correction, box projection and dual update,
-  ///   xi = x[i] - gamma / d[i];  zi = std::clamp(xi + u[i], lo[i], hi[i]);
+  ///   xi = x[i] - gamma * inv_d[i];  zi = std::clamp(xi + u[i], lo[i], hi[i]);
   ///   u[i] += xi - zi;  z_out[i] = zi;
   ///   primal_terms[i] = (xi - zi)^2;  dual_terms[i] = (zi - z[i])^2.
   /// A NaN xi passes the projection unchanged, as in std::clamp.  `z_out`
   /// and the term arrays must not alias any input; `x` is left as pass 1
   /// wrote it.
-  void (*boxqp_zu_seq)(double gamma, const double* d, const double* x,
-                       const double* lo, const double* hi, const double* z,
-                       double* u, double* z_out, double* primal_terms,
-                       double* dual_terms, std::size_t n);
+  void (*boxqp_zu)(double gamma, const double* inv_d, const double* x,
+                   const double* lo, const double* hi, const double* z,
+                   double* u, double* z_out, double* primal_terms,
+                   double* dual_terms, std::size_t n);
   /// One user row of the best-gain scan (qos::best_gain_assignment): for
   /// each i, with v = row[i],
   ///   if (v > best[i]) { best[i] = v; owner[i] = user; }

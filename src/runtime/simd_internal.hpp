@@ -37,18 +37,24 @@ void scalar_choose_mul(const double* w, const double* pos, const double* neg,
                        double* out, std::size_t n);
 void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
                       const std::complex<double>* tw, std::size_t n);
-SweepSums scalar_boxqp_x_seq(double rho, const double* z, const double* u,
-                             const double* q, const double* d, double* x,
-                             const double* primal_terms,
-                             const double* dual_terms, std::size_t n);
-void scalar_boxqp_zu_seq(double gamma, const double* d, const double* x,
-                         const double* lo, const double* hi, const double* z,
-                         double* u, double* z_out, double* primal_terms,
-                         double* dual_terms, std::size_t n);
+SweepSums scalar_boxqp_x(double rho, const double* z, const double* u,
+                         const double* q, const double* inv_d, double* x,
+                         const double* primal_terms, const double* dual_terms,
+                         std::size_t n);
+void scalar_boxqp_zu(double gamma, const double* inv_d, const double* x,
+                     const double* lo, const double* hi, const double* z,
+                     double* u, double* z_out, double* primal_terms,
+                     double* dual_terms, std::size_t n);
 void scalar_best_gain_row(const double* row, std::size_t n, double user,
                           double* best, double* owner, double* lowest);
 bool scalar_log2_buckets(const double* gain, std::size_t n,
                          double inv_quantum, std::int64_t* bucket);
+
+/// The box-QP sweep's lane count and the one order its lanes combine in.
+inline constexpr std::size_t kSweepLanes = 4;
+inline double combine_lanes(const double (&lane)[kSweepLanes]) {
+  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
 
 /// log2_bucket's centre table: log2 c_j and 1 / c_j for the 256 centres.
 inline constexpr int kLog2TableBits = 8;

@@ -218,27 +218,36 @@ void avx2_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-SweepSums avx2_boxqp_x_seq(double rho, const double* z, const double* u,
-                           const double* q, const double* d, double* x,
-                           const double* primal_terms,
-                           const double* dual_terms, std::size_t n) {
+SweepSums avx2_boxqp_x(double rho, const double* z, const double* u,
+                       const double* q, const double* inv_d, double* x,
+                       const double* primal_terms, const double* dual_terms,
+                       std::size_t n) {
+  // One accumulator register per sum: its lane j is the scalar reference's
+  // lane j (indices i = j mod 4), added in the same ascending order.
+  static_assert(kSweepLanes == 4);
   const __m256d vr = _mm256_set1_pd(rho);
-  SweepSums sums;
+  __m256d ax = _mm256_setzero_pd();
+  __m256d ap = _mm256_setzero_pd();
+  __m256d ad = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d r = _mm256_sub_pd(
         _mm256_mul_pd(vr, _mm256_sub_pd(_mm256_loadu_pd(z + i),
                                         _mm256_loadu_pd(u + i))),
         _mm256_loadu_pd(q + i));
-    _mm256_storeu_pd(x + i, _mm256_div_pd(r, _mm256_loadu_pd(d + i)));
-    for (std::size_t k = i; k < i + 4; ++k) {
-      sums.primal2 += primal_terms[k];
-      sums.dual2 += dual_terms[k];
-      sums.x += x[k];
-    }
+    const __m256d xi = _mm256_mul_pd(r, _mm256_loadu_pd(inv_d + i));
+    _mm256_storeu_pd(x + i, xi);
+    ax = _mm256_add_pd(ax, xi);
+    ap = _mm256_add_pd(ap, _mm256_loadu_pd(primal_terms + i));
+    ad = _mm256_add_pd(ad, _mm256_loadu_pd(dual_terms + i));
   }
+  double lx[kSweepLanes], lp[kSweepLanes], ld[kSweepLanes];
+  _mm256_storeu_pd(lx, ax);
+  _mm256_storeu_pd(lp, ap);
+  _mm256_storeu_pd(ld, ad);
+  SweepSums sums{combine_lanes(lx), combine_lanes(lp), combine_lanes(ld)};
   for (; i < n; ++i) {
-    x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
+    x[i] = (rho * (z[i] - u[i]) - q[i]) * inv_d[i];
     sums.x += x[i];
     sums.primal2 += primal_terms[i];
     sums.dual2 += dual_terms[i];
@@ -246,10 +255,10 @@ SweepSums avx2_boxqp_x_seq(double rho, const double* z, const double* u,
   return sums;
 }
 
-void avx2_boxqp_zu_seq(double gamma, const double* d, const double* x,
-                       const double* lo, const double* hi, const double* z,
-                       double* u, double* z_out, double* primal_terms,
-                       double* dual_terms, std::size_t n) {
+void avx2_boxqp_zu(double gamma, const double* inv_d, const double* x,
+                   const double* lo, const double* hi, const double* z,
+                   double* u, double* z_out, double* primal_terms,
+                   double* dual_terms, std::size_t n) {
   // std::clamp(v, lo, hi) is min(max(v, lo), hi) = (hi < m ? hi : m) with
   // m = (v < lo ? lo : v).  Ordered less-than compares are false on NaN, so
   // the blends keep a NaN v, exactly as the scalar reference does.
@@ -257,7 +266,7 @@ void avx2_boxqp_zu_seq(double gamma, const double* d, const double* x,
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d xi = _mm256_sub_pd(
-        _mm256_loadu_pd(x + i), _mm256_div_pd(vg, _mm256_loadu_pd(d + i)));
+        _mm256_loadu_pd(x + i), _mm256_mul_pd(vg, _mm256_loadu_pd(inv_d + i)));
     const __m256d ui = _mm256_loadu_pd(u + i);
     const __m256d v = _mm256_add_pd(xi, ui);
     const __m256d lov = _mm256_loadu_pd(lo + i);
@@ -273,16 +282,8 @@ void avx2_boxqp_zu_seq(double gamma, const double* d, const double* x,
     _mm256_storeu_pd(primal_terms + i, _mm256_mul_pd(pd, pd));
     _mm256_storeu_pd(dual_terms + i, _mm256_mul_pd(dd, dd));
   }
-  for (; i < n; ++i) {
-    const double xs = x[i] - gamma / d[i];
-    const double zs = std::clamp(xs + u[i], lo[i], hi[i]);
-    const double pd = xs - zs;
-    u[i] += pd;
-    z_out[i] = zs;
-    primal_terms[i] = pd * pd;
-    const double dd = zs - z[i];
-    dual_terms[i] = dd * dd;
-  }
+  scalar_boxqp_zu(gamma, inv_d + i, x + i, lo + i, hi + i, z + i, u + i,
+                  z_out + i, primal_terms + i, dual_terms + i, n - i);
 }
 
 void avx2_best_gain_row(const double* row, std::size_t n, double user,
@@ -392,7 +393,7 @@ const Kernels kAvx2Table = {
     avx2_dot_seq,    avx2_absdot_seq,
     avx2_choose_dot_seq, avx2_masked_dot_seq,
     avx2_choose_mul, avx2_butterfly,
-    avx2_boxqp_x_seq, avx2_boxqp_zu_seq,
+    avx2_boxqp_x,    avx2_boxqp_zu,
     avx2_best_gain_row, avx2_log2_buckets,
 };
 

@@ -93,7 +93,7 @@ const Kernels kNeonTable = {
     neon_dot_seq,      scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
-    scalar_boxqp_x_seq, scalar_boxqp_zu_seq,
+    scalar_boxqp_x,    scalar_boxqp_zu,
     scalar_best_gain_row, scalar_log2_buckets,
 };
 

@@ -88,13 +88,28 @@ void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
   }
 }
 
-SweepSums scalar_boxqp_x_seq(double rho, const double* z, const double* u,
-                             const double* q, const double* d, double* x,
-                             const double* primal_terms,
-                             const double* dual_terms, std::size_t n) {
-  SweepSums sums;
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = (rho * (z[i] - u[i]) - q[i]) / d[i];
+SweepSums scalar_boxqp_x(double rho, const double* z, const double* u,
+                         const double* q, const double* inv_d, double* x,
+                         const double* primal_terms, const double* dual_terms,
+                         std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = (rho * (z[i] - u[i]) - q[i]) * inv_d[i];
+  // Lane j of each sum takes the indices i = j mod 4 below the tail.  The
+  // sums run as a second loop: fused with the x loop, gcc's vectorizer
+  // shuffles the lanes across registers and the pass ran slower than with
+  // one ascending chain.
+  double sx[kSweepLanes] = {};
+  double sp[kSweepLanes] = {};
+  double sd[kSweepLanes] = {};
+  std::size_t i = 0;
+  for (; i + kSweepLanes <= n; i += kSweepLanes)
+    for (std::size_t j = 0; j < kSweepLanes; ++j) {
+      sx[j] += x[i + j];
+      sp[j] += primal_terms[i + j];
+      sd[j] += dual_terms[i + j];
+    }
+  SweepSums sums{combine_lanes(sx), combine_lanes(sp), combine_lanes(sd)};
+  for (; i < n; ++i) {
     sums.x += x[i];
     sums.primal2 += primal_terms[i];
     sums.dual2 += dual_terms[i];
@@ -102,12 +117,12 @@ SweepSums scalar_boxqp_x_seq(double rho, const double* z, const double* u,
   return sums;
 }
 
-void scalar_boxqp_zu_seq(double gamma, const double* d, const double* x,
-                         const double* lo, const double* hi, const double* z,
-                         double* u, double* z_out, double* primal_terms,
-                         double* dual_terms, std::size_t n) {
+void scalar_boxqp_zu(double gamma, const double* inv_d, const double* x,
+                     const double* lo, const double* hi, const double* z,
+                     double* u, double* z_out, double* primal_terms,
+                     double* dual_terms, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double xi = x[i] - gamma / d[i];
+    const double xi = x[i] - gamma * inv_d[i];
     const double zi = std::clamp(xi + u[i], lo[i], hi[i]);
     const double pd = xi - zi;
     u[i] += pd;
@@ -176,7 +191,7 @@ const Kernels kScalarTable = {
     scalar_dot_seq,    scalar_absdot_seq,
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
-    scalar_boxqp_x_seq, scalar_boxqp_zu_seq,
+    scalar_boxqp_x,    scalar_boxqp_zu,
     scalar_best_gain_row, scalar_log2_buckets,
 };
 

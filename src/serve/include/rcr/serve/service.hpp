@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,10 +136,19 @@ struct TickReport {
   std::size_t shed = 0;         ///< Cells shed (budget/staleness/injection).
   std::size_t quarantined = 0;  ///< Cells in a watchdog quarantine window.
   int brownout_state = 0;       ///< BrownoutState at the start of the tick.
-  /// FNV-1a over every cell's (assignment, power) in ascending cell order:
-  /// the cross-thread determinism witness.
+  /// solution_hash over every cell's answer: the cross-thread determinism
+  /// witness.
   std::uint64_t solution_hash = 0;
 };
+
+/// The tick report's witness over `cells`' answers.  Each cell's chain
+/// starts at kHashBasis and takes, one mix_word step a word, its assignment
+/// and power lengths, its assignment entries and its powers' bit patterns;
+/// the chains of four cells advance together (mix_chains), and the cells'
+/// end states then fold into one chain in cell order.  A pure function of
+/// the answers, so it is the same on every thread count and dispatch path,
+/// and it moves when any one power bit or assignment entry does.
+std::uint64_t solution_hash(std::span<const CellAllocation> cells);
 
 /// The tick loop.  Construct once per fleet; call tick() with consecutive
 /// tick indices.  Not itself thread-safe (one driver thread); the internal

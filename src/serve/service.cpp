@@ -1,5 +1,6 @@
 #include "rcr/serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -70,6 +71,31 @@ bool servable(const CellAllocation& alloc) {
   for (double p : alloc.power)
     if (!std::isfinite(p)) return false;
   return true;
+}
+
+std::uint64_t solution_hash(std::span<const CellAllocation> cells) {
+  constexpr std::size_t kChains = kSignatureChains;
+  std::uint64_t hash = kHashBasis;
+  for (std::size_t c0 = 0; c0 < cells.size(); c0 += kChains) {
+    const std::size_t m = std::min(kChains, cells.size() - c0);
+    std::uint64_t h[kChains];
+    const std::size_t* users[kChains];
+    const double* power[kChains];
+    std::size_t n_users[kChains];
+    std::size_t n_power[kChains];
+    for (std::size_t j = 0; j < m; ++j) {
+      const CellAllocation& a = cells[c0 + j];
+      users[j] = a.assignment.data();
+      power[j] = a.power.data();
+      n_users[j] = a.assignment.size();
+      n_power[j] = a.power.size();
+      h[j] = mix_word(mix_word(kHashBasis, n_users[j]), n_power[j]);
+    }
+    mix_chains(h, m, users, n_users);
+    mix_chains(h, m, power, n_power);
+    for (std::size_t j = 0; j < m; ++j) hash = mix_word(hash, h[j]);
+  }
+  return hash;
 }
 
 namespace detail {
@@ -552,7 +578,6 @@ TickReport AllocationService::tick(std::size_t tick_index,
   report.tick = tick_index;
   report.cells = cells;
   report.brownout_state = static_cast<int>(bstate);
-  report.solution_hash = 1469598103934665603ull;  // FNV offset basis
   // Serial pass in ascending cell order: the report (and in particular the
   // solution hash) is independent of which threads solved which cells.
   // All CellRuntime bookkeeping (watchdog quarantine, snapshots, freshness)
@@ -603,13 +628,8 @@ TickReport AllocationService::tick(std::size_t tick_index,
       ++report.degraded;
     }
     report.sum_rate += a.sum_rate;
-    report.solution_hash = fnv1a_bytes(
-        a.assignment.data(), a.assignment.size() * sizeof(std::size_t),
-        report.solution_hash);
-    report.solution_hash =
-        fnv1a_bytes(a.power.data(), a.power.size() * sizeof(double),
-                    report.solution_hash);
   }
+  report.solution_hash = solution_hash(current_);
   report.admitted = plan.admitted;
   report.deferred = plan.deferred;
   report.shed = plan.shed;

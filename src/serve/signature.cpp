@@ -1,57 +1,22 @@
 #include "rcr/serve/signature.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <vector>
 
 #include "rcr/rt/scratch_arena.hpp"
 #include "rcr/rt/simd.hpp"
 
 namespace rcr::serve {
 
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// kFnvPrimePow[k] = P^k mod 2^64.
-constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
-  std::array<std::uint64_t, 9> pow{};
-  pow[0] = 1;
-  for (std::size_t k = 1; k < pow.size(); ++k)
-    pow[k] = pow[k - 1] * kFnvPrime;
-  return pow;
-}();
-
-}  // namespace
-
 std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes,
                           std::uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;
-  std::size_t i = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    // A zero byte's step is (h ^ 0) * P = h * P, so a word whose top k
-    // bytes are zero takes its low 8 - k bytes' steps, then one multiply by
-    // P^k: a small index word hashes with one xor and one multiply by P^8.
-    for (; i + 8 <= bytes; i += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, p + i, 8);
-      const int live = 8 - std::countl_zero(w) / 8;
-      for (int b = 0; b < live; ++b) {
-        h ^= (w >> (8 * b)) & 0xFF;
-        h *= kFnvPrime;
-      }
-      if (live < 8) h *= kFnvPrimePow[8 - live];
-    }
-  }
-  for (; i < bytes; ++i) {
+  for (std::size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
-    h *= kFnvPrime;
+    h *= 1099511628211ull;
   }
   return h;
 }
@@ -65,15 +30,6 @@ constexpr std::int64_t kInfBucket = std::numeric_limits<std::int64_t>::max();
 // bucket or with the sentinels above.
 constexpr std::int64_t kOverflowBucket = kInfBucket - 1;
 constexpr std::int64_t kUnderflowBucket = kDeadBucket + 1;
-
-/// One 64-bit word into the signature chain: the xor and odd multiply carry
-/// low bits upward, the xorshift carries high bits back down.  Each step is
-/// a bijection of the state for a fixed word and injective in the word for
-/// a fixed state.
-std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
-  h = (h ^ word) * 0xFF51AFD7ED558CCDull;
-  return h ^ (h >> 32);
-}
 
 /// splitmix64's finalizer: every output bit depends on every input bit, so
 /// the cache's bare Fibonacci shard pick sees a uniform key.
@@ -119,19 +75,23 @@ std::int64_t slow_bucket(double gain, double log2_quantum) {
 /// count, sized from the vectors it walks (an unvalidated problem's floors
 /// need not match its user count).
 std::size_t word_count(const RraProblem& problem) {
-  return 3 + problem.min_rate.size() + problem.num_rbs() +
-         problem.gain.data().size();
+  return 3 + problem.min_rate.size() + 2 * problem.num_rbs();
 }
 
 /// The signature's word stream for one problem into `words`: dimensions,
 /// quantized budget and floors, the active-set fingerprint (which user wins
 /// each RB: quantization can leave the gain grid unchanged while the argmax
 /// flips on a near-tie, so folding it in keeps such problems apart), then
-/// every quantized gain in row-major order.
+/// the quantized gain of each RB's assigned user, in RB order.  Every
+/// served answer reads only those gains (the head's power QP, the
+/// water-filling step and a cache hit's rebuild alike), so a gain that
+/// does not win its RB moves the key only by flipping the assignment.
+/// `gains` is scratch for the RB count's assigned gains.
 void signature_words(const RraProblem& problem,
                      const qos::Assignment& assignment,
                      const SignatureConfig& config,
-                     const rt::simd::Kernels& kernels, std::uint64_t* words) {
+                     const rt::simd::Kernels& kernels, double* gains,
+                     std::uint64_t* words) {
   const auto word = [](std::int64_t v) {
     return static_cast<std::uint64_t>(v);
   };
@@ -145,20 +105,22 @@ void signature_words(const RraProblem& problem,
   for (std::size_t user : assignment) words[w++] = user;
 
   const double q = config.gain_log2_quantum;
-  const std::vector<double>& gains = problem.gain.data();  // row-major
-  const std::size_t count = gains.size();
+  const std::size_t rbs = problem.num_rbs();
+  const double* g = problem.gain.data().data();  // row-major, user rows
+  for (std::size_t rb = 0; rb < rbs; ++rb)
+    gains[rb] = g[assignment[rb] * rbs + rb];
   std::uint64_t* out = words + w;
   if (q >= kFastMinQuantum) {
     // Buckets land as int64 in the word slots; only a gain the fast path
     // leaves open takes the reference.
     auto* buckets = reinterpret_cast<std::int64_t*>(out);
-    if (!kernels.log2_buckets(gains.data(), count, 1.0 / q, buckets))
-      for (std::size_t i = 0; i < count; ++i)
-        if (buckets[i] == rt::simd::kLog2BucketSlow)
-          buckets[i] = slow_bucket(gains[i], q);
+    if (!kernels.log2_buckets(gains, rbs, 1.0 / q, buckets))
+      for (std::size_t rb = 0; rb < rbs; ++rb)
+        if (buckets[rb] == rt::simd::kLog2BucketSlow)
+          buckets[rb] = slow_bucket(gains[rb], q);
   } else {
-    for (std::size_t i = 0; i < count; ++i)
-      out[i] = word(slow_bucket(gains[i], q));
+    for (std::size_t rb = 0; rb < rbs; ++rb)
+      out[rb] = word(slow_bucket(gains[rb], q));
   }
 }
 
@@ -197,10 +159,15 @@ void problem_signatures(std::span<const RraProblem* const> problems,
   const std::size_t count = problems.size();
   if (assignments.size() != count || out.size() != count)
     throw std::invalid_argument("problem_signatures: span length mismatch");
-  for (std::size_t k = 0; k < count; ++k)
+  for (std::size_t k = 0; k < count; ++k) {
     if (assignments[k]->size() != problems[k]->num_rbs())
       throw std::invalid_argument(
           "problem_signature: assignment length mismatch");
+    for (std::size_t user : *assignments[k])
+      if (user >= problems[k]->num_users())
+        throw std::invalid_argument(
+            "problem_signature: assigned user out of range");
+  }
 
   const rt::simd::Kernels& kernels = rt::simd::active();
   rt::ScratchArena& arena = rt::tls_arena();
@@ -211,27 +178,17 @@ void problem_signatures(std::span<const RraProblem* const> problems,
     const std::uint64_t* words[kChains];
     std::size_t len[kChains];
     std::uint64_t h[kChains];
-    std::size_t common = std::numeric_limits<std::size_t>::max();
     for (std::size_t j = 0; j < m; ++j) {
       const RraProblem& problem = *problems[k0 + j];
       len[j] = word_count(problem);
       std::uint64_t* buf = arena.alloc<std::uint64_t>(len[j]);
-      signature_words(problem, *assignments[k0 + j], config, kernels, buf);
+      signature_words(problem, *assignments[k0 + j], config, kernels,
+                      arena.alloc<double>(problem.num_rbs()), buf);
       words[j] = buf;
-      h[j] = 1469598103934665603ull;
-      common = std::min(common, len[j]);
+      h[j] = kHashBasis;
     }
-    // The chains are independent: advancing them in one loop overlaps
-    // their multiply latencies, and each still sees its own words in order.
-    std::size_t w = 0;
-    if (m == kChains)
-      for (; w < common; ++w)
-        for (std::size_t j = 0; j < kChains; ++j)
-          h[j] = mix_word(h[j], words[j][w]);
-    for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t v = w; v < len[j]; ++v) h[j] = mix_word(h[j], words[j][v]);
-      out[k0 + j] = avalanche(h[j]);
-    }
+    mix_chains(h, m, words, len);
+    for (std::size_t j = 0; j < m; ++j) out[k0 + j] = avalanche(h[j]);
   }
 }
 

@@ -1,10 +1,13 @@
 // The structured box-QP iteration runs as the two-pass rt::simd sweep.
-// These tests hold it, bit for bit and on every dispatch path, to the loop
-// it replaced: dpr1_solve (the one definition of the Sherman-Morrison
-// order), then the std::clamp projection, the dual update and the residual
-// sums in ascending order.  This file builds with -ffp-contract=off (see
+// These tests hold it, bit for bit and on every dispatch path, to the
+// iteration written out plainly: the diagonal solve by the reciprocal
+// diagonal inv_d, the x-sum and residual sums in the sweep's four-lane
+// order, the rank-one correction, the std::clamp projection and the dual
+// update.  A second reference runs the Sherman-Morrison solve in
+// dpr1_solve's order (divides, one ascending sum), which the sweep matches
+// to rounding.  This file builds with -ffp-contract=off (see
 // tests/CMakeLists.txt) so a global -mfma build cannot contract the
-// reference loop below.
+// reference loops below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,42 +34,70 @@ void expect_bitwise_equal(const Vec& a, const Vec& b, const char* what) {
     EXPECT_EQ(bits(a[i]), bits(b[i])) << what << "[" << i << "]";
 }
 
+/// rt::simd::SweepSums' order: lane j adds the entries i = j mod 4 below
+/// the last multiple of 4 from 0.0, the lanes combine as (l0 + l1) +
+/// (l2 + l3), then the tail adds in ascending order.
+double lane_sum(const Vec& v) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= v.size(); i += 4)
+    for (std::size_t j = 0; j < 4; ++j) lane[j] += v[i + j];
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < v.size(); ++i) sum += v[i];
+  return sum;
+}
+
+double ascending_sum(const Vec& v) {
+  double sum = 0.0;
+  for (double e : v) sum += e;
+  return sum;
+}
+
 struct Outcome {
   Vec z, u;
   std::size_t iterations = 0;
   bool converged = false;
 };
 
-/// The box-QP iteration as it read before the sweep: rhs, dpr1_solve, then
-/// projection, dual update and residual sums, from the warm start (z, u).
+/// The box-QP iteration from the warm start (z, u): x = S^-1 (rho (z - u) -
+/// q), gamma, the correction, projection, dual update and residual sums.
+/// `sweep_order` takes S^-1 as a multiply by inv_d with four-lane sums (the
+/// sweep's order); otherwise as dpr1_solve computes it, dividing by d with
+/// ascending sums.
 Outcome reference_solve(const BoxQpFactor& f, const Vec& q, const Vec& lo,
                         const Vec& hi, const AdmmOptions& options, Vec z,
-                        Vec u) {
+                        Vec u, bool sweep_order) {
   const std::size_t n = q.size();
   for (std::size_t i = 0; i < n; ++i) z[i] = std::clamp(z[i], lo[i], hi[i]);
-  Vec rhs(n), x(n), z_prev(n);
+  Vec rhs(n), x(n), z_prev(n), primal_terms(n), dual_terms(n);
   const double scale = 1.0 + num::norm_inf(q);
+  const auto sum = sweep_order ? lane_sum : ascending_sum;
   Outcome out;
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     for (std::size_t i = 0; i < n; ++i)
       rhs[i] = options.rho * (z[i] - u[i]) - q[i];
-    dpr1_solve(f.dpr1.d.data(), 0.0, f.dpr1.c, f.dpr1.sum_inv, rhs.data(),
-               x.data(), n);
+    if (sweep_order) {
+      for (std::size_t i = 0; i < n; ++i) x[i] = rhs[i] * f.dpr1.inv_d[i];
+      const double gamma = (f.dpr1.c * lane_sum(x)) /
+                           (1.0 + f.dpr1.c * f.dpr1.sum_inv);
+      for (std::size_t i = 0; i < n; ++i) x[i] -= gamma * f.dpr1.inv_d[i];
+    } else {
+      dpr1_solve(f.dpr1.d.data(), 0.0, f.dpr1.c, f.dpr1.sum_inv, rhs.data(),
+                 x.data(), n);
+    }
     z_prev = z;
     for (std::size_t i = 0; i < n; ++i)
       z[i] = std::clamp(x[i] + u[i], lo[i], hi[i]);
-    for (std::size_t i = 0; i < n; ++i) u[i] += x[i] - z[i];
-    double primal2 = 0.0;
-    double dual2 = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double pd = x[i] - z[i];
-      primal2 += pd * pd;
+      u[i] += pd;
+      primal_terms[i] = pd * pd;
       const double dd = z[i] - z_prev[i];
-      dual2 += dd * dd;
+      dual_terms[i] = dd * dd;
     }
     out.iterations = it + 1;
-    if (std::sqrt(primal2) <= options.tolerance * scale &&
-        options.rho * std::sqrt(dual2) <= options.tolerance * scale) {
+    if (std::sqrt(sum(primal_terms)) <= options.tolerance * scale &&
+        options.rho * std::sqrt(sum(dual_terms)) <= options.tolerance * scale) {
       out.converged = true;
       break;
     }
@@ -96,9 +127,9 @@ Problem random_problem(std::size_t n, num::Rng& rng) {
   return p;
 }
 
-TEST(AdmmSweep, FusedSweepIsDpr1SolveThenProjectionBitForBit) {
+TEST(AdmmSweep, FusedSweepIsTheReciprocalLaneIterationBitForBit) {
   num::Rng rng(4242);
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 12u, 48u, 49u}) {
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 48u, 49u}) {
     const Problem pr = random_problem(n, rng);
     const std::optional<robust::Result<BoxQpFactor>> f =
         try_prefactor_dpr1(pr.p_diag.data(), n, pr.c, 1.0);
@@ -117,7 +148,7 @@ TEST(AdmmSweep, FusedSweepIsDpr1SolveThenProjectionBitForBit) {
           opts.tolerance = tolerance;
           opts.max_iterations = iterations;
           const Outcome ref = reference_solve(f->value, pr.q, pr.lo, pr.hi,
-                                              opts, pr.z0, pr.u0);
+                                              opts, pr.z0, pr.u0, true);
           AdmmWarmState warm{pr.z0, pr.u0};
           std::optional<rt::simd::ForceScalarGuard> guard;
           if (force_scalar) guard.emplace();
@@ -132,6 +163,31 @@ TEST(AdmmSweep, FusedSweepIsDpr1SolveThenProjectionBitForBit) {
         }
       }
     }
+  }
+}
+
+TEST(AdmmSweep, SweepMatchesTheDpr1SolveOrderToRounding) {
+  num::Rng rng(4243);
+  for (const std::size_t n : {1u, 5u, 12u, 48u, 49u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Problem pr = random_problem(n, rng);
+    const std::optional<robust::Result<BoxQpFactor>> f =
+        try_prefactor_dpr1(pr.p_diag.data(), n, pr.c, 1.0);
+    ASSERT_TRUE(f.has_value());
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits(f->value.dpr1.inv_d[i]),
+                bits(1.0 / f->value.dpr1.d[i]));
+    AdmmOptions opts;
+    opts.tolerance = 1e-12;
+    opts.max_iterations = 4000;
+    const Outcome ref = reference_solve(f->value, pr.q, pr.lo, pr.hi, opts,
+                                        pr.z0, pr.u0, false);
+    AdmmWarmState warm{pr.z0, pr.u0};
+    const AdmmResult r = admm_box_qp(f->value, pr.q, pr.lo, pr.hi, opts, &warm);
+    ASSERT_TRUE(ref.converged);
+    ASSERT_TRUE(r.converged);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(r.x[i], ref.z[i], 1e-9) << "index " << i;
   }
 }
 

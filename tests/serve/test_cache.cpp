@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -248,8 +249,10 @@ TEST(ProblemSignature, MaterialChangesChangeSignature) {
   const RraProblem& base = wl.cell(0);
   const std::uint64_t sig = problem_signature(base);
 
+  // The key reads each RB's assigned gain: double RB 0's winner, which
+  // keeps it the winner.
   RraProblem bigger_gain = base;
-  bigger_gain.gain(0, 0) *= 2.0;
+  bigger_gain.gain(qos::best_gain_assignment(base)[0], 0) *= 2.0;
   EXPECT_NE(sig, problem_signature(bigger_gain));
 
   RraProblem more_power = base;
@@ -259,6 +262,95 @@ TEST(ProblemSignature, MaterialChangesChangeSignature) {
   RraProblem tighter_qos = base;
   tighter_qos.min_rate[0] += 1.0;
   EXPECT_NE(sig, problem_signature(tighter_qos));
+}
+
+/// Three users on four RBs; user 2 wins no RB.
+RraProblem three_user_problem() {
+  RraProblem p;
+  p.gain = num::Matrix(3, 4);
+  const double g[3][4] = {{2.0, 0.5, 1.5, 0.25},
+                          {1.0, 3.0, 0.75, 4.0},
+                          {0.5, 0.25, 1.0, 2.0}};
+  for (std::size_t u = 0; u < 3; ++u)
+    for (std::size_t rb = 0; rb < 4; ++rb) p.gain(u, rb) = g[u][rb];
+  p.total_power = 1.0;
+  p.min_rate = Vec(3, 0.0);
+  return p;
+}
+
+TEST(ProblemSignature, UnassignedGainsBelowTheWinnerLeaveTheKey) {
+  const RraProblem base = three_user_problem();
+  const qos::Assignment a = qos::best_gain_assignment(base);
+  ASSERT_EQ(a, (qos::Assignment{0, 1, 0, 1}));
+  const std::uint64_t sig = problem_signature(base);
+  // Every losing gain moves far across buckets (halved, or raised to just
+  // under its RB's winner) and the assignment holds: the key does not move.
+  RraProblem halved = base;
+  RraProblem raised = base;
+  for (std::size_t u = 0; u < 3; ++u)
+    for (std::size_t rb = 0; rb < 4; ++rb)
+      if (a[rb] != u) {
+        halved.gain(u, rb) *= 0.5;
+        raised.gain(u, rb) = 0.99 * base.gain(a[rb], rb);
+      }
+  EXPECT_EQ(qos::best_gain_assignment(raised), a);
+  EXPECT_EQ(problem_signature(halved), sig);
+  EXPECT_EQ(problem_signature(raised), sig);
+}
+
+TEST(ProblemSignature, AssignedGainCrossingABucketMovesTheKey) {
+  const RraProblem base = three_user_problem();
+  const double q = SignatureConfig{}.gain_log2_quantum;
+  for (std::size_t rb = 0; rb < 4; ++rb) {
+    const std::size_t winner = qos::best_gain_assignment(base)[rb];
+    RraProblem up = base;
+    up.gain(winner, rb) *= std::exp2(1.5 * q);
+    ASSERT_NE(quantize_gain(up.gain(winner, rb), q),
+              quantize_gain(base.gain(winner, rb), q));
+    EXPECT_NE(problem_signature(up), problem_signature(base)) << "rb " << rb;
+  }
+}
+
+TEST(ProblemSignature, AssignmentFlipMovesTheKey) {
+  // Users 0 and 1 tie on RB 0, so either may own it with the same assigned
+  // gains: only the assignment word differs.
+  RraProblem p = three_user_problem();
+  p.gain(1, 0) = p.gain(0, 0);
+  const qos::Assignment a = qos::best_gain_assignment(p);
+  ASSERT_EQ(a[0], 0u);
+  qos::Assignment flipped = a;
+  flipped[0] = 1;
+  EXPECT_NE(problem_signature(p, a), problem_signature(p, flipped));
+}
+
+TEST(ProblemSignature, DeadAndInfiniteAssignedGainsKeepTheirBuckets) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const RraProblem base = three_user_problem();
+  const qos::Assignment a = qos::best_gain_assignment(base);
+  const auto with_assigned = [&](double g) {
+    RraProblem p = base;
+    p.gain(a[2], 2) = g;
+    return problem_signature(p, a);
+  };
+  // NaN, zero and -inf share the dead-RB bucket; +inf has its own, apart
+  // from the largest finite gain.
+  const std::uint64_t dead = with_assigned(0.0);
+  EXPECT_EQ(with_assigned(nan), dead);
+  EXPECT_EQ(with_assigned(-inf), dead);
+  EXPECT_NE(with_assigned(inf), dead);
+  EXPECT_NE(with_assigned(inf),
+            with_assigned(std::numeric_limits<double>::max()));
+  EXPECT_NE(with_assigned(1.5), dead);
+  // An all-NaN RB goes to user 0 and buckets dead, like an all-zero RB.
+  RraProblem all_nan = base;
+  RraProblem all_zero = base;
+  for (std::size_t u = 0; u < 3; ++u) {
+    all_nan.gain(u, 1) = nan;
+    all_zero.gain(u, 1) = 0.0;
+  }
+  EXPECT_EQ(qos::best_gain_assignment(all_nan)[1], 0u);
+  EXPECT_EQ(problem_signature(all_nan), problem_signature(all_zero));
 }
 
 TEST(ProblemSignature, QuantumControlsSensitivity) {

@@ -2,22 +2,23 @@
 // cache signatures hash together, one chain per cell.
 //
 // Every piece must reproduce its one-cell form bit for bit: the multi-
-// problem signature against problem_signature, the word-at-a-time FNV-1a
-// against the byte loop, and the tick's answers across thread counts, chunk
-// sizes and an armed fault spec.
+// problem signature against problem_signature, and the tick's answers
+// across thread counts, chunk sizes and an armed fault spec.  The tick's
+// solution hash, four cell chains at a time, must move with every answer
+// bit and with nothing else.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "rcr/numerics/rng.hpp"
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/alloc_probe.hpp"
 #include "rcr/rt/parallel.hpp"
+#include "rcr/rt/simd.hpp"
 #include "rcr/rt/thread_pool.hpp"
 #include "rcr/serve/service.hpp"
 
@@ -38,38 +39,19 @@ WorkloadConfig wide_refresh() {
   return wc;
 }
 
-std::uint64_t byte_fnv1a(const unsigned char* p, std::size_t n,
-                         std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-TEST(TickGroups, WordFnvMatchesTheByteLoop) {
-  num::Rng rng(7);
-  std::vector<unsigned char> buf(80);
-  for (std::uint64_t seed : {1469598103934665603ull, 0ull, 42ull}) {
-    for (int trial = 0; trial < 40; ++trial) {
-      // Random bytes with zero runs of every length, at every offset.
-      for (unsigned char& b : buf)
-        b = rng.uniform() < 0.5 ? 0
-                                : static_cast<unsigned char>(
-                                      1 + rng.uniform() * 254.0);
-      for (std::size_t start = 0; start < 8; ++start)
-        for (std::size_t len = 0; len <= 64; ++len)
-          ASSERT_EQ(fnv1a_bytes(buf.data() + start, len, seed),
-                    byte_fnv1a(buf.data() + start, len, seed))
-              << "start " << start << " len " << len;
-    }
-  }
-  // Index words below 256: one live byte each.
-  std::vector<std::size_t> users = {0, 1, 255, 7, 0, 0, 16, 254};
-  EXPECT_EQ(fnv1a_bytes(users.data(), users.size() * sizeof(std::size_t)),
-            byte_fnv1a(reinterpret_cast<const unsigned char*>(users.data()),
-                       users.size() * sizeof(std::size_t),
-                       1469598103934665603ull));
+TEST(TickGroups, FnvMatchesKnownVectors) {
+  // The published 64-bit FNV-1a vectors from the published offset basis,
+  // and chaining through the seed.
+  const std::uint64_t basis = 0xcbf29ce484222325ull;
+  EXPECT_EQ(fnv1a_bytes("", 0, basis), basis);
+  EXPECT_EQ(fnv1a_bytes("a", 1, basis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a_bytes("foobar", 6, basis), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a_bytes("bar", 3, fnv1a_bytes("foo", 3, basis)),
+            0x85944171f73967e8ull);
+  // The default seed, which the committed fleet report hashes were made
+  // with.
+  EXPECT_EQ(fnv1a_bytes("", 0), kHashBasis);
+  EXPECT_EQ(fnv1a_bytes("foobar", 6), 9870438755804841970ull);
 }
 
 TEST(TickGroups, MultiProblemSignaturesMatchOneAtATime) {
@@ -81,10 +63,15 @@ TEST(TickGroups, MultiProblemSignaturesMatchOneAtATime) {
   std::vector<RraProblem> problems;
   for (std::size_t c = 0; c < wc.num_cells; ++c)
     problems.push_back(workload.cell(c));
-  // A dead RB, an infinite gain and a subnormal one take the reference.
-  problems[2].gain(0, 3) = 0.0;
+  // Assigned gains off the fast path take the reference: a dead RB (every
+  // gain zero), an all-NaN RB, an infinite gain and a subnormal one.
+  for (std::size_t u = 0; u < problems[2].num_users(); ++u)
+    problems[2].gain(u, 3) = 0.0;
+  for (std::size_t u = 0; u < problems[3].num_users(); ++u)
+    problems[3].gain(u, 7) = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t u = 0; u < problems[5].num_users(); ++u)
+    problems[5].gain(u, 5) = u == 0 ? 4.9e-324 : 0.0;
   problems[4].gain(1, 0) = std::numeric_limits<double>::infinity();
-  problems[5].gain(0, 5) = 4.9e-324;
   std::vector<qos::Assignment> assignments;
   for (const RraProblem& p : problems)
     assignments.push_back(qos::best_gain_assignment(p));
@@ -122,11 +109,15 @@ TEST(TickGroups, MultiProblemSignaturesMatchOneAtATime) {
   const qos::Assignment* a_short = &short_assignment;
   EXPECT_THROW(problem_signatures({&p0, 1}, {&a_short, 1}, {}, {two.data(), 1}),
                std::invalid_argument);
+  // The key reads gain(assignment[rb], rb): every entry must name a user.
+  qos::Assignment stray = assignments[0];
+  stray.back() = problems[0].num_users();
+  EXPECT_THROW(problem_signature(problems[0], stray), std::invalid_argument);
 }
 
 TEST(TickGroups, SignaturesSizeTheirWordsFromTheFloorsGiven) {
   // problem_signature does not validate: a floor vector longer than the
-  // user count is hashed in full, and so is every gain after it.
+  // user count is hashed in full, and so is every assigned gain after it.
   WorkloadConfig wc = wide_refresh();
   wc.num_cells = 5;
   wc.num_rbs = 6;
@@ -137,17 +128,20 @@ TEST(TickGroups, SignaturesSizeTheirWordsFromTheFloorsGiven) {
     problems.push_back(workload.cell(c));
     problems.back().min_rate.resize(problems.back().num_users() + 7, 0.5);
   }
-  RraProblem moved = problems[3];
-  double& last_gain = moved.gain(moved.num_users() - 1, wc.num_rbs - 1);
-  last_gain = 4.0 * last_gain + 1.0;
   // best_gain_assignment validates, so it runs on a copy with matching
-  // floors; the moved gain keeps problem 3's assignment.
+  // floors.
   std::vector<qos::Assignment> assignments;
   for (const RraProblem& p : problems) {
     RraProblem valid = p;
     valid.min_rate.resize(p.num_users());
     assignments.push_back(qos::best_gain_assignment(valid));
   }
+  // The last RB's winner gains more and stays the winner, so problem 3's
+  // assignment still holds.
+  RraProblem moved = problems[3];
+  const std::size_t last_rb = wc.num_rbs - 1;
+  double& last_gain = moved.gain(assignments[3][last_rb], last_rb);
+  last_gain = 4.0 * last_gain + 1.0;
   std::vector<const RraProblem*> ps;
   std::vector<const qos::Assignment*> as;
   for (std::size_t c = 0; c < problems.size(); ++c) {
@@ -235,6 +229,88 @@ TEST(TickGroups, AnswersMatchAcrossThreadsChunksAndArmedSpecs) {
     robust::faults::ScopedFaults armed("seed=3,rate=0.2,sites=serve.*");
     EXPECT_EQ(run_ticks(stormy, ticks), storm_serial) << "threads " << threads;
   }
+}
+
+/// Every cell's answer after `ticks` ticks of the wide-refresh fleet, and
+/// the last tick's solution hash.
+std::vector<CellAllocation> last_answers(std::size_t ticks,
+                                         std::uint64_t& hash) {
+  const WorkloadConfig wc = wide_refresh();
+  DiurnalWorkload workload(wc);
+  AllocationService service(ServiceConfig{}, wc.num_cells);
+  for (std::size_t t = 0; t < ticks; ++t) {
+    workload.advance(t);
+    hash = service.tick(t, workload).solution_hash;
+  }
+  std::vector<CellAllocation> answers;
+  for (std::size_t c = 0; c < wc.num_cells; ++c)
+    answers.push_back(service.allocation(c));
+  return answers;
+}
+
+TEST(TickGroups, SolutionHashMovesWithEveryAnswerBitAndNothingElse) {
+  std::uint64_t reported = 0;
+  std::vector<CellAllocation> answers;
+  {
+    rt::ForceSerialGuard serial;
+    answers = last_answers(6, reported);
+  }
+  const std::uint64_t base = solution_hash(answers);
+  EXPECT_EQ(base, reported);
+  // A fleet that is not a whole number of four-cell groups hashes its tail
+  // chains one at a time.
+  EXPECT_NE(solution_hash({answers.data(), 7}), solution_hash(answers));
+
+  std::size_t moves = 0;
+  std::size_t probes = 0;
+  for (CellAllocation& a : answers) {
+    for (double& p : a.power) {
+      const double saved = p;
+      for (int bit = 0; bit < 64; ++bit) {
+        p = std::bit_cast<double>(std::bit_cast<std::uint64_t>(saved) ^
+                                  (std::uint64_t{1} << bit));
+        moves += solution_hash(answers) != base;
+        ++probes;
+      }
+      p = saved;
+    }
+    for (std::size_t& user : a.assignment) {
+      const std::size_t saved = user;
+      user = saved + 1;
+      moves += solution_hash(answers) != base;
+      user = saved == 0 ? 1 : saved - 1;
+      moves += solution_hash(answers) != base;
+      probes += 2;
+      user = saved;
+    }
+  }
+  EXPECT_EQ(moves, probes);
+  // Restored, and blind to what is not the answer.
+  EXPECT_EQ(solution_hash(answers), base);
+  answers[3].sum_rate += 1.0;
+  answers[3].iterations += 5;
+  answers[3].served = Served::kCache;
+  EXPECT_EQ(solution_hash(answers), base);
+}
+
+TEST(TickGroups, SolutionHashHoldsAcrossPoolsAndDispatchPaths) {
+  std::uint64_t serial = 0;
+  {
+    rt::ForceSerialGuard guard;
+    last_answers(6, serial);
+  }
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadCount pool(threads);
+    std::uint64_t hash = 0;
+    last_answers(6, hash);
+    EXPECT_EQ(hash, serial) << "threads " << threads;
+  }
+  // Serial ticks run every kernel on this thread, so the guard covers them.
+  rt::ForceSerialGuard guard;
+  rt::simd::ForceScalarGuard scalar;
+  std::uint64_t hash = 0;
+  last_answers(6, hash);
+  EXPECT_EQ(hash, serial);
 }
 
 TEST(TickGroups, SteadyWideRefreshTickAllocationsDoNotRise) {

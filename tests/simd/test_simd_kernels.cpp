@@ -170,10 +170,10 @@ TEST(SimdKernels, ButterflyMatchesScalarBitExact) {
   }
 }
 
-// The box-QP sweep's inputs for one case: pass 1 reads z, u, q, d; pass 2
-// reads the x pass 1 wrote (or the case's own x), lo, hi and z.
+// The box-QP sweep's inputs for one case: pass 1 reads z, u, q, inv_d;
+// pass 2 reads the x pass 1 wrote (or the case's own x), lo, hi and z.
 struct SweepCase {
-  Vec z, u, q, d, lo, hi, x;
+  Vec z, u, q, inv_d, lo, hi, x;
   double gamma = 0.0;
 };
 
@@ -185,11 +185,11 @@ SweepCase sweep_case(std::size_t n, num::Rng& rng) {
   c.u = rng.normal_vec(n);
   c.q = rng.normal_vec(n);
   c.x = rng.normal_vec(n);
-  c.d.resize(n);
+  c.inv_d.resize(n);
   c.lo.resize(n);
   c.hi.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    c.d[i] = 0.05 + 2.0 * rng.uniform();
+    c.inv_d[i] = 1.0 / (0.05 + 2.0 * rng.uniform());
     c.lo[i] = -0.2 - rng.uniform();
     c.hi[i] = 0.2 + rng.uniform();
     switch (i % 6) {
@@ -241,16 +241,30 @@ SweepOut run_sweep(const simd::Kernels& k, const SweepCase& c) {
   o.z_out.assign(n, 0.0);
   o.primal_terms.assign(n, 0.0);
   o.dual_terms.assign(n, 0.0);
-  o.pass1 = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(),
-                          c.d.data(), o.x.data(), c.q.data(), c.d.data(), n);
-  k.boxqp_zu_seq(c.gamma, c.d.data(), c.x.data(), c.lo.data(), c.hi.data(),
-                 c.z.data(), o.u.data(), o.z_out.data(),
-                 o.primal_terms.data(), o.dual_terms.data(), n);
+  o.pass1 = k.boxqp_x(0.7, c.z.data(), c.u.data(), c.q.data(),
+                      c.inv_d.data(), o.x.data(), c.q.data(), c.inv_d.data(),
+                      n);
+  k.boxqp_zu(c.gamma, c.inv_d.data(), c.x.data(), c.lo.data(), c.hi.data(),
+             c.z.data(), o.u.data(), o.z_out.data(), o.primal_terms.data(),
+             o.dual_terms.data(), n);
   Vec scratch(n, 0.0);
-  o.sums = k.boxqp_x_seq(0.7, c.z.data(), c.u.data(), c.q.data(), c.d.data(),
-                         scratch.data(), o.primal_terms.data(),
-                         o.dual_terms.data(), n);
+  o.sums = k.boxqp_x(0.7, c.z.data(), c.u.data(), c.q.data(), c.inv_d.data(),
+                     scratch.data(), o.primal_terms.data(),
+                     o.dual_terms.data(), n);
   return o;
+}
+
+/// SweepSums' order, written out: lane j adds the entries i = j mod 4
+/// below the last multiple of 4 from 0.0, the lanes combine as
+/// (l0 + l1) + (l2 + l3), then the tail adds in ascending order.
+double lane_sum(const Vec& v) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= v.size(); i += 4)
+    for (std::size_t j = 0; j < 4; ++j) lane[j] += v[i + j];
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < v.size(); ++i) sum += v[i];
+  return sum;
 }
 
 TEST(SimdKernels, BoxQpSweepMatchesScalarBitExact) {
@@ -280,10 +294,23 @@ TEST(SimdKernels, BoxQpSweepMatchesScalarBitExact) {
         EXPECT_TRUE(tk::same_bits(active.pass1.dual2, scalar.pass1.dual2));
         EXPECT_TRUE(tk::same_bits(active.sums.primal2, scalar.sums.primal2));
         EXPECT_TRUE(tk::same_bits(active.sums.dual2, scalar.sums.dual2));
+        // Every sum runs in the four-lane order, and pass 1 multiplies by
+        // the reciprocal diagonal.
+        EXPECT_TRUE(tk::same_bits(scalar.pass1.x, lane_sum(scalar.x)));
+        EXPECT_TRUE(tk::same_bits(scalar.pass1.primal2, lane_sum(c.q)));
+        EXPECT_TRUE(tk::same_bits(scalar.pass1.dual2, lane_sum(c.inv_d)));
+        EXPECT_TRUE(
+            tk::same_bits(scalar.sums.primal2, lane_sum(scalar.primal_terms)));
+        EXPECT_TRUE(
+            tk::same_bits(scalar.sums.dual2, lane_sum(scalar.dual_terms)));
+        for (std::size_t i = 0; i < len; ++i)
+          EXPECT_TRUE(tk::same_bits(
+              scalar.x[i], (0.7 * (c.z[i] - c.u[i]) - c.q[i]) * c.inv_d[i]))
+              << "index " << i;
         // The projection is std::clamp's: a NaN passes through, and with
         // gamma = 0 the crafted entries land exactly on their bounds.
         for (std::size_t i = 0; i < len; ++i) {
-          const double v = c.x[i] - c.gamma / c.d[i] + c.u[i];
+          const double v = c.x[i] - c.gamma * c.inv_d[i] + c.u[i];
           EXPECT_TRUE(tk::same_bits(scalar.z_out[i],
                                     std::clamp(v, c.lo[i], c.hi[i])))
               << "index " << i;
