@@ -45,6 +45,19 @@ struct StepRecord {
 /// add() past this throws.
 inline constexpr std::size_t kMaxChainSteps = 4;
 
+/// One chain run's records, a record per step in add() order.
+using StepRecords = std::array<StepRecord, kMaxChainSteps>;
+
+/// Steps that failed or were skipped, a banked winner's own failure
+/// included: how far the run fell through the chain.
+inline std::size_t fallthrough(const StepRecords& records) {
+  std::size_t n = 0;
+  for (const StepRecord& r : records)
+    if (r.outcome == StepOutcome::kFailed || r.outcome == StepOutcome::kSkipped)
+      ++n;
+  return n;
+}
+
 /// `ChainOutcome::winner` when no step produced the value.
 inline constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
 
@@ -60,18 +73,10 @@ struct ChainOutcome {
   /// usable-but-degraded answer keeps its kFailed record and is still the
   /// winner; kNoWinner when nothing usable was produced.
   std::size_t winner = kNoWinner;
-  std::array<StepRecord, kMaxChainSteps> records{};  ///< In add() order.
+  StepRecords records{};
 
-  /// Steps that failed or were skipped, a banked winner's own failure
-  /// included: how far the run fell through the chain.
-  std::size_t fallthrough() const {
-    std::size_t n = 0;
-    for (const StepRecord& r : records)
-      if (r.outcome == StepOutcome::kFailed ||
-          r.outcome == StepOutcome::kSkipped)
-        ++n;
-    return n;
-  }
+  /// robust::fallthrough of this run's records.
+  std::size_t fallthrough() const { return robust::fallthrough(records); }
 };
 
 /// Ordered list of solver attempts, tightest first.

@@ -210,11 +210,18 @@ void avx2_butterfly(std::complex<double>* lo, std::complex<double>* hi,
     _mm256_storeu_pd(plo + 2 * k, _mm256_add_pd(u, v));
     _mm256_storeu_pd(phi + 2 * k, _mm256_sub_pd(u, v));
   }
-  for (; k < n; ++k) {
-    const std::complex<double> u = lo[k];
-    const std::complex<double> v = hi[k] * tw[k];
-    lo[k] = u + v;
-    hi[k] = u - v;
+  if (k < n) {
+    // The odd last pair, the same way on one 128-bit vector.  A
+    // std::complex product here would be vectorized into vfmaddsub by a
+    // global -mfma build, -ffp-contract=off notwithstanding.
+    const __m128d h = _mm_loadu_pd(phi + 2 * k);
+    const __m128d t = _mm_loadu_pd(ptw + 2 * k);
+    const __m128d v = _mm_addsub_pd(
+        _mm_mul_pd(_mm_movedup_pd(h), t),
+        _mm_mul_pd(_mm_unpackhi_pd(h, h), _mm_shuffle_pd(t, t, 1)));
+    const __m128d u = _mm_loadu_pd(plo + 2 * k);
+    _mm_storeu_pd(plo + 2 * k, _mm_add_pd(u, v));
+    _mm_storeu_pd(phi + 2 * k, _mm_sub_pd(u, v));
   }
 }
 

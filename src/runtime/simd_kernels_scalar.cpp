@@ -78,6 +78,12 @@ void scalar_choose_mul(const double* w, const double* pos, const double* neg,
     out[i] = w[i] * (w[i] >= 0.0 ? pos[i] : neg[i]);
 }
 
+// gcc vectorizes this complex product into vfmaddsub under a global -mfma,
+// -ffp-contract=off notwithstanding; unvectorized, it rounds each product
+// and sum as the vector paths do.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
 void scalar_butterfly(std::complex<double>* lo, std::complex<double>* hi,
                       const std::complex<double>* tw, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {

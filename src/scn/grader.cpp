@@ -224,12 +224,9 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
 
       // --- Degradation soundness -------------------------------------
       const Rubric rubric = rubric_of(alloc.served);
+      const std::size_t fallthrough = robust::fallthrough(alloc.records);
       bool sound = true;
-      if (!alloc.status.usable()) {
-        sound = false;
-        record(std::string(where) + "unusable status " +
-               alloc.status.to_string());
-      } else if (alloc.step != serve::to_string(alloc.served)) {
+      if (alloc.step != serve::to_string(alloc.served)) {
         sound = false;
         record(std::string(where) + "allocation's step '" + alloc.step +
                "' disagrees with its served record");
@@ -241,24 +238,14 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       } else if (alloc.assignment.size() != problem.num_rbs()) {
         sound = false;
         record(std::string(where) + "assignment length mismatch");
-      } else if (alloc.fallthrough < rubric.min_fallthrough) {
+      } else if (fallthrough < rubric.min_fallthrough) {
         // Equal power may only answer after both sound steps (admm,
         // waterfill) fell through on the record, waterfill after admm.
         sound = false;
         record(std::string(where) + "step '" + alloc.step + "' answered after " +
-               std::to_string(alloc.fallthrough) +
+               std::to_string(fallthrough) +
                " failed or skipped chain steps; it needs " +
                std::to_string(rubric.min_fallthrough));
-      } else if (rubric.snapshot &&
-                 alloc.status.code != robust::StatusCode::kDegraded) {
-        // Overload snapshot service must mark itself degraded.
-        sound = false;
-        record(std::string(where) + "snapshot-served step '" + alloc.step +
-               "' carries no degraded status");
-      } else if (!rubric.head && alloc.status.trail.empty()) {
-        sound = false;
-        record(std::string(where) + "degraded step '" + alloc.step +
-               "' carries an empty degradation trail");
       }
       if (!sound) ++v.unsound_degradations;
 

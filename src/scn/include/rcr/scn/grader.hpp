@@ -10,12 +10,12 @@
 //                        answered through the chain, not a deadline fill)
 //   deadline     20 pts  fraction of cell-ticks answered by the chain head
 //                        (cache hit or converged ADMM — no degradation)
-//   soundness    20 pts  all-or-nothing: every degraded answer must carry a
-//                        non-empty FallbackChain trail, stay usable and
-//                        finite, and reach a heuristic step only after the
-//                        sound steps failed or were skipped -- read from the
-//                        typed CellAllocation record (served, fallthrough,
-//                        injected), never from trail text
+//   soundness    20 pts  all-or-nothing: every answer must be finite and
+//                        full length, and a chain step below the head may
+//                        answer only after the steps above it failed or were
+//                        skipped -- read from the typed CellAllocation record
+//                        (served and the chain run's step records), never
+//                        from text
 //
 // A scenario's verdict is kUnsound the moment any degradation breaks the
 // soundness contract (the fleet gate: zero unsound verdicts on the seed

@@ -9,12 +9,10 @@
 // false for a cached answer.
 #pragma once
 
-#include <cstdint>
-
 #include "rcr/numerics/vector_ops.hpp"
 #include "rcr/opt/admm.hpp"
 #include "rcr/qos/rra.hpp"
-#include "rcr/robust/status.hpp"
+#include "rcr/robust/fallback.hpp"
 
 namespace rcr::serve {
 
@@ -26,8 +24,7 @@ namespace detail {
 struct CachedAnswer {
   Vec power;
   double sum_rate = 0.0;
-  robust::Status status;
-  std::uint8_t fallthrough = 0;  ///< At most robust::kMaxChainSteps.
+  robust::StepRecords records{};
   opt::WarmUse warm_use = opt::WarmUse::kCold;
 };
 

@@ -37,8 +37,8 @@ struct AdmissionConfig {
 /// What the tick boundary decided for one cell.
 enum class AdmitDecision {
   kAdmit,       ///< Run the solve chain this tick.
-  kDefer,       ///< Reuse the last-known-good allocation ("degraded:stale").
-  kShed,        ///< Dropped by budget/staleness/injection ("degraded:shed").
+  kDefer,       ///< Reuse the last-known-good allocation (kSnapshot).
+  kShed,        ///< Dropped by budget/staleness/injection (kShedFill).
   kQuarantine,  ///< Watchdog quarantine: served from snapshot.
 };
 

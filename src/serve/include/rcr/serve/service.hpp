@@ -20,11 +20,12 @@
 //
 // Degradation: each cell solves through a FallbackChain "serve.cell"
 // (warm-started ADMM power QP -> water-filling -> equal power); when the
-// tick deadline expires before a cell's chain starts, the cell is filled
-// with the equal-power allocation inline so every cell always has an
-// answer.  Each answer carries a typed record of how it was served
-// (CellAllocation::served, fallthrough, injected); everything that decides
-// anything reads that record, and the status trail is audit text only.
+// tick deadline expires before any step answers, the cell is filled with
+// the equal-power allocation inline so every cell always has an answer.
+// An answer is typed data: how it was served (CellAllocation::served),
+// the chain run's per-step records and whether an injected shed made it.
+// The breakers, the brownout depth, the tick report, the exported
+// rcr.serve.cell_outcome counter and the scn grader read nothing else.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,7 @@
 
 #include "rcr/opt/admm.hpp"
 #include "rcr/qos/rra.hpp"
-#include "rcr/robust/status.hpp"
+#include "rcr/robust/fallback.hpp"
 #include "rcr/serve/cache.hpp"
 #include "rcr/serve/cached_answer.hpp"
 #include "rcr/serve/overload.hpp"
@@ -101,14 +102,14 @@ struct CellAllocation {
   std::size_t iterations = 0;  ///< ADMM iterations spent (0 on hit/fallback).
   opt::WarmUse warm_use = opt::WarmUse::kCold;
   Served served = Served::kAdmm;  ///< How this answer was produced.
-  /// serve.cell chain steps that failed or were skipped on the run that
-  /// produced this answer (ChainOutcome::fallthrough); a cache hit carries
-  /// the cached run's count, a snapshot-served answer 0.
-  std::size_t fallthrough = 0;
+  /// The serve.cell chain run that produced this answer, a record per step
+  /// (robust::fallthrough counts how far it fell); a cache hit carries the
+  /// cached run's records, and an answer no chain ran this tick (snapshot,
+  /// shed, quarantine) all kNotRun.
+  robust::StepRecords records{};
   bool injected = false;       ///< An injected (serve.admit.shed) shed.
   std::string step;            ///< to_string(served), for readers that
                                ///< still take the name.
-  robust::Status status;       ///< Audit text; decide nothing from it.
 };
 
 /// True when the watchdog passes `alloc` and the solution cache may keep
@@ -229,8 +230,8 @@ class AllocationService {
   /// Serve a non-admitted cell from its snapshot (or an equal-power
   /// rebuild when the snapshot no longer matches the problem shape).
   CellAllocation serve_from_snapshot(const RraProblem& problem,
-                                     std::size_t cell, std::uint64_t tick,
-                                     AdmitDecision reason, bool injected);
+                                     std::size_t cell, AdmitDecision reason,
+                                     bool injected);
   /// The tick's admission plan, into plan_ (gates_ holds its inputs).
   void build_plan(std::uint64_t tick, bool full_shed, BrownoutState state);
 

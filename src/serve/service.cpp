@@ -103,8 +103,7 @@ namespace detail {
 void store_answer(const CellAllocation& alloc, CachedAnswer& entry) {
   entry.power = alloc.power;
   entry.sum_rate = alloc.sum_rate;
-  entry.status = alloc.status;
-  entry.fallthrough = static_cast<std::uint8_t>(alloc.fallthrough);
+  entry.records = alloc.records;
   entry.warm_use = alloc.warm_use;
 }
 
@@ -117,9 +116,8 @@ bool restore_answer(const CachedAnswer& entry,
   out.iterations = 0;
   out.warm_use = entry.warm_use;
   serve_as(out, Served::kCache);
-  out.fallthrough = entry.fallthrough;
+  out.records = entry.records;
   out.injected = false;
-  out.status = entry.status;
   return true;
 }
 
@@ -208,7 +206,7 @@ void AllocationService::serve_group(std::size_t c0, std::size_t c1,
     if (plan.decisions[c] == AdmitDecision::kAdmit)
       solve_cell(problem, c, tick, tick * cells + c, sigs[k++], deadline);
     else
-      current_[c] = serve_from_snapshot(problem, c, tick, plan.decisions[c],
+      current_[c] = serve_from_snapshot(problem, c, plan.decisions[c],
                                         plan.injected[c]);
   }
 }
@@ -314,17 +312,10 @@ void AllocationService::solve_cell(const RraProblem& problem,
           },
           [s = &solve]() -> robust::Result<StepAnswer> {
              robust::Result<StepAnswer> out;
-             if (faults::should_inject("serve.admm.outage", s->stamp)) {
-               out.status = robust::make_status(
-                   robust::StatusCode::kNumericalFailure,
-                   "injected serve.admm.outage");
-               return out;
-             }
-             if (s->config.breaker.enabled &&
-                 faults::should_inject("serve.breaker.trip", s->stamp)) {
-               out.status = robust::make_status(
-                   robust::StatusCode::kNumericalFailure,
-                   "injected serve.breaker.trip");
+             if (faults::should_inject("serve.admm.outage", s->stamp) ||
+                 (s->config.breaker.enabled &&
+                  faults::should_inject("serve.breaker.trip", s->stamp))) {
+               out.status.code = robust::StatusCode::kNumericalFailure;
                return out;
              }
              CellScratch& w = s->work;
@@ -336,9 +327,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
              if (!opt::try_prefactor_dpr1(s->p_diag, s->n, s->off_diag,
                                           s->config.admm_rho, w.factor)) {
                if (s->warm != nullptr) s->warm->clear();
-               out.status = robust::make_status(
-                   robust::StatusCode::kNumericalFailure,
-                   "power QP has a non-finite curvature");
+               out.status.code = robust::StatusCode::kNumericalFailure;
                return out;
              }
              if (!w.factor.status.ok()) {
@@ -379,9 +368,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
           [s = &solve]() -> robust::Result<StepAnswer> {
              robust::Result<StepAnswer> out;
              if (faults::should_inject("serve.waterfill.outage", s->stamp)) {
-               out.status = robust::make_status(
-                   robust::StatusCode::kNumericalFailure,
-                   "injected serve.waterfill.outage");
+               out.status.code = robust::StatusCode::kNumericalFailure;
                return out;
              }
              out.value.power = qos::waterfill(s->work.gains, s->budget);
@@ -417,15 +404,14 @@ void AllocationService::solve_cell(const RraProblem& problem,
   alloc.assignment = work.assignment;
   alloc.iterations = outcome.value.iterations;
   alloc.warm_use = outcome.value.warm_use;
-  alloc.fallthrough = outcome.fallthrough();
+  alloc.records = outcome.records;
   alloc.injected = false;
-  alloc.status = std::move(outcome.status);
-  if (alloc.status.code == robust::StatusCode::kFallbackExhausted) {
-    // Deadline fired before any step could run: every cell still gets an
-    // answer -- the zero-information equal split.
+  if (outcome.winner == robust::kNoWinner) {
+    // The deadline fired before any step answered (the equal-power tail
+    // never fails): every cell still gets an answer -- the
+    // zero-information equal split.
     alloc.power.assign(n, p0);
     serve_as(alloc, Served::kDeadlineFill);
-    alloc.status.note("deadline expired before any step; equal-power fill");
     obs::counter_add("rcr.serve.deadline_fills");
   } else {
     alloc.power.swap(outcome.value.power);
@@ -438,7 +424,6 @@ void AllocationService::solve_cell(const RraProblem& problem,
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
     alloc.power[0] = std::numeric_limits<double>::quiet_NaN();
-    alloc.status.note("injected serve.solve.corrupt");
   }
   alloc.sum_rate = sum_rate_of(work.gains, alloc.power);
 
@@ -450,8 +435,8 @@ void AllocationService::solve_cell(const RraProblem& problem,
 }
 
 CellAllocation AllocationService::serve_from_snapshot(
-    const RraProblem& problem, std::size_t cell, std::uint64_t tick,
-    AdmitDecision reason, bool injected) {
+    const RraProblem& problem, std::size_t cell, AdmitDecision reason,
+    bool injected) {
   const CellRuntime& rtc = runtime_[cell];
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
@@ -478,30 +463,17 @@ CellAllocation AllocationService::serve_from_snapshot(
   alloc.sum_rate =
       sum_rate_of(qos::assigned_gains(problem, alloc.assignment), alloc.power);
 
-  const std::uint64_t age =
-      tick >= rtc.last_fresh_tick ? tick - rtc.last_fresh_tick : 0;
-  alloc.status.code = robust::StatusCode::kDegraded;
+  // No chain ran for this answer: its records stay kNotRun.
   switch (reason) {
     case AdmitDecision::kDefer:
       serve_as(alloc, Served::kSnapshot);
-      alloc.status.detail = "deferred by admission control";
-      alloc.status.note("degraded:stale (age " + std::to_string(age) +
-                        " ticks)");
       break;
     case AdmitDecision::kShed:
       serve_as(alloc, Served::kShedFill);
       alloc.injected = injected;
-      alloc.status.detail = "shed by admission control";
-      alloc.status.note(injected
-                            ? "degraded:shed (injected serve.admit.shed)"
-                            : "degraded:shed (age " + std::to_string(age) +
-                                  " ticks)");
       break;
     case AdmitDecision::kQuarantine:
       serve_as(alloc, Served::kQuarantine);
-      alloc.status.detail = "watchdog quarantine";
-      alloc.status.note("degraded:quarantined (until tick " +
-                        std::to_string(rtc.quarantine_until) + ")");
       break;
     case AdmitDecision::kAdmit:
       break;
@@ -596,7 +568,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
         plan.decisions[c] = AdmitDecision::kQuarantine;
         --plan.admitted;
         ++plan.quarantined;
-        current_[c] = serve_from_snapshot(problem_of(c), c, tick,
+        current_[c] = serve_from_snapshot(problem_of(c), c,
                                           AdmitDecision::kQuarantine, false);
       }
     }
@@ -613,7 +585,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
         // Fallback-depth proxy for the brownout controller: one clean head
         // answer is depth 1, every failed or gated step adds one.
         ++chain_cells;
-        chain_steps += 1 + a.fallthrough;
+        chain_steps += 1 + robust::fallthrough(a.records);
       }
       // Freshness bookkeeping: any chain or cache answer refreshes the
       // staleness clock; only finite non-fill answers refresh the
@@ -627,6 +599,9 @@ TickReport AllocationService::tick(std::size_t tick_index,
     } else {
       ++report.degraded;
     }
+    // The typed reason, exported; to_string returns literals, which the
+    // registry's static-storage rule for names asks for.
+    obs::counter_add("rcr.serve.cell_outcome", "served", to_string(a.served));
     report.sum_rate += a.sum_rate;
   }
   report.solution_hash = solution_hash(current_);

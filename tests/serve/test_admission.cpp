@@ -11,6 +11,7 @@
 #include "rcr/rt/parallel.hpp"
 #include "rcr/serve/overload.hpp"
 #include "rcr/serve/service.hpp"
+#include "served_records.hpp"
 
 namespace rcr::serve {
 namespace {
@@ -37,12 +38,6 @@ ServiceConfig admission_config() {
                               qos::ServiceClass::kEmbb,
                               qos::ServiceClass::kMmtc};
   return sc;
-}
-
-bool trail_has(const robust::Status& status, const char* needle) {
-  for (const std::string& line : status.trail)
-    if (line.find(needle) != std::string::npos) return true;
-  return false;
 }
 
 TEST(PriorityRank, UrllcOutranksEmbbOutranksMmtc) {
@@ -207,12 +202,11 @@ TEST(Admission, BudgetCapsSolvesAndHighPriorityCellsStayFresh) {
         total += p;
       }
       EXPECT_LE(total, wc.total_power * (1.0 + 1e-9));
-      EXPECT_TRUE(a.status.usable());
     }
   }
 }
 
-TEST(Admission, DeferredCellsCarryDegradedStaleTrail) {
+TEST(Admission, DeferredCellsRunNoChainStep) {
   const WorkloadConfig wc = admission_workload();
   DiurnalWorkload wl(wc);
   ServiceConfig sc = admission_config();
@@ -225,14 +219,10 @@ TEST(Admission, DeferredCellsCarryDegradedStaleTrail) {
     service.tick(t, wl);
     for (std::size_t c = 0; c < wc.num_cells; ++c) {
       const CellAllocation& a = service.allocation(c);
-      if (a.step == "snapshot") {
-        ++stale_served;
-        EXPECT_TRUE(trail_has(a.status, "degraded:stale"))
-            << "cell " << c << " tick " << t;
-        EXPECT_EQ(a.status.code, robust::StatusCode::kDegraded);
-      } else if (a.step == "shed-fill") {
-        EXPECT_TRUE(trail_has(a.status, "degraded:shed"));
-      }
+      SCOPED_TRACE("cell " + std::to_string(c) + " tick " +
+                   std::to_string(t));
+      if (a.served == Served::kSnapshot) ++stale_served;
+      expect_records_match_served(a);
     }
   }
   EXPECT_GT(stale_served, 0u) << "budget of 3 over 6 cells never deferred";

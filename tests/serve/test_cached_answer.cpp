@@ -1,5 +1,5 @@
 // The solution cache keeps a CachedAnswer, not a CellAllocation: the power
-// vector, sum_rate, fallthrough, warm_use and the status.  A hit rebuilds
+// vector, sum_rate, the chain's step records and warm_use.  A hit rebuilds
 // its assignment from the tick's best-gain assignment, which the signature
 // pins word for word.
 //
@@ -51,17 +51,18 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-void expect_same_status(const robust::Status& got,
-                        const robust::Status& want) {
-  EXPECT_EQ(got.code, want.code);
-  EXPECT_EQ(got.detail, want.detail);
-  EXPECT_EQ(got.trail, want.trail);
+void expect_same_records(const robust::StepRecords& got,
+                         const robust::StepRecords& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].outcome, want[i].outcome) << "step " << i;
+    EXPECT_EQ(got[i].code, want[i].code) << "step " << i;
+  }
 }
 
 struct DiffCounts {
   std::size_t hits = 0;
   std::size_t cell_ticks = 0;
-  std::size_t degraded_hits = 0;  ///< Hits whose status is not a clean kOk.
+  std::size_t degraded_hits = 0;  ///< Hits of a run that fell through.
 };
 
 /// Serve `ticks` ticks of the narrow soak and hold every kCache answer to
@@ -102,13 +103,12 @@ DiffCounts diff_hits_against_full_cache(std::size_t ticks) {
       EXPECT_EQ(got.assignment, want.assignment) << "tick " << t;
       EXPECT_TRUE(same_bits(got.power, want.power)) << "tick " << t;
       EXPECT_TRUE(same_bits(got.sum_rate, want.sum_rate)) << "tick " << t;
-      EXPECT_EQ(got.fallthrough, want.fallthrough) << "tick " << t;
       EXPECT_EQ(got.warm_use, want.warm_use) << "tick " << t;
-      expect_same_status(got.status, want.status);
+      expect_same_records(got.records, want.records);
       EXPECT_EQ(got.iterations, 0u);
       EXPECT_EQ(got.step, "cache");
       EXPECT_FALSE(got.injected);
-      if (got.status.degraded()) ++counts.degraded_hits;
+      if (robust::fallthrough(got.records) > 0) ++counts.degraded_hits;
     }
     for (std::size_t c = 0; c < wc.num_cells; ++c) {
       const CellAllocation& fresh = service.allocation(c);
@@ -125,9 +125,9 @@ TEST(CachedAnswer, NarrowSoakHitsMatchACacheOfWholeAllocations) {
       << counts.hits << " hits of " << counts.cell_ticks;
 }
 
-TEST(CachedAnswer, DegradedHitsKeepTheirStatus) {
-  // A failing head leaves water-filling to answer, degraded, with a trail,
-  // which a hit on the cached answer must return.
+TEST(CachedAnswer, DegradedHitsKeepTheirRecords) {
+  // A failing head leaves water-filling to answer, degraded, with the head's
+  // failed record, which a hit on the cached answer must return.
   robust::faults::ScopedFaults armed(
       "seed=5,rate=0.3,sites=serve.admm.outage");
   const DiffCounts counts = diff_hits_against_full_cache(128);
@@ -144,28 +144,29 @@ CellAllocation sample_answer() {
   a.warm_use = opt::WarmUse::kAccepted;
   a.served = Served::kWaterfill;
   a.step = to_string(Served::kWaterfill);
-  a.fallthrough = 1;
+  a.records[0] = {robust::StepOutcome::kFailed,
+                  robust::StatusCode::kNumericalFailure};
+  a.records[1] = {robust::StepOutcome::kWon, robust::StatusCode::kOk};
   return a;
 }
 
 TEST(CachedAnswer, StoreAndRestoreRoundTripEveryServedField) {
-  CellAllocation solved = sample_answer();
+  const CellAllocation solved = sample_answer();
   CachedAnswer entry;
   store_answer(solved, entry);
-  EXPECT_TRUE(entry.status.ok());
-
-  solved.status = robust::make_status(robust::StatusCode::kDegraded,
-                                      "no step fully converged");
-  solved.status.note("step 'admm' failed (numerical failure)");
-  store_answer(solved, entry);
-  EXPECT_EQ(entry.status.code, robust::StatusCode::kDegraded);
+  expect_same_records(entry.records, solved.records);
 
   // A copy (the cache's get and put) is deep.
   const CachedAnswer copy = entry;
-  solved.status.note("later event");
-  store_answer(sample_answer(), entry);
-  EXPECT_TRUE(entry.status.ok());
-  EXPECT_TRUE(entry.status.trail.empty());
+  CellAllocation clean_solve = sample_answer();
+  clean_solve.power[0] = 0.5;
+  clean_solve.records = {};
+  clean_solve.records[0] = {robust::StepOutcome::kWon,
+                            robust::StatusCode::kOk};
+  store_answer(clean_solve, entry);
+  EXPECT_EQ(entry.power[0], 0.5);
+  EXPECT_EQ(copy.power[0], 0.25);
+  EXPECT_EQ(robust::fallthrough(entry.records), 0u);
 
   CellAllocation hit;
   hit.iterations = 99;
@@ -178,19 +179,13 @@ TEST(CachedAnswer, StoreAndRestoreRoundTripEveryServedField) {
   EXPECT_EQ(hit.warm_use, opt::WarmUse::kAccepted);
   EXPECT_EQ(hit.served, Served::kCache);
   EXPECT_EQ(hit.step, "cache");
-  EXPECT_EQ(hit.fallthrough, 1u);
+  expect_same_records(hit.records, solved.records);
   EXPECT_FALSE(hit.injected);
-  EXPECT_EQ(hit.status.code, robust::StatusCode::kDegraded);
-  EXPECT_EQ(hit.status.detail, "no step fully converged");
-  ASSERT_EQ(hit.status.trail.size(), 1u);
 
-  // Restoring a clean entry over a degraded answer clears its status.
-  CachedAnswer clean;
-  store_answer(sample_answer(), clean);
-  ASSERT_TRUE(restore_answer(clean, solved.assignment, hit));
-  EXPECT_TRUE(hit.status.ok());
-  EXPECT_TRUE(hit.status.detail.empty());
-  EXPECT_TRUE(hit.status.trail.empty());
+  // Restoring a clean entry over a degraded answer clears its records.
+  ASSERT_TRUE(restore_answer(entry, solved.assignment, hit));
+  expect_same_records(hit.records, clean_solve.records);
+  EXPECT_EQ(robust::fallthrough(hit.records), 0u);
 }
 
 TEST(CachedAnswer, RestoreTurnsAPowerVectorOfTheWrongLengthIntoAMiss) {

@@ -1,7 +1,8 @@
 // Chaos suite for the allocation service (`ctest -L chaos`): seeded fault
-// storms over the serve.* injection sites must leave every cell with a
-// usable answer, and the rcr.fallback.depth{chain=serve.cell} gauge must
-// agree with the degradation trail of the chain run that set it.
+// storms over the serve.* injection sites must leave every cell with an
+// answer that its step records explain, and the
+// rcr.fallback.depth{chain=serve.cell} gauge must agree with the records of
+// the chain run that set it.
 //
 // The serve.* sites are keyed by the per-cell tick stamp, so the injection
 // stream is a pure function of (seed, site, stamp) -- bit-identical across
@@ -17,6 +18,7 @@
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/serve/service.hpp"
+#include "served_records.hpp"
 
 namespace rcr::serve {
 namespace {
@@ -38,26 +40,14 @@ WorkloadConfig chaos_workload() {
   return wc;
 }
 
-// Chain steps the audit trail says failed or were skipped: today's wording,
-// kept here only to hold the typed fallthrough count to it.
-std::size_t trail_fallthrough(const CellAllocation& a) {
-  std::size_t n = 0;
-  for (const std::string& line : a.status.trail)
-    if (line.find("' failed") != std::string::npos ||
-        line.find("' skipped") != std::string::npos)
-      ++n;
-  return n;
-}
-
 // Every cell must answer: full-size allocation, finite power on the budget,
-// usable status, and a step drawn from the service's published set that
-// agrees with its typed record.
+// and a step drawn from the service's published set that agrees with its
+// typed record and its chain step records.
 void expect_cell_answers(const AllocationService& service,
                          const DiurnalWorkload& wl) {
   for (std::size_t c = 0; c < service.num_cells(); ++c) {
     const CellAllocation& a = service.allocation(c);
     SCOPED_TRACE("cell " + std::to_string(c) + " step '" + a.step + "'");
-    EXPECT_TRUE(a.status.usable()) << a.status.to_string();
     ASSERT_EQ(a.assignment.size(), wl.cell(c).num_rbs());
     ASSERT_EQ(a.power.size(), wl.cell(c).num_rbs());
     double total = 0.0;
@@ -73,15 +63,18 @@ void expect_cell_answers(const AllocationService& service,
                 a.step == "deadline-fill")
         << a.step;
     EXPECT_EQ(a.step, to_string(a.served));
-    EXPECT_EQ(a.fallthrough, trail_fallthrough(a)) << a.status.to_string();
+    expect_records_match_served(a);
   }
 }
 
-// Count of failed chain steps recorded in a cell's degradation trail.
-std::size_t failed_steps(const CellAllocation& a) {
+// Chain steps that executed on the run that produced `a`: its winner and
+// every step that failed before it.
+std::size_t executed_steps(const CellAllocation& a) {
   std::size_t n = 0;
-  for (const std::string& line : a.status.trail)
-    if (line.find("' failed") != std::string::npos) ++n;
+  for (const robust::StepRecord& r : a.records)
+    if (r.outcome == robust::StepOutcome::kFailed ||
+        r.outcome == robust::StepOutcome::kWon)
+      ++n;
   return n;
 }
 
@@ -109,9 +102,13 @@ TEST(ServeChaos, TotalOutageStormStillAnswersEveryCell) {
     EXPECT_EQ(report.cache_hits, 0u);
     expect_cell_answers(service, wl);
     for (std::size_t c = 0; c < wc.num_cells; ++c) {
-      EXPECT_EQ(service.allocation(c).step, "equal-power");
-      EXPECT_EQ(failed_steps(service.allocation(c)), 2u)
-          << service.allocation(c).status.to_string();
+      const CellAllocation& a = service.allocation(c);
+      EXPECT_EQ(a.served, Served::kEqualPower);
+      for (std::size_t step = 0; step < 2; ++step) {
+        EXPECT_EQ(a.records[step].outcome, robust::StepOutcome::kFailed);
+        EXPECT_EQ(a.records[step].code,
+                  robust::StatusCode::kNumericalFailure);
+      }
     }
   }
 }
@@ -162,10 +159,10 @@ TEST(ServeChaos, InjectionsActuallyFireAtEveryServeSite) {
   }
 }
 
-TEST(ServeChaos, FallbackDepthGaugeMatchesTheDegradationTrail) {
+TEST(ServeChaos, FallbackDepthGaugeMatchesTheStepRecords) {
   // The gauge holds the depth of the most recent serve.cell chain run.
   // Under a serial tick with the cache disabled, that is cell N-1's chain:
-  // depth = 1 (the winning step) + one per failed step in its trail.
+  // depth = the steps its records show executed (failed or won).
   rt::ForceSerialGuard serial;
   obs::ScopedMetrics metrics;
   const WorkloadConfig wc = chaos_workload();
@@ -179,12 +176,13 @@ TEST(ServeChaos, FallbackDepthGaugeMatchesTheDegradationTrail) {
       wl.advance(t);
       service.tick(t, wl);
       const CellAllocation& last = service.allocation(wc.num_cells - 1);
-      EXPECT_EQ(failed_steps(last), 0u) << last.status.to_string();
+      EXPECT_EQ(last.served, Served::kAdmm);
+      EXPECT_EQ(executed_steps(last), 1u);
       EXPECT_EQ(fallback_depth_gauge(), 1.0);
     }
   }
 
-  {  // Fault storm: depth must track the last cell's trail tick by tick.
+  {  // Fault storm: depth must track the last cell's records tick by tick.
     faults::ScopedFaults scope("seed=20260809,rate=0.5,sites=serve.*");
     RCR_CHAOS_TRACE();
     DiurnalWorkload wl(wc);
@@ -196,9 +194,9 @@ TEST(ServeChaos, FallbackDepthGaugeMatchesTheDegradationTrail) {
       wl.advance(t);
       service.tick(t, wl);
       const CellAllocation& last = service.allocation(wc.num_cells - 1);
-      const double expected = 1.0 + static_cast<double>(failed_steps(last));
+      const double expected = static_cast<double>(executed_steps(last));
       EXPECT_EQ(fallback_depth_gauge(), expected)
-          << "tick " << t << ": " << last.status.to_string();
+          << "tick " << t << ": served " << last.step;
       if (expected > 1.0) saw_depth_beyond_head = true;
     }
     EXPECT_TRUE(saw_depth_beyond_head)

@@ -88,6 +88,9 @@ TEST_F(GoldenHarnessTest, BitDriftIsCaughtInStrictMode) {
   }
   CVec drifted = sample_coefficients();
   drifted[3] = {std::nextafter(drifted[3].real(), 10.0), drifted[3].imag()};
+  // Strict whatever the environment says: suites that run with
+  // RCR_GOLDEN_STRICT=0 must still see this test check strict mode.
+  ScopedEnv strict("RCR_GOLDEN_STRICT", "1");
   tk::GoldenDb db(path_);
   const std::string diag = db.check("fixture", drifted);
   ASSERT_FALSE(diag.empty());

@@ -5,7 +5,10 @@
 // deterministically via RCR_TESTKIT_SEED.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 
 #include "rcr/numerics/matrix.hpp"
 #include "rcr/testkit/testkit.hpp"
@@ -138,10 +141,29 @@ std::string agrees_with_reference(const MatmulCase& c,
                                                  const Matrix&)) {
   const Matrix reference = c.a * c.b;
   const Matrix candidate = impl(c.a, c.b);
-  // The reference kernel accumulates in the same order inside a tile, so a
-  // tight ULP budget suffices; the injected bug is off by entire products.
-  return tk::expect_ulp(reference.data(), candidate.data(), 16,
-                        "blocked matmul vs reference");
+  // A forward-error oracle: a sum of k products computed in any order, with
+  // or without FMA contraction, lies within gamma_k (|A||B|)_ij of the exact
+  // sum, so two such sums agree within 2 gamma_k (|A||B|)_ij.  The bound
+  // below keeps a factor of two in hand; the injected bug is off by entire
+  // products.
+  const std::size_t k = c.a.cols();
+  const double u = std::numeric_limits<double>::epsilon() / 2.0;
+  for (std::size_t i = 0; i < reference.rows(); ++i)
+    for (std::size_t j = 0; j < reference.cols(); ++j) {
+      double magnitude = 0.0;
+      for (std::size_t p = 0; p < k; ++p)
+        magnitude += std::abs(c.a(i, p)) * std::abs(c.b(p, j));
+      const double bound = 4.0 * static_cast<double>(k) * u * magnitude;
+      if (!(std::abs(reference(i, j) - candidate(i, j)) <= bound)) {
+        std::ostringstream os;
+        os.precision(17);
+        os << "blocked matmul vs reference mismatch at (" << i << ", " << j
+           << "): " << reference(i, j) << " vs " << candidate(i, j)
+           << ", forward-error bound " << bound;
+        return os.str();
+      }
+    }
+  return "";
 }
 
 TEST(TestkitInjectedBug, CorrectBlockedKernelPassesTheSweep) {
