@@ -23,10 +23,17 @@
 // host, and at RCR_THREADS > 1 it leaves out the pool workers' share),
 // warm-vs-cold iteration counts and their ratio
 // (the acceptance bar is < 0.5), the cache hit rate, and the final-tick
-// solution hash (bit-exact across RCR_THREADS settings).  RCR_BENCH_SMOKE=1
-// shrinks the fleet and tick count for CI smoke jobs.
+// solution hash (bit-exact across RCR_THREADS settings).  A second table
+// splits each leg's tick time into the service's stages
+// (rcr.serve.stage_ns{stage=...}, serve::kTickStages) in microseconds per
+// tick, with the stages' sum as a share of tick_seconds: 95% or more at
+// RCR_THREADS=1; at more threads the workers' stages run beside the
+// driver's, so the sum can pass 100%.  RCR_BENCH_SMOKE=1 shrinks the fleet
+// and tick count for CI smoke jobs.
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <cstdio>
 #include <ctime>
 #include <string>
@@ -46,6 +53,8 @@ using rcr::serve::DiurnalWorkload;
 using rcr::serve::ServiceConfig;
 using rcr::serve::TickReport;
 using rcr::serve::WorkloadConfig;
+
+constexpr std::size_t kStages = std::size(rcr::serve::kTickStages);
 
 struct LegResult {
   std::string name;
@@ -69,7 +78,19 @@ struct LegResult {
   std::uint64_t dwell_normal = 0;    ///< Ticks spent in each brownout state.
   std::uint64_t dwell_brownout = 0;
   std::uint64_t dwell_shed = 0;
+  double stage_us[kStages] = {};  ///< Mean per tick, by kTickStages.
+  double stage_coverage = 0.0;    ///< Stage sum / summed tick_seconds.
 };
+
+/// The rcr.serve.stage_ns sums, by kTickStages, in nanoseconds.
+void stage_sums(double (&ns)[kStages]) {
+  for (double& v : ns) v = 0.0;
+  for (const rcr::obs::MetricSample& m : rcr::obs::metrics_snapshot()) {
+    if (m.name != "rcr.serve.stage_ns") continue;
+    for (std::size_t s = 0; s < kStages; ++s)
+      if (m.label_value == rcr::serve::kTickStages[s]) ns[s] = m.value;
+  }
+}
 
 /// CPU time this thread has used, in seconds.
 double thread_cpu_s() {
@@ -97,6 +118,8 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
   latency_us.reserve(ticks);
   double total_s = 0.0;
   double cpu_s = 0.0;
+  double stage_ns0[kStages];
+  stage_sums(stage_ns0);
   for (std::size_t t = 0; t < ticks; ++t) {
     workload.advance(t);
     const double cpu_start = thread_cpu_s();
@@ -121,6 +144,15 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
       r.solution_hash = rep.solution_hash;
     }
   }
+  double stage_ns[kStages];
+  stage_sums(stage_ns);
+  double stage_total_ns = 0.0;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    const double ns = stage_ns[s] - stage_ns0[s];
+    r.stage_us[s] = ticks > 0 ? 1e-3 * ns / static_cast<double>(ticks) : 0.0;
+    stage_total_ns += ns;
+  }
+  r.stage_coverage = total_s > 0.0 ? 1e-9 * stage_total_ns / total_s : 0.0;
   r.ticks_per_s = total_s > 0.0 ? static_cast<double>(ticks) / total_s : 0.0;
   r.p50_us = percentile(latency_us, 0.50);
   r.p99_us = percentile(latency_us, 0.99);
@@ -135,6 +167,17 @@ LegResult run_leg(const std::string& name, const ServiceConfig& sc,
 }
 
 std::string leg_json(const LegResult& r) {
+  std::string stages = ",\"stage_us\":{";
+  for (std::size_t s = 0; s < kStages; ++s) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", s > 0 ? "," : "",
+                  rcr::serve::kTickStages[s], r.stage_us[s]);
+    stages += buf;
+  }
+  char coverage[64];
+  std::snprintf(coverage, sizeof(coverage), "},\"stage_coverage\":%.4f}",
+                r.stage_coverage);
+  stages += coverage;
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"ticks_per_s\":%.1f,\"p50_us\":%.1f,"
@@ -163,7 +206,10 @@ std::string leg_json(const LegResult& r) {
                 static_cast<unsigned long long>(r.dwell_normal),
                 static_cast<unsigned long long>(r.dwell_brownout),
                 static_cast<unsigned long long>(r.dwell_shed));
-  return buf;
+  // Replace the closing brace with the stage fields.
+  std::string out = buf;
+  out.pop_back();
+  return out + stages;
 }
 
 }  // namespace
@@ -228,6 +274,21 @@ int main() {
                 static_cast<unsigned long long>(r->iterations),
                 static_cast<unsigned long long>(r->cache_hits),
                 100.0 * r->cache_hit_rate);
+  }
+
+  std::printf("\nstages, us per tick:\n%-8s", "leg");
+  for (const char* stage : rcr::serve::kTickStages)
+    std::printf(" %*s", static_cast<int>(std::max<std::size_t>(
+                            7, std::strlen(stage))), stage);
+  std::printf(" %9s\n", "coverage");
+  for (const LegResult* r : {&cold, &warm, &full, &overload}) {
+    std::printf("%-8s", r->name.c_str());
+    for (std::size_t s = 0; s < kStages; ++s)
+      std::printf(" %*.2f",
+                  static_cast<int>(std::max<std::size_t>(
+                      7, std::strlen(rcr::serve::kTickStages[s]))),
+                  r->stage_us[s]);
+    std::printf(" %8.1f%%\n", 100.0 * r->stage_coverage);
   }
 
   const double ratio =

@@ -42,7 +42,8 @@ void gauge_set_slow(const char* name, double value);
 void gauge_set_slow(const char* name, const char* label_key,
                     const char* label_value, double value);
 void gauge_max_slow(const char* name, double value);
-void histogram_observe_slow(const char* name, double value);
+void histogram_observe_slow(const char* name, const char* label_key,
+                            const char* label_value, double value);
 }  // namespace detail
 
 /// True when the registry is armed.  Relaxed load; safe from any thread.
@@ -84,7 +85,16 @@ inline void gauge_max(const char* name, double value) {
 /// Record `value` into the fixed-bucket histogram `name`.
 /// Buckets are powers of two: le=1,2,4,...,2^19, plus +Inf.
 inline void histogram_observe(const char* name, double value) {
-  if (metrics_enabled()) detail::histogram_observe_slow(name, value);
+  if (metrics_enabled())
+    detail::histogram_observe_slow(name, nullptr, nullptr, value);
+}
+
+/// Record `value` into the labelled histogram
+/// `name{label_key=label_value}` (e.g. rcr.serve.stage_ns{stage=head}).
+inline void histogram_observe(const char* name, const char* label_key,
+                              const char* label_value, double value) {
+  if (metrics_enabled())
+    detail::histogram_observe_slow(name, label_key, label_value, value);
 }
 
 /// Number of finite histogram buckets (le = 2^0 .. 2^19); one more

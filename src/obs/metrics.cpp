@@ -232,8 +232,9 @@ void gauge_max_slow(const char* name, double value) {
   atomic_max_double(cell->value, value);
 }
 
-void histogram_observe_slow(const char* name, double value) {
-  Cell* cell = resolve(Kind::kHistogram, name, nullptr, nullptr);
+void histogram_observe_slow(const char* name, const char* label_key,
+                            const char* label_value, double value) {
+  Cell* cell = resolve(Kind::kHistogram, name, label_key, label_value);
   cell->count.fetch_add(1, std::memory_order_relaxed);
   atomic_add_double(cell->value, value);
   cell->buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
@@ -348,15 +349,18 @@ std::string metrics_prometheus() {
       out += "# TYPE " + family + " " + s.kind + "\n";
       last_family = family;
     }
-    std::string labels;
+    // The label pair without braces, so a histogram can put `le` beside it.
+    std::string pair;
     if (!s.label_key.empty()) {
-      labels = "{" + s.label_key + "=\"";
+      pair = s.label_key + "=\"";
       for (char c : s.label_value) {
-        if (c == '"' || c == '\\') labels += '\\';
-        labels += c;
+        if (c == '"' || c == '\\') pair += '\\';
+        pair += c;
       }
-      labels += "\"}";
+      pair += "\"";
     }
+    const std::string labels = pair.empty() ? "" : "{" + pair + "}";
+    const std::string le_prefix = pair.empty() ? "{" : "{" + pair + ",";
     if (s.kind == "counter") {
       out += family + labels + " " +
              std::to_string(static_cast<std::uint64_t>(s.value)) + "\n";
@@ -367,15 +371,16 @@ std::string metrics_prometheus() {
       double le = 1.0;
       for (int i = 0; i < kHistogramBuckets; ++i, le *= 2.0) {
         cumulative += s.buckets[static_cast<std::size_t>(i)];
-        out += family + "_bucket{le=\"" +
+        out += family + "_bucket" + le_prefix + "le=\"" +
                std::to_string(static_cast<std::uint64_t>(le)) + "\"} " +
                std::to_string(cumulative) + "\n";
       }
       cumulative += s.buckets[kHistogramBuckets];
-      out += family + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
+      out += family + "_bucket" + le_prefix + "le=\"+Inf\"} " +
+             std::to_string(cumulative) + "\n";
+      out += family + "_sum" + labels + " " + format_double(s.value) + "\n";
+      out += family + "_count" + labels + " " + std::to_string(s.count) +
              "\n";
-      out += family + "_sum " + format_double(s.value) + "\n";
-      out += family + "_count " + std::to_string(s.count) + "\n";
     }
   }
   return out;

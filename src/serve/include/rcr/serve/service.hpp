@@ -45,6 +45,10 @@
 
 namespace rcr::serve {
 
+namespace detail {
+class StageClock;  // service.cpp: the rcr.serve.stage_ns lap timer
+}  // namespace detail
+
 /// Service knobs.
 struct ServiceConfig {
   bool warm_start = true;     ///< Reuse each cell's previous ADMM state.
@@ -88,6 +92,31 @@ enum class Served : std::uint8_t {
   kShedFill,      ///< Shed by admission (policy or injected).
   kQuarantine,    ///< Watchdog quarantine window.
 };
+
+/// True when `served` is the head's answer: an ADMM solve, or a cache hit
+/// replaying a chain answer.  The benchmark's head share counts these.
+bool is_head(Served served);
+
+/// The tick's stages, in the order bench_serve_soak prints them; each is a
+/// label value of the histogram rcr.serve.stage_ns{stage=...}, observed
+/// only while the metrics registry is armed (no clock is read otherwise):
+///   admission        the admission plan;
+///   assignment       the cells' problem reads and best-gain assignments;
+///   signature_cache  cache signatures, gets, puts and the deferred flush;
+///   head             the power QP, the ADMM head and the finish of a solve
+///                    a fallback step did not answer;
+///   fallback         the water-filling and equal-power steps, and the
+///                    finish of a solve one of them answered;
+///   snapshot         snapshot, shed and quarantine answers in the fan-out;
+///   report           the serial report pass, watchdog included;
+///   fanout           the pool fan-out's own cost: the fan-out's wall time
+///                    less the stages the driver thread ran inside it.
+/// Each fan-out group observes its stages once per tick, and the driver its
+/// own.  At RCR_THREADS=1 the stages sum to the tick's time; with workers,
+/// their stages run beside the driver's and the sum exceeds it.
+inline constexpr const char* kTickStages[] = {
+    "admission", "assignment", "signature_cache", "head",
+    "fallback",  "snapshot",   "report",          "fanout"};
 
 /// Stable name of a Served value ("cache", "admm", "waterfill",
 /// "equal-power", "deadline-fill", "snapshot", "shed-fill", "quarantine");
@@ -223,10 +252,12 @@ class AllocationService {
                    const ProblemFn& problem_of);
   /// Solve admitted cell `cell` into current_[cell]: cache lookup under
   /// `sig`, then the fallback chain, breakers, sum rate and cache put.
-  /// Its assignment is already in scratch_[cell].
+  /// Its assignment is already in scratch_[cell]; `clock` takes the
+  /// solve's stage laps.
   void solve_cell(const RraProblem& problem, std::size_t cell,
                   std::uint64_t tick, std::uint64_t stamp, std::uint64_t sig,
-                  const robust::Deadline& deadline);
+                  const robust::Deadline& deadline,
+                  detail::StageClock& clock);
   /// Serve a non-admitted cell from its snapshot (or an equal-power
   /// rebuild when the snapshot no longer matches the problem shape).
   CellAllocation serve_from_snapshot(const RraProblem& problem,

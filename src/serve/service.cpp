@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -63,6 +64,73 @@ struct StepAnswer {
 };
 
 }  // namespace
+
+namespace detail {
+
+/// Indices into kTickStages.
+enum Stage : std::size_t {
+  kStageAdmission,
+  kStageAssignment,
+  kStageSignatureCache,
+  kStageHead,
+  kStageFallback,
+  kStageSnapshot,
+  kStageReport,
+  kStageFanout,
+  kStageCount
+};
+static_assert(std::size(kTickStages) == kStageCount);
+
+/// The lap timer behind rcr.serve.stage_ns: lap(s) charges the time since
+/// the previous lap (or construction) to stage s.  Built while the metrics
+/// registry is unarmed, it reads no clock and observes nothing.
+class StageClock {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  StageClock() : armed_(obs::metrics_enabled()) {
+    if (armed_) last_ = Clock::now();
+  }
+
+  void lap(Stage stage) {
+    if (!armed_) return;
+    const Clock::time_point now = Clock::now();
+    ns_[stage] += std::chrono::duration<double, std::nano>(now - last_).count();
+    last_ = now;
+  }
+
+  /// Take `ns` back from `stage` (the fan-out's lap holds the driver's own
+  /// group stages, which observe themselves).
+  void discount(Stage stage, double ns) { ns_[stage] -= ns; }
+
+  /// Observe every stage that ran; returns their sum.
+  double observe() const {
+    double total = 0.0;
+    if (!armed_) return total;
+    for (std::size_t s = 0; s < kStageCount; ++s) {
+      if (ns_[s] <= 0.0) continue;
+      obs::histogram_observe("rcr.serve.stage_ns", "stage", kTickStages[s],
+                             ns_[s]);
+      total += ns_[s];
+    }
+    return total;
+  }
+
+ private:
+  bool armed_;
+  Clock::time_point last_{};
+  double ns_[kStageCount] = {};
+};
+
+/// The stage time this thread's fan-out groups observed, summed; the
+/// driver subtracts its own groups' share from the fan-out's lap.
+thread_local double t_group_stage_ns = 0.0;
+
+}  // namespace detail
+
+bool is_head(Served served) {
+  return served == Served::kAdmm || served == Served::kCache;
+}
 
 bool servable(const CellAllocation& alloc) {
   if (std::isnan(alloc.sum_rate) ||
@@ -173,6 +241,7 @@ void AllocationService::serve_group(std::size_t c0, std::size_t c1,
                                     const robust::Deadline& deadline,
                                     const ProblemFn& problem_of) {
   const std::size_t cells = warm_.size();
+  detail::StageClock clock;
   rt::ScratchArena& arena = rt::tls_arena();
   const auto arena_scope = arena.scope();
 
@@ -195,26 +264,33 @@ void AllocationService::serve_group(std::size_t c0, std::size_t c1,
     sigs[keyed] = 0;
     ++keyed;
   }
+  clock.lap(detail::kStageAssignment);
   // The signature only keys the cache: a cache-off service never needs it.
   if (config_.cache_enabled && keyed > 0)
     problem_signatures({problems, keyed}, {assignments, keyed},
                        config_.signature, {sigs, keyed});
+  clock.lap(detail::kStageSignatureCache);
 
   std::size_t k = 0;
   for (std::size_t c = c0; c < c1; ++c) {
     const RraProblem& problem = *cell_problems[c - c0];
-    if (plan.decisions[c] == AdmitDecision::kAdmit)
-      solve_cell(problem, c, tick, tick * cells + c, sigs[k++], deadline);
-    else
+    if (plan.decisions[c] == AdmitDecision::kAdmit) {
+      solve_cell(problem, c, tick, tick * cells + c, sigs[k++], deadline,
+                 clock);
+    } else {
       current_[c] = serve_from_snapshot(problem, c, plan.decisions[c],
                                         plan.injected[c]);
+      clock.lap(detail::kStageSnapshot);
+    }
   }
+  detail::t_group_stage_ns += clock.observe();
 }
 
 void AllocationService::solve_cell(const RraProblem& problem,
                                    std::size_t cell, std::uint64_t tick,
                                    std::uint64_t stamp, std::uint64_t sig,
-                                   const robust::Deadline& deadline) {
+                                   const robust::Deadline& deadline,
+                                   detail::StageClock& clock) {
   // Injection decisions are keyed by the deterministic cell stamp: cells
   // solve on pool threads in schedule-dependent order, and a counter-keyed
   // stream would make which cell degrades depend on that schedule.
@@ -224,8 +300,11 @@ void AllocationService::solve_cell(const RraProblem& problem,
   if (config_.cache_enabled &&
       !faults::should_inject("serve.cache.drop", stamp) &&
       cache_.get(sig, stamp, work.entry) &&
-      detail::restore_answer(work.entry, work.assignment, alloc))
+      detail::restore_answer(work.entry, work.assignment, alloc)) {
+    clock.lap(detail::kStageSignatureCache);
     return;
+  }
+  clock.lap(detail::kStageSignatureCache);
 
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
@@ -271,6 +350,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
     const ServiceConfig& config;
     CellScratch& work;
     CellRuntime& rtc;
+    detail::StageClock& clock;
     opt::AdmmWarmState* warm;
     const robust::Deadline& deadline;
     const double* p_diag;
@@ -286,6 +366,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
   const Solve solve{config_,
                     work,
                     runtime_[cell],
+                    clock,
                     config_.warm_start ? &warm_[cell] : nullptr,
                     deadline,
                     p_diag,
@@ -366,19 +447,22 @@ void AllocationService::solve_cell(const RraProblem& problem,
             return nullptr;
           },
           [s = &solve]() -> robust::Result<StepAnswer> {
+             s->clock.lap(detail::kStageHead);
              robust::Result<StepAnswer> out;
-             if (faults::should_inject("serve.waterfill.outage", s->stamp)) {
+             if (faults::should_inject("serve.waterfill.outage", s->stamp))
                out.status.code = robust::StatusCode::kNumericalFailure;
-               return out;
-             }
-             out.value.power = qos::waterfill(s->work.gains, s->budget);
+             else
+               out.value.power = qos::waterfill(s->work.gains, s->budget);
+             s->clock.lap(detail::kStageFallback);
              return out;
            })
       .add(to_string(kChainSteps[2]), robust::Soundness::kHeuristic,
            [s = &solve]() -> robust::Result<StepAnswer> {
+             s->clock.lap(detail::kStageHead);
              robust::Result<StepAnswer> out;
              out.value.power.swap(s->work.power);
              out.value.power.assign(s->n, s->p0);
+             s->clock.lap(detail::kStageFallback);
              return out;
            });
 
@@ -426,12 +510,14 @@ void AllocationService::solve_cell(const RraProblem& problem,
     alloc.power[0] = std::numeric_limits<double>::quiet_NaN();
   }
   alloc.sum_rate = sum_rate_of(work.gains, alloc.power);
+  clock.lap(outcome.winner == 0 ? detail::kStageHead : detail::kStageFallback);
 
   // Never cache an answer the watchdog would catch: it owns those.
   if (config_.cache_enabled && servable(alloc)) {
     detail::store_answer(alloc, work.entry);
     cache_.put(sig, stamp, work.entry);
   }
+  clock.lap(detail::kStageSignatureCache);
 }
 
 CellAllocation AllocationService::serve_from_snapshot(
@@ -512,6 +598,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
                                    const ProblemFn& problem_of) {
   obs::Span span("serve.tick");
   const auto t_start = std::chrono::steady_clock::now();
+  detail::StageClock clock;
   const std::size_t cells = warm_.size();
   const std::uint64_t tick = static_cast<std::uint64_t>(tick_index);
   const BrownoutState bstate = brownout_.state();
@@ -527,6 +614,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
   const bool full_shed = !deadline.is_unlimited() && deadline.expired();
   build_plan(tick, full_shed, bstate);
   AdmissionPlan& plan = plan_;
+  clock.lap(detail::kStageAdmission);
 
   // Two-phase cache protocol: the parallel fan-out reads the committed map
   // and buffers its stamp refreshes / inserts; the serial flush applies
@@ -535,16 +623,22 @@ TickReport AllocationService::tick(std::size_t tick_index,
   // pressure (in-place mutation would let a racing get's refresh land
   // before or after a racing put's eviction scan).
   if (config_.cache_enabled) cache_.begin_deferred();
+  clock.lap(detail::kStageSignatureCache);
   // Chunks hold whole groups of kSignatureChains cells, so each group's
   // signature chains advance together.
   constexpr std::size_t kGroup = kSignatureChains;
   const std::size_t grain =
       (std::max<std::size_t>(1, config_.cells_per_chunk) + kGroup - 1) /
       kGroup * kGroup;
+  const double own_groups_ns = detail::t_group_stage_ns;
   rt::parallel_for(0, cells, grain, [&](std::size_t c0, std::size_t c1) {
     serve_group(c0, c1, tick, plan, deadline, problem_of);
   });
+  clock.lap(detail::kStageFanout);
+  clock.discount(detail::kStageFanout,
+                 detail::t_group_stage_ns - own_groups_ns);
   if (config_.cache_enabled) cache_.flush();
+  clock.lap(detail::kStageSignatureCache);
 
   TickReport report;
   report.tick = tick_index;
@@ -609,10 +703,12 @@ TickReport AllocationService::tick(std::size_t tick_index,
   report.deferred = plan.deferred;
   report.shed = plan.shed;
   report.quarantined = plan.quarantined;
+  clock.lap(detail::kStageReport);
   report.tick_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t_start)
           .count();
+  clock.observe();
 
   obs::counter_add("rcr.serve.ticks");
   obs::counter_add("rcr.serve.solves", report.solves);

@@ -275,6 +275,38 @@ TEST(Metrics, PrometheusExportSanitizesAndCumulates) {
   EXPECT_EQ(text.find("test.obs.prom"), std::string::npos);
 }
 
+TEST(Metrics, LabelledHistogramsKeepOneCellPerLabelValue) {
+  ScopedMetrics scope;
+  histogram_observe("test.obs.lhist", "stage", "a", 3.0);
+  histogram_observe("test.obs.lhist", "stage", "a", 5.0);
+  histogram_observe("test.obs.lhist", "stage", "b", 1.0);
+  int seen = 0;
+  for (const MetricSample& s : metrics_snapshot()) {
+    if (s.name != "test.obs.lhist") continue;
+    ++seen;
+    EXPECT_EQ(s.kind, "histogram");
+    EXPECT_EQ(s.label_key, "stage");
+    if (s.label_value == "a") {
+      EXPECT_EQ(s.count, 2u);
+      EXPECT_DOUBLE_EQ(s.value, 8.0);
+    } else {
+      EXPECT_EQ(s.label_value, "b");
+      EXPECT_EQ(s.count, 1u);
+    }
+  }
+  EXPECT_EQ(seen, 2);
+  // Prometheus puts the label beside `le` and on _sum and _count.
+  const std::string text = metrics_prometheus();
+  EXPECT_NE(text.find("test_obs_lhist_bucket{stage=\"a\",le=\"4\"} 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("test_obs_lhist_bucket{stage=\"a\",le=\"+Inf\"} 2"),
+            std::string::npos);
+  EXPECT_NE(text.find("test_obs_lhist_sum{stage=\"a\"} 8"),
+            std::string::npos);
+  EXPECT_NE(text.find("test_obs_lhist_count{stage=\"b\"} 1"),
+            std::string::npos);
+}
+
 TEST(Metrics, WriteMetricsExpandsPidAndPicksFormatBySuffix) {
   ScopedMetrics scope;
   counter_add("test.obs.write", 1);

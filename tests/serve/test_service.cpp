@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <iterator>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -454,6 +455,53 @@ TEST(AllocationService, CellOutcomeCounterAddsUpToTheTickReports) {
   EXPECT_EQ(total - cell_outcomes(Served::kCache) -
                 cell_outcomes(Served::kAdmm),
             static_cast<double>(degraded));
+}
+
+TEST(AllocationService, StageTimersCoverTheSerialTick) {
+  // Armed, every tick observes rcr.serve.stage_ns once per stage that ran;
+  // serially the stages partition the tick, so their sum comes within the
+  // report's timing of tick_seconds.  Unarmed, nothing is observed.
+  const WorkloadConfig wc = small_workload();
+  DiurnalWorkload wl(wc);
+  ServiceConfig sc;
+  sc.admission.enabled = true;
+  sc.admission.max_solves_per_tick = wc.num_cells - 1;
+  AllocationService service(sc, wc.num_cells);
+  rt::ForceSerialGuard serial;
+  wl.advance(0);
+  service.tick(0, wl);  // unarmed: registers nothing
+  obs::ScopedMetrics metrics;
+  EXPECT_EQ(counter("rcr.serve.stage_ns"), 0.0);
+  double tick_ns = 0.0;
+  const std::size_t ticks = 8;
+  for (std::size_t t = 1; t <= ticks; ++t) {
+    wl.advance(t);
+    tick_ns += 1e9 * service.tick(t, wl).tick_seconds;
+  }
+  double stage_ns = 0.0;
+  std::size_t admission_count = 0;
+  for (const obs::MetricSample& s : obs::metrics_snapshot()) {
+    if (s.name != "rcr.serve.stage_ns") continue;
+    EXPECT_EQ(s.label_key, "stage");
+    EXPECT_NE(std::find_if(std::begin(kTickStages), std::end(kTickStages),
+                           [&](const char* n) { return s.label_value == n; }),
+              std::end(kTickStages))
+        << s.label_value;
+    stage_ns += s.value;
+    if (s.label_value == "admission") admission_count = s.count;
+  }
+  EXPECT_EQ(admission_count, ticks);
+  EXPECT_GT(stage_ns, 0.9 * tick_ns);
+  EXPECT_LE(stage_ns, tick_ns * (1.0 + 1e-9));
+}
+
+TEST(AllocationService, IsHeadCountsAdmmAndCacheAnswersOnly) {
+  EXPECT_TRUE(is_head(Served::kAdmm));
+  EXPECT_TRUE(is_head(Served::kCache));
+  for (Served s : {Served::kWaterfill, Served::kEqualPower,
+                   Served::kDeadlineFill, Served::kSnapshot,
+                   Served::kShedFill, Served::kQuarantine})
+    EXPECT_FALSE(is_head(s)) << to_string(s);
 }
 
 TEST(AllocationService, FleetSizeMismatchThrows) {
