@@ -27,15 +27,15 @@
 // splits each leg's tick time into the service's stages
 // (rcr.serve.stage_ns{stage=...}, serve::kTickStages) in microseconds per
 // tick, with the stages' sum as a share of tick_seconds: 95% or more at
-// RCR_THREADS=1; at more threads the workers' stages run beside the
-// driver's, so the sum can pass 100%.  RCR_BENCH_SMOKE=1 shrinks the fleet
+// RCR_THREADS=1; at more threads the workers' stages run beside those of
+// the thread that called tick(), so the sum can pass 100%.  RCR_BENCH_SMOKE=1 shrinks the fleet
 // and tick count for CI smoke jobs.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <iterator>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -189,7 +189,7 @@ std::string leg_json(const LegResult& r) {
                 "\"admitted\":%llu,\"deferred\":%llu,\"shed\":%llu,"
                 "\"quarantined\":%llu,\"brownout_transitions\":%llu,"
                 "\"brownout_dwell\":{\"normal\":%llu,\"brownout\":%llu,"
-                "\"shed\":%llu}}",
+                "\"shed\":%llu}",
                 r.name.c_str(), r.ticks_per_s, r.p50_us, r.p99_us,
                 r.cpu_us_per_tick,
                 static_cast<unsigned long long>(r.iterations),
@@ -206,10 +206,7 @@ std::string leg_json(const LegResult& r) {
                 static_cast<unsigned long long>(r.dwell_normal),
                 static_cast<unsigned long long>(r.dwell_brownout),
                 static_cast<unsigned long long>(r.dwell_shed));
-  // Replace the closing brace with the stage fields.
-  std::string out = buf;
-  out.pop_back();
-  return out + stages;
+  return buf + stages;  // the stage fields close the leg's object
 }
 
 }  // namespace

@@ -2,15 +2,19 @@
 //
 // Two layers of measurement:
 //
-//   kernels   rcr::rt::simd primitives (dot, axpy, matmul, matvec, FFT)
-//             timed on the active dispatch table and again under
-//             ForceScalarGuard -- the intra-run vectorization gain.
+//   kernels   rcr::rt::simd primitives (dot, axpy, matmul, matvec, FFT,
+//             and the serve tick's fixed-path kernels on a 16-user x
+//             48-RB wide-refresh cell) timed on the active dispatch table
+//             and again under ForceScalarGuard -- the intra-run
+//             vectorization gain.
 //   solvers   the obs-bench ADMM / SDP workload (same Rng(7) draw, same
 //             sizes): the box-QP, and the SDP through a reused workspace.
 //
 // Writes BENCH_perf_simd.json.
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "rcr/numerics/matrix.hpp"
@@ -167,6 +171,53 @@ int main() {
     {
       simd::ForceScalarGuard scalar;
       h.run("admm_dpr1/scalar", size, reps * 64, sweep);
+    }
+  }
+  {
+    // The serve tick's fixed per-cell path on one wide-refresh cell: the
+    // best-gain scan, the Taylor coefficients, the structured factor's
+    // reciprocals, the box-QP start and objective, and the finish.  Its
+    // own generator keeps the rows below unchanged.
+    const std::size_t users = 16;
+    const std::size_t n = 48;
+    Rng krng(17);
+    Vec gain(users * n);
+    for (double& g : gain) g = std::exp(krng.normal());
+    Vec best(n), curv(n), slope(n), d(n), inv_d(n), z(n), power(n);
+    std::vector<std::size_t> owner(n);
+    const Vec lo(n, -0.02), hi(n, 0.9);
+    for (double& v : curv) v = 0.5 + krng.uniform();
+    const auto fixed_path = [&](const char* path) {
+      const simd::Kernels& k = simd::active();
+      const std::string tag = std::string("/") + path;
+      const int kreps = reps * 256;
+      h.run("best_gain_scan" + tag, "users=16,n=48", kreps, [&] {
+        g_sink = k.best_gain_scan(gain.data(), users, n, owner.data(),
+                                  best.data());
+      });
+      h.run("power_qp_coeffs" + tag, "n=48", kreps, [&] {
+        g_sink = k.power_qp_coeffs(best.data(), n, 0.02, curv.data(),
+                                   slope.data());
+      });
+      h.run("dpr1_inverse" + tag, "n=48", kreps, [&] {
+        g_sink = k.dpr1_inverse(curv.data(), 0.5, 1.0, 0.0, d.data(),
+                                inv_d.data(), n);
+      });
+      h.run("box_start+objective" + tag, "n=48", kreps, [&] {
+        g_sink = k.box_start(lo.data(), hi.data(), nullptr, slope.data(),
+                             z.data(), n) +
+                 k.box_objective(curv.data(), 0.5, slope.data(), z.data(), n)
+                     .quad;
+      });
+      h.run("scaled_rate" + tag, "n=48", kreps, [&] {
+        for (double& p : power) p = 0.02;
+        g_sink = k.scaled_rate(1.0, power.data(), best.data(), n);
+      });
+    };
+    fixed_path("simd");
+    {
+      simd::ForceScalarGuard scalar;
+      fixed_path("scalar");
     }
   }
   {

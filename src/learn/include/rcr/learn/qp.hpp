@@ -24,6 +24,7 @@
 #include <cstddef>
 
 #include "rcr/numerics/vector_ops.hpp"
+#include "rcr/rt/simd.hpp"
 
 namespace rcr::learn {
 
@@ -71,20 +72,14 @@ constexpr double kInvLn2 = 1.4426950408889634074;  // 1 / ln 2
 }
 
 /// Second-order Taylor coefficients of -sum log2(1 + g p) at p0, written
-/// into caller storage.  Returns max_i curv_i.  This is the exact loop the
-/// serve tick ran before the learn layer existed -- same expressions, same
-/// order, same bits.
+/// into caller storage.  Returns max(0, max_i curv_i), a NaN curv_i never
+/// raising it.  One vectorized pass, rt::simd::Kernels::power_qp_coeffs:
+/// per RB, with d = 1 + g p0, curv = g g (1 / ln 2) / (d d) and slope =
+/// -g (1 / ln 2) / d -- the expressions, order and bits of the loop the
+/// serve tick ran before the learn layer existed, on every dispatch path.
 inline double power_qp_coeffs(const double* gains, std::size_t n, double p0,
                               double* curv, double* slope) {
-  double max_curv = 0.0;
-  for (std::size_t rb = 0; rb < n; ++rb) {
-    const double g = gains[rb];
-    const double denom = 1.0 + g * p0;
-    curv[rb] = g * g * detail::kInvLn2 / (denom * denom);
-    slope[rb] = -g * detail::kInvLn2 / denom;
-    if (curv[rb] > max_curv) max_curv = curv[rb];
-  }
-  return max_curv;
+  return rt::simd::active().power_qp_coeffs(gains, n, p0, curv, slope);
 }
 
 /// Assemble the owning record for per-RB `gains` exactly the way the serve

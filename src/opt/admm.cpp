@@ -46,7 +46,8 @@ namespace {
 // p_diag[i * stride] and every off-diagonal entry c.  With n == 1 there is
 // no off-diagonal entry and c is taken as 0.  Requires c >= 0 finite, every
 // d_i = P_ii - c + rho + ridge finite and positive, and sum_i 1/d_i finite;
-// fills `out` (each 1/d_i kept as inv_d) and returns true only then;
+// fills `out` (each 1/d_i kept as inv_d, the sum in the sweep's four
+// lanes, rt::simd::Kernels::dpr1_inverse) and returns true only then;
 // otherwise `out` is left empty (not structured).  O(n), P is never formed,
 // and `out`'s vectors keep their capacity.
 bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
@@ -63,14 +64,14 @@ bool build_dpr1(const double* p_diag, std::size_t stride, std::size_t n,
   out.p_diag.resize(n);
   out.d.resize(n);
   out.inv_d.resize(n);
-  double sum_inv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.p_diag[i] = p_diag[i * stride];
-    out.d[i] = out.p_diag[i] - c + rho + ridge;
-    if (!(out.d[i] > 0.0) || !std::isfinite(out.d[i])) return decline();
-    out.inv_d[i] = 1.0 / out.d[i];
-    sum_inv += out.inv_d[i];
+  if (stride == 1) {
+    std::copy(p_diag, p_diag + n, out.p_diag.begin());
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out.p_diag[i] = p_diag[i * stride];
   }
+  // NaN when some d_i is not finite and positive.
+  const double sum_inv = rt::simd::active().dpr1_inverse(
+      out.p_diag.data(), c, rho, ridge, out.d.data(), out.inv_d.data(), n);
   if (!std::isfinite(sum_inv)) return decline();
   out.c = c;
   out.sum_inv = sum_inv;
@@ -261,9 +262,28 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
     throw std::invalid_argument("admm_box_qp: dimension mismatch");
   if (factor.rho != options.rho)
     throw std::invalid_argument("admm_box_qp: factor rho != options rho");
-  for (std::size_t i = 0; i < n; ++i)
-    if (lo[i] > hi[i])
-      throw std::invalid_argument("admm_box_qp: lo > hi");
+
+  // One pass checks the box, starts z (the warm primal re-clamped, so z
+  // stays feasible-by-construction when the box moved between solves) and
+  // takes the convergence scale's max |q_i|.  The iterates live where the
+  // solve's answer goes: z and z_next ping-pong between result.x and the
+  // warm state's z (z_next receives each projection, and a poisoned
+  // iterate is rolled back by not swapping), and u iterates in the warm
+  // state's u, so the warm state is neither copied in nor out and one copy
+  // at the exit puts the last z in both places.  Without a warm state the
+  // partners come from the calling thread's arena, rewound on return.
+  // Either way a warm arena and reused vectors make the solve
+  // allocation-free.
+  const rt::simd::Kernels& kernels = rt::simd::active();
+  const bool warm_ok = warm != nullptr && !warm->empty() &&
+                       detail::warm_vec_ok(warm->z, n) &&
+                       detail::warm_vec_ok(warm->u, n);
+  result.x.resize(n);
+  double* z = result.x.data();
+  const double q_norm = kernels.box_start(
+      lo.data(), hi.data(), warm_ok ? warm->z.data() : nullptr, q.data(), z,
+      n);
+  if (q_norm < 0.0) throw std::invalid_argument("admm_box_qp: lo > hi");
 
   obs::Span span("admm.box_qp");
   result.objective = 0.0;
@@ -274,36 +294,29 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   result.status.detail.clear();
   result.status.trail.clear();
   result.warm_use = WarmUse::kCold;
+  if (warm_ok) {
+    result.warm_use = WarmUse::kAccepted;
+    obs::counter_add("rcr.warm.accepted", "solver", "admm");
+  } else if (warm != nullptr && !warm->empty()) {
+    result.warm_use = WarmUse::kRejected;
+    result.status.note("warm state rejected (size mismatch or non-finite); "
+                       "cold start");
+    obs::counter_add("rcr.warm.rejected", "solver", "admm");
+  }
 
-  // Iterate storage from the calling thread's arena, rewound on return: z
-  // and z_next ping-pong (z_next receives each projection, and a poisoned
-  // iterate is rolled back by not swapping), so a warm arena makes the
-  // iteration allocation-free.
   rt::ScratchArena& arena = rt::tls_arena();
   const auto arena_scope = arena.scope();
-  double* z = arena.alloc<double>(n);
-  double* z_next = arena.alloc<double>(n);
-  double* u = arena.alloc<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    z[i] = std::clamp(0.0, lo[i], hi[i]);
-    u[i] = 0.0;
-  }
-  if (warm != nullptr && !warm->empty()) {
-    if (detail::warm_vec_ok(warm->z, n) && detail::warm_vec_ok(warm->u, n)) {
-      // Re-clamp the warm primal so z stays feasible-by-construction even
-      // when the box moved between solves.
-      for (std::size_t i = 0; i < n; ++i) {
-        z[i] = std::clamp(warm->z[i], lo[i], hi[i]);
-        u[i] = warm->u[i];
-      }
-      result.warm_use = WarmUse::kAccepted;
-      obs::counter_add("rcr.warm.accepted", "solver", "admm");
-    } else {
-      result.warm_use = WarmUse::kRejected;
-      result.status.note("warm state rejected (size mismatch or non-finite); "
-                         "cold start");
-      obs::counter_add("rcr.warm.rejected", "solver", "admm");
-    }
+  double* z_next;
+  double* u;
+  if (warm != nullptr) {
+    if (!warm_ok) warm->u.assign(n, 0.0);
+    warm->z.resize(n);
+    z_next = warm->z.data();
+    u = warm->u.data();
+  } else {
+    z_next = arena.alloc<double>(n);
+    u = arena.alloc<double>(n);
+    std::fill(u, u + n, 0.0);
   }
 
   // One iteration is two rt::simd passes (pass 1: x = S^-1 (rho (z - u) -
@@ -316,7 +329,6 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   // dense path runs the same passes on a unit inv_d with gamma = 0:
   // multiplying by 1 and subtracting 0 * 1 = +0 are exact, so pass 1 forms
   // the LU right-hand side and pass 2 projects the LU solution unchanged.
-  const rt::simd::Kernels& kernels = rt::simd::active();
   const double* inv_d = factor.dpr1.inv_d.data();
   double* x = arena.alloc<double>(n);  // pass-2 input
   double* pass1_out = x;
@@ -335,7 +347,7 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
     pass1_out = rhs.data();
     x = x_dense.data();
   }
-  const double scale = 1.0 + num::norm_inf(q);
+  const double scale = 1.0 + q_norm;
   const bool faults_on = robust::faults::enabled();
   // The top of iteration `it`: false when the iteration cap or the
   // deadline ends the solve there.
@@ -400,31 +412,31 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
     result.status.detail.assign("max_iterations exhausted");
     result.status.trail.clear();
   }
-  result.x.assign(z, z + n);  // feasible by construction
+  // The last clean z, feasible by construction, into both result.x and
+  // the warm state: one of them already holds it.
+  if (z != result.x.data())
+    std::copy(z, z + n, result.x.begin());
+  else if (warm != nullptr)
+    std::copy(z, z + n, warm->z.begin());
+  z = result.x.data();
   if (structured) {
-    // x^T P x = sum_i (P_ii - c) x_i^2 + c (1^T x)^2.
+    // x^T P x = sum_i (P_ii - c) x_i^2 + c (1^T x)^2, its sums in the
+    // sweep's four lanes.
     const double c = factor.dpr1.c;
-    double quad = 0.0;
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      quad += (factor.dpr1.p_diag[i] - c) * z[i] * z[i];
-      total += z[i];
-    }
-    result.objective = 0.5 * (quad + c * total * total) + num::dot(q, result.x);
+    const rt::simd::ObjectiveSums sums =
+        kernels.box_objective(factor.dpr1.p_diag.data(), c, q.data(), z, n);
+    result.objective =
+        0.5 * (sums.quad + c * sums.total * sums.total) + sums.lin;
   } else {
     result.objective = 0.5 * num::quad_form(result.x, *p, result.x) +
                        num::dot(q, result.x);
   }
-  if (warm != nullptr) {
-    // Chainable state on a clean exit; cleared after a poisoned iterate so
-    // the next solve cold-starts instead of inheriting the corruption.
-    if (result.status.code == robust::StatusCode::kNumericalFailure) {
-      warm->clear();
-    } else {
-      warm->z.assign(z, z + n);
-      warm->u.assign(u, u + n);
-    }
-  }
+  // The warm state chains on a clean exit; after a poisoned iterate it is
+  // cleared, so the next solve cold-starts instead of inheriting the
+  // corruption.
+  if (warm != nullptr &&
+      result.status.code == robust::StatusCode::kNumericalFailure)
+    warm->clear();
   obs::counter_add("rcr.admm.solves");
   obs::counter_add("rcr.admm.iterations", result.iterations);
   span.attr("iterations", static_cast<double>(result.iterations));

@@ -47,7 +47,7 @@ struct BoxQpFactor {
     Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
     Vec inv_d;            ///< 1 / d_i: the sweep multiplies by these.
     double c = 0.0;       ///< The common off-diagonal entry of P.
-    double sum_inv = 0.0; ///< sum_i inv_d_i, ascending.
+    double sum_inv = 0.0; ///< sum_i inv_d_i, in the sweep's four lanes.
   } dpr1;
 
   /// True when the x-update runs in O(n) on the structured operator.
@@ -143,10 +143,12 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 /// `factor.rho` must match `options.rho`; throws std::invalid_argument
 /// otherwise.  Each iteration is the rt::simd box-QP sweep (two passes by
 /// the reciprocal diagonal with four-lane sums, bit for bit the same on
-/// every dispatch path) over iterate buffers taken from
-/// the calling thread's rt::tls_arena(), so iterations are allocation-free
-/// once the arena is warm; a structured factor also evaluates the final
-/// objective in O(n).
+/// every dispatch path); the entry (box check, start, max |q_i|) and a
+/// structured factor's O(n) objective are one rt::simd pass each.  The
+/// primal iterates ping-pong between result.x and the warm state's z (or
+/// the calling thread's rt::tls_arena() without one), and the dual
+/// iterates in the warm state's u, so iterations are allocation-free once
+/// the arena is warm.
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options = {});

@@ -21,8 +21,10 @@
 //    instead, so the next solve cold-starts rather than inheriting poison.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "rcr/numerics/matrix.hpp"
 
@@ -49,12 +51,17 @@ inline const char* to_string(WarmUse use) {
 
 namespace detail {
 
-/// True when `v` has exactly `n` entries, all finite.
+/// True when `v` has exactly `n` entries, all finite.  Branch-free on the
+/// bits, so it vectorizes: an all-ones exponent (inf or NaN) carries into
+/// the sign bit when one more exponent unit is added.
 inline bool warm_vec_ok(const Vec& v, std::size_t n) {
   if (v.size() != n) return false;
+  constexpr std::uint64_t kExponent = 0x7FF0000000000000ull;
+  constexpr std::uint64_t kUnit = 0x0010000000000000ull;
+  std::uint64_t non_finite = 0;
   for (double x : v)
-    if (!std::isfinite(x)) return false;
-  return true;
+    non_finite |= (std::bit_cast<std::uint64_t>(x) & kExponent) + kUnit;
+  return (non_finite >> 63) == 0;
 }
 
 }  // namespace detail

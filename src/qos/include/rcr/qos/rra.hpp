@@ -59,10 +59,16 @@ Vec waterfill(const Vec& gains, double total_power);
 Assignment best_gain_assignment(const RraProblem& problem);
 
 /// The same assignment written into `assignment` (resized; its capacity is
-/// reused), scanning the gain matrix row by row with no heap allocation.
-/// Throws what validate() throws, with the same messages; on a throw the
-/// contents of `assignment` are unspecified.
+/// reused) by one register-blocked scan of the gain matrix
+/// (rt::simd::Kernels::best_gain_scan) with no heap allocation.  Throws
+/// what validate() throws, with the same messages; on a throw the contents
+/// of `assignment` are unspecified.
 void best_gain_assignment(const RraProblem& problem, Assignment& assignment);
+
+/// The same, also writing each RB's winning gain into `gains` (resized):
+/// assigned_gains(problem, assignment), bit for bit, from the same scan.
+void best_gain_assignment(const RraProblem& problem, Assignment& assignment,
+                          Vec& gains);
 
 /// Per-RB effective gains under a fixed assignment:
 /// gains[rb] = gain(assignment[rb], rb).  Throws std::invalid_argument on an

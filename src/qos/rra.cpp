@@ -173,40 +173,33 @@ Assignment best_gain_assignment(const RraProblem& problem) {
   return assignment;
 }
 
-void best_gain_assignment(const RraProblem& problem, Assignment& assignment) {
-  // validate(), with its negative-gain scan folded into the row pass.
+namespace {
+
+// validate(), with its negative-gain scan folded into the best-gain scan.
+void best_gain_scan(const RraProblem& problem, Assignment& assignment,
+                    double* best) {
   validate_shape(problem);
-  const std::size_t users = problem.num_users();
-  const std::size_t rbs = problem.num_rbs();
-  // Per RB: the running best gain, its user (as an exact small double, so
-  // every update is a double select), and the lowest gain for the
-  // negative-gain check; the rows scan on rt::simd::Kernels::best_gain_row.
+  assignment.resize(problem.num_rbs());
+  if (rt::simd::active().best_gain_scan(problem.gain.data().data(),
+                                        problem.num_users(),
+                                        problem.num_rbs(), assignment.data(),
+                                        best))
+    throw_negative_gain();
+}
+
+}  // namespace
+
+void best_gain_assignment(const RraProblem& problem, Assignment& assignment) {
   rt::ScratchArena& arena = rt::tls_arena();
   const auto scope = arena.scope();
-  double* best = arena.alloc<double>(rbs);
-  double* owner = arena.alloc<double>(rbs);
-  double* lowest = arena.alloc<double>(rbs);
-  const double* g = problem.gain.data().data();  // row-major, user rows
-  for (std::size_t rb = 0; rb < rbs; ++rb) {
-    best[rb] = g[rb];
-    owner[rb] = 0.0;
-    // From 0.0, so a NaN gain (which < skips) never hides a negative one.
-    lowest[rb] = g[rb] < 0.0 ? g[rb] : 0.0;
-  }
-  // A strict > against the running best keeps the lowest index on ties and
-  // matches the column scan's comparisons exactly: a NaN never wins, and a
-  // NaN best (user 0's) is never beaten.
-  const rt::simd::Kernels& kernels = rt::simd::active();
-  for (std::size_t u = 1; u < users; ++u)
-    kernels.best_gain_row(g + u * rbs, rbs, static_cast<double>(u), best,
-                          owner, lowest);
-  assignment.resize(rbs);
-  bool negative = false;
-  for (std::size_t rb = 0; rb < rbs; ++rb) {
-    assignment[rb] = static_cast<std::size_t>(owner[rb]);
-    negative |= lowest[rb] < 0.0;
-  }
-  if (negative) throw_negative_gain();
+  best_gain_scan(problem, assignment,
+                 arena.alloc<double>(problem.num_rbs()));
+}
+
+void best_gain_assignment(const RraProblem& problem, Assignment& assignment,
+                          Vec& gains) {
+  gains.resize(problem.num_rbs());
+  best_gain_scan(problem, assignment, gains.data());
 }
 
 Vec assigned_gains(const RraProblem& problem, const Assignment& assignment) {

@@ -5,7 +5,11 @@
 // rotations, FFT butterflies, the *_seq reductions (SIMD products,
 // scalar-ordered adds), the two passes of the structured box-QP ADMM
 // sweep (whose sums the scalar reference itself adds in four lanes), the
-// best-gain row scan and the 4-wide log2 buckets of the cache signature.
+// fixed per-cell path around that sweep (the register-blocked best-gain
+// scan, the Taylor power-QP coefficients, the structured factor's
+// reciprocals, the box-QP start and objective, and the sum rate on a
+// table log2, each reference adding its sums in the same four lanes) and
+// the 4-wide log2 buckets of the cache signature.
 // Their vectorized forms perform the identical sequence of IEEE roundings
 // as the scalar fallback, so the active path may change between
 // builds/machines without changing a single output bit.
@@ -22,8 +26,11 @@
 // NaN/Inf caveat: `butterfly`'s vector path uses the naive complex-multiply
 // formula, which matches libstdc++'s fast path bit-for-bit on finite data
 // but skips the Annex-G infinity recovery.  All kernels are bit-exact for
-// finite inputs; the box-QP sweep also for NaN, +-Inf and signed zeros (its
-// projection is a compare-and-blend with std::clamp's exact semantics).
+// finite inputs; the box-QP sweep and the fixed-path kernels also for NaN,
+// +-Inf and signed zeros (projections are compare-and-blends with
+// std::clamp's exact semantics, maxima and minima the ordered-compare
+// instructions whose NaN rule is the scalar loop's, and rate_log2 hands
+// every non-normal argument to the scalar function).
 #pragma once
 
 #include <complex>
@@ -44,6 +51,14 @@ struct SweepSums {
   double x = 0.0;        ///< sum_i x_i of the pass-1 output.
   double primal2 = 0.0;  ///< sum_i of the primal residual terms handed in.
   double dual2 = 0.0;    ///< sum_i of the dual residual terms handed in.
+};
+
+/// The three sums Kernels::box_objective returns, in the four-lane order
+/// of SweepSums.
+struct ObjectiveSums {
+  double quad = 0.0;   ///< sum_i (p_diag_i - c) z_i^2.
+  double total = 0.0;  ///< sum_i z_i.
+  double lin = 0.0;    ///< sum_i q_i z_i.
 };
 
 /// Vectorized kernel table.  One function pointer per kernel; the scalar
@@ -111,19 +126,67 @@ struct Kernels {
                    const double* lo, const double* hi, const double* z,
                    double* u, double* z_out, double* primal_terms,
                    double* dual_terms, std::size_t n);
-  /// One user row of the best-gain scan (qos::best_gain_assignment): for
-  /// each i, with v = row[i],
-  ///   if (v > best[i]) { best[i] = v; owner[i] = user; }
-  ///   if (v < lowest[i]) lowest[i] = v;
-  /// (a NaN v changes nothing; owner holds small integers as doubles).
-  void (*best_gain_row)(const double* row, std::size_t n, double user,
-                        double* best, double* owner, double* lowest);
+  /// The best-gain scan (qos::best_gain_assignment) of a row-major
+  /// users x n gain matrix, users >= 1: for each column i, from user 0's
+  /// gain, a user u's gain v takes the column when v > best (strict, so
+  /// the lowest index wins a tie, a NaN v never wins and a NaN best is
+  /// never beaten); owner[i] and best[i] receive the winner and its gain.
+  /// Returns true when some gain is < 0 (NaN and -0.0 are not).  The
+  /// vector paths hold a block of columns' best and owner in registers
+  /// while every row streams past.
+  bool (*best_gain_scan)(const double* gain, std::size_t users, std::size_t n,
+                         std::size_t* owner, double* best);
+  /// The Taylor coefficients of learn::power_qp_coeffs: for each i, with
+  /// g = gain[i] and d = 1 + g * p0,
+  ///   curv[i] = g * g * (1 / ln 2) / (d * d);  slope[i] = -g * (1 / ln 2) / d;
+  /// returning max(0, max_i curv[i]) under `if (curv > max) max = curv`
+  /// (a NaN curv never raises it): exact in any order.
+  double (*power_qp_coeffs)(const double* gain, std::size_t n, double p0,
+                            double* curv, double* slope);
+  /// The structured factor's reciprocals (opt::BoxQpFactor::Dpr1): for
+  /// each i, d[i] = p_diag[i] - c + rho + ridge and inv_d[i] = 1 / d[i];
+  /// returns sum_i inv_d[i] in the four-lane order of SweepSums, or NaN
+  /// when some d[i] is not finite and positive.
+  double (*dpr1_inverse)(const double* p_diag, double c, double rho,
+                         double ridge, double* d, double* inv_d,
+                         std::size_t n);
+  /// The box-QP start (opt::admm_box_qp): z[i] = std::clamp(z0[i], lo[i],
+  /// hi[i]), or of 0.0 when `z0` is null; returns max_i |q[i]| under
+  /// std::max's rule (a NaN |q| never raises it; exact in any order), or
+  /// -1.0 when some lo[i] > hi[i], in which case z is unspecified.
+  double (*box_start)(const double* lo, const double* hi, const double* z0,
+                      const double* q, double* z, std::size_t n);
+  /// The structured box-QP objective's sums over z, each in the four-lane
+  /// order of SweepSums; the product (p_diag[i] - c) * z[i] * z[i]
+  /// multiplies left to right.
+  ObjectiveSums (*box_objective)(const double* p_diag, double c,
+                                 const double* q, const double* z,
+                                 std::size_t n);
+  /// The finish of a served answer: power[i] *= scale (scale = 1 leaves
+  /// power as it is), then the sum rate
+  ///   sum_i (power[i] != 0 ? rate_log2(1 + power[i] * gain[i]) : 0)
+  /// in the four-lane order of SweepSums.  An unpowered RB adds nothing
+  /// whatever its gain; a +inf gain on a powered RB rates +inf; a NaN
+  /// power rates NaN.
+  double (*scaled_rate)(double scale, double* power, const double* gain,
+                        std::size_t n);
   /// log2_bucket (below) on n gains, four at a time on every path:
   /// bucket[i] = log2_bucket(gain[i], inv_quantum), bit for bit.  Returns
   /// false when some bucket is kLog2BucketSlow.
   bool (*log2_buckets)(const double* gain, std::size_t n, double inv_quantum,
                        std::int64_t* bucket);
 };
+
+/// The log2 of Kernels::scaled_rate, the same bits on every path.  For a
+/// normal, positive, finite x = 2^e m (m in [1, 2)), the mantissa rounded
+/// to 8 bits picks a centre c_j = 1 + j / 256 (j in 0..256), r = (m - c_j)
+/// * (1 / c_j) (the difference is exact, |r| <= 2^-9), and
+///   log2 x = (e + log2 c_j) + r (C1 + r (C2 + r (C3 + r (C4 + r C5))))
+/// with C_k = (-1)^(k+1) / (k ln 2): within a few ulps of log2 x, and
+/// exactly 0 at x = 1 and k at x = 2^k.  Any other x (zero, subnormal,
+/// negative, +inf, NaN) takes std::log2.  Plain IEEE operations in this
+/// order on every path (no FMA).
+double rate_log2(double x);
 
 /// log2_bucket's answer for a gain its fast path does not settle.
 inline constexpr std::int64_t kLog2BucketSlow =

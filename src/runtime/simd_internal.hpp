@@ -45,8 +45,27 @@ void scalar_boxqp_zu(double gamma, const double* inv_d, const double* x,
                      const double* lo, const double* hi, const double* z,
                      double* u, double* z_out, double* primal_terms,
                      double* dual_terms, std::size_t n);
-void scalar_best_gain_row(const double* row, std::size_t n, double user,
-                          double* best, double* owner, double* lowest);
+bool scalar_best_gain_scan(const double* gain, std::size_t users,
+                           std::size_t n, std::size_t* owner, double* best);
+double scalar_power_qp_coeffs(const double* gain, std::size_t n, double p0,
+                              double* curv, double* slope);
+double scalar_dpr1_inverse(const double* p_diag, double c, double rho,
+                           double ridge, double* d, double* inv_d,
+                           std::size_t n);
+double scalar_box_start(const double* lo, const double* hi, const double* z0,
+                        const double* q, double* z, std::size_t n);
+ObjectiveSums scalar_box_objective(const double* p_diag, double c,
+                                   const double* q, const double* z,
+                                   std::size_t n);
+double scalar_scaled_rate(double scale, double* power, const double* gain,
+                          std::size_t n);
+
+/// The best-gain scan of columns [i0, i1) of a users x stride row-major
+/// gain matrix (Kernels::best_gain_scan's reference; the vector paths'
+/// tail).  Returns true when some scanned gain is < 0.
+bool best_gain_columns(const double* gain, std::size_t users,
+                       std::size_t stride, std::size_t i0, std::size_t i1,
+                       std::size_t* owner, double* best);
 bool scalar_log2_buckets(const double* gain, std::size_t n,
                          double inv_quantum, std::int64_t* bucket);
 
@@ -54,6 +73,21 @@ bool scalar_log2_buckets(const double* gain, std::size_t n,
 inline constexpr std::size_t kSweepLanes = 4;
 inline double combine_lanes(const double (&lane)[kSweepLanes]) {
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+/// The sweep's lane order for a kernel's n terms: lane j adds term(i) for
+/// i = j mod 4 below the last multiple of 4, ascending from 0.0, the lanes
+/// combine as (l0 + l1) + (l2 + l3), and the tail terms then add in
+/// ascending order.  The scalar references sum through this.
+template <typename Term>
+double lane_sum(std::size_t n, Term term) {
+  double lane[kSweepLanes] = {};
+  std::size_t i = 0;
+  for (; i + kSweepLanes <= n; i += kSweepLanes)
+    for (std::size_t j = 0; j < kSweepLanes; ++j) lane[j] += term(i + j);
+  double sum = combine_lanes(lane);
+  for (; i < n; ++i) sum += term(i);
+  return sum;
 }
 
 /// log2_bucket's centre table: log2 c_j and 1 / c_j for the 256 centres.
@@ -65,6 +99,16 @@ extern const double* const kLog2InvCentre;
 inline constexpr double kLog2C1 = 1.4426950408889634074;  // 1 / ln 2
 inline constexpr double kLog2C2 = -kLog2C1 / 2.0;
 inline constexpr double kLog2C3 = kLog2C1 / 3.0;
+/// rate_log2's two further series coefficients, C_k = (-1)^(k+1) / (k ln 2),
+/// and its tables over the 257 centres c_j = 1 + j / 256: log2 c_j and
+/// 1 / c_j.  kLog2C1 = 1 / ln 2 is also the Taylor coefficients' constant.
+inline constexpr double kLog2C4 = -kLog2C1 / 4.0;
+inline constexpr double kLog2C5 = kLog2C1 / 5.0;
+inline constexpr int kRateTableBits = 8;
+inline constexpr std::size_t kRateTableSize =
+    (std::size_t{1} << kRateTableBits) + 1;
+extern const double* const kRateLog2Centre;
+extern const double* const kRateInvCentre;
 inline constexpr double kLog2FixedMagic = 0x1.8p28;
 inline constexpr int kLog2FracBits = 24;
 inline constexpr std::uint64_t kLog2FracMask =

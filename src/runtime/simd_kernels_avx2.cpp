@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 namespace rcr::rt::simd::detail {
 namespace {
@@ -293,23 +294,267 @@ void avx2_boxqp_zu(double gamma, const double* inv_d, const double* x,
                   z_out + i, primal_terms + i, dual_terms + i, n - i);
 }
 
-void avx2_best_gain_row(const double* row, std::size_t n, double user,
-                        double* best, double* owner, double* lowest) {
-  // Ordered compares are false on NaN, so a NaN gain selects nothing.
-  const __m256d vu = _mm256_set1_pd(user);
+// The best-gain scan of kBlock * 4 columns from column i: each column's
+// best, owner (a 64-bit integer in a double lane) and lowest gain stay in
+// registers while every user's row streams past.  max_pd(v, b) is
+// v > b ? v : b, and min_pd(v, l) is v < l ? v : l: ordered compares are
+// false on NaN, so a NaN gain takes nothing and a NaN best keeps its
+// column.  Returns the lowest gains' negative mask.
+template <std::size_t kBlock>
+inline __m256d best_gain_block(const double* gain, std::size_t users,
+                               std::size_t stride, std::size_t i,
+                               std::size_t* owner, double* best) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d b[kBlock], o[kBlock], l[kBlock];
+  for (std::size_t k = 0; k < kBlock; ++k) {
+    b[k] = _mm256_loadu_pd(gain + i + 4 * k);
+    o[k] = zero;  // user 0: all-zero bits
+    l[k] = _mm256_min_pd(b[k], zero);
+  }
+  for (std::size_t u = 1; u < users; ++u) {
+    const double* row = gain + u * stride + i;
+    const __m256d vu =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(u)));
+    for (std::size_t k = 0; k < kBlock; ++k) {
+      const __m256d v = _mm256_loadu_pd(row + 4 * k);
+      o[k] = _mm256_blendv_pd(o[k], vu, _mm256_cmp_pd(v, b[k], _CMP_GT_OQ));
+      b[k] = _mm256_max_pd(v, b[k]);
+      l[k] = _mm256_min_pd(v, l[k]);
+    }
+  }
+  __m256d negative = zero;
+  for (std::size_t k = 0; k < kBlock; ++k) {
+    _mm256_storeu_pd(best + i + 4 * k, b[k]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(owner + i + 4 * k),
+                        _mm256_castpd_si256(o[k]));
+    negative =
+        _mm256_or_pd(negative, _mm256_cmp_pd(l[k], zero, _CMP_LT_OQ));
+  }
+  return negative;
+}
+
+bool avx2_best_gain_scan(const double* gain, std::size_t users, std::size_t n,
+                         std::size_t* owner, double* best) {
+  static_assert(sizeof(std::size_t) == 8);
+  __m256d negative = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16)
+    negative = _mm256_or_pd(
+        negative, best_gain_block<4>(gain, users, n, i, owner, best));
+  for (; i + 4 <= n; i += 4)
+    negative = _mm256_or_pd(
+        negative, best_gain_block<1>(gain, users, n, i, owner, best));
+  const bool tail = best_gain_columns(gain, users, n, i, n, owner, best);
+  return tail || _mm256_movemask_pd(negative) != 0;
+}
+
+double avx2_power_qp_coeffs(const double* gain, std::size_t n, double p0,
+                            double* curv, double* slope) {
+  // max_pd(c, m) is c > m ? c : m, the scalar update; the maximum of the
+  // non-NaN entries is exact in any order.
+  const __m256d k = _mm256_set1_pd(kLog2C1);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d vp0 = _mm256_set1_pd(p0);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d mx = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(row + i);
-    const __m256d b = _mm256_loadu_pd(best + i);
-    const __m256d l = _mm256_loadu_pd(lowest + i);
-    const __m256d better = _mm256_cmp_pd(v, b, _CMP_GT_OQ);
-    _mm256_storeu_pd(best + i, _mm256_blendv_pd(b, v, better));
-    _mm256_storeu_pd(owner + i,
-                     _mm256_blendv_pd(_mm256_loadu_pd(owner + i), vu, better));
-    _mm256_storeu_pd(lowest + i,
-                     _mm256_blendv_pd(l, v, _mm256_cmp_pd(v, l, _CMP_LT_OQ)));
+    const __m256d g = _mm256_loadu_pd(gain + i);
+    const __m256d denom = _mm256_add_pd(one, _mm256_mul_pd(g, vp0));
+    const __m256d c = _mm256_div_pd(_mm256_mul_pd(_mm256_mul_pd(g, g), k),
+                                    _mm256_mul_pd(denom, denom));
+    _mm256_storeu_pd(curv + i, c);
+    _mm256_storeu_pd(
+        slope + i,
+        _mm256_div_pd(_mm256_mul_pd(_mm256_xor_pd(g, sign), k), denom));
+    mx = _mm256_max_pd(c, mx);
   }
-  scalar_best_gain_row(row + i, n - i, user, best + i, owner + i, lowest + i);
+  double lane[4];
+  _mm256_storeu_pd(lane, mx);
+  double max_curv = 0.0;
+  for (double v : lane)
+    if (v > max_curv) max_curv = v;
+  const double tail =
+      scalar_power_qp_coeffs(gain + i, n - i, p0, curv + i, slope + i);
+  return tail > max_curv ? tail : max_curv;
+}
+
+double avx2_dpr1_inverse(const double* p_diag, double c, double rho,
+                         double ridge, double* d, double* inv_d,
+                         std::size_t n) {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vrho = _mm256_set1_pd(rho);
+  const __m256d vridge = _mm256_set1_pd(ridge);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d acc = zero;
+  __m256d ok = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d di = _mm256_add_pd(
+        _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(p_diag + i), vc), vrho),
+        vridge);
+    _mm256_storeu_pd(d + i, di);
+    const __m256d inv = _mm256_div_pd(one, di);
+    _mm256_storeu_pd(inv_d + i, inv);
+    acc = _mm256_add_pd(acc, inv);
+    ok = _mm256_and_pd(ok, _mm256_and_pd(_mm256_cmp_pd(di, zero, _CMP_GT_OQ),
+                                         _mm256_cmp_pd(di, inf, _CMP_LT_OQ)));
+  }
+  double lane[kSweepLanes];
+  _mm256_storeu_pd(lane, acc);
+  double sum = combine_lanes(lane);
+  bool all_ok = _mm256_movemask_pd(ok) == 0xF;
+  for (; i < n; ++i) {
+    d[i] = p_diag[i] - c + rho + ridge;
+    all_ok &= d[i] > 0.0 && d[i] < std::numeric_limits<double>::infinity();
+    inv_d[i] = 1.0 / d[i];
+    sum += inv_d[i];
+  }
+  return all_ok ? sum : std::numeric_limits<double>::quiet_NaN();
+}
+
+double avx2_box_start(const double* lo, const double* hi, const double* z0,
+                      const double* q, double* z, std::size_t n) {
+  // The clamp as avx2_boxqp_zu blends it; max_pd(a, m) is m < a ? a : m,
+  // std::max's update.
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d bad = zero;
+  __m256d norm = zero;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d l = _mm256_loadu_pd(lo + i);
+    const __m256d h = _mm256_loadu_pd(hi + i);
+    bad = _mm256_or_pd(bad, _mm256_cmp_pd(l, h, _CMP_GT_OQ));
+    const __m256d v = z0 != nullptr ? _mm256_loadu_pd(z0 + i) : zero;
+    const __m256d t = _mm256_blendv_pd(v, l, _mm256_cmp_pd(v, l, _CMP_LT_OQ));
+    _mm256_storeu_pd(z + i,
+                     _mm256_blendv_pd(t, h, _mm256_cmp_pd(h, t, _CMP_LT_OQ)));
+    norm = _mm256_max_pd(abs_pd(_mm256_loadu_pd(q + i)), norm);
+  }
+  double lane[4];
+  _mm256_storeu_pd(lane, norm);
+  double m = 0.0;
+  for (double v : lane) m = std::max(m, v);
+  const double tail = scalar_box_start(lo + i, hi + i,
+                                       z0 != nullptr ? z0 + i : nullptr,
+                                       q + i, z + i, n - i);
+  if (_mm256_movemask_pd(bad) != 0 || tail < 0.0) return -1.0;
+  return std::max(m, tail);
+}
+
+ObjectiveSums avx2_box_objective(const double* p_diag, double c,
+                                 const double* q, const double* z,
+                                 std::size_t n) {
+  const __m256d vc = _mm256_set1_pd(c);
+  __m256d aq = _mm256_setzero_pd();
+  __m256d at = _mm256_setzero_pd();
+  __m256d al = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d zi = _mm256_loadu_pd(z + i);
+    aq = _mm256_add_pd(
+        aq, _mm256_mul_pd(
+                _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(p_diag + i), vc),
+                              zi),
+                zi));
+    at = _mm256_add_pd(at, zi);
+    al = _mm256_add_pd(al, _mm256_mul_pd(_mm256_loadu_pd(q + i), zi));
+  }
+  double lq[kSweepLanes], lt[kSweepLanes], ll[kSweepLanes];
+  _mm256_storeu_pd(lq, aq);
+  _mm256_storeu_pd(lt, at);
+  _mm256_storeu_pd(ll, al);
+  ObjectiveSums sums{combine_lanes(lq), combine_lanes(lt), combine_lanes(ll)};
+  for (; i < n; ++i) {
+    sums.quad += (p_diag[i] - c) * z[i] * z[i];
+    sums.total += z[i];
+    sums.lin += q[i] * z[i];
+  }
+  return sums;
+}
+
+double avx2_scaled_rate(double scale, double* power, const double* gain,
+                        std::size_t n) {
+  // rate_log2 four lanes at a time.  The exponent and the centre index
+  // convert exactly through the 2^52 trick (see avx2_log2_buckets); a lane
+  // whose argument rate_log2 hands to std::log2 is redone by rate_log2
+  // itself, so every lane is the scalar function's bits.
+  const __m256i mant_mask = _mm256_set1_epi64x(0x000FFFFFFFFFFFFFll);
+  const __m256i one_bits = _mm256_set1_epi64x(0x3FF0000000000000ll);
+  const __m256i two52 = _mm256_set1_epi64x(0x4330000000000000ll);
+  const __m256i round = _mm256_set1_epi64x(1ll << 43);
+  const __m256i top_normal = _mm256_set1_epi64x(0x7FE);
+  const __m256i izero = _mm256_setzero_si256();
+  const __m256d bias = _mm256_set1_pd(0x1p52 + 1023.0);
+  const __m256d vtwo52 = _mm256_set1_pd(0x1p52);
+  const __m256d step = _mm256_set1_pd(0x1p-8);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d c1 = _mm256_set1_pd(kLog2C1);
+  const __m256d c2 = _mm256_set1_pd(kLog2C2);
+  const __m256d c3 = _mm256_set1_pd(kLog2C3);
+  const __m256d c4 = _mm256_set1_pd(kLog2C4);
+  const __m256d c5 = _mm256_set1_pd(kLog2C5);
+  __m256d acc = zero;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(power + i), vscale);
+    _mm256_storeu_pd(power + i, p);
+    const __m256d x =
+        _mm256_add_pd(one, _mm256_mul_pd(p, _mm256_loadu_pd(gain + i)));
+    const __m256d powered = _mm256_cmp_pd(p, zero, _CMP_NEQ_UQ);
+    const __m256i bits = _mm256_castpd_si256(x);
+    const __m256i biased = _mm256_srli_epi64(bits, 52);
+    const __m256i mant = _mm256_and_si256(bits, mant_mask);
+    const __m256i j = _mm256_srli_epi64(_mm256_add_epi64(mant, round), 44);
+    const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(mant, one_bits));
+    const __m256d jd = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(j, two52)), vtwo52);
+    const __m256d c = _mm256_add_pd(one, _mm256_mul_pd(jd, step));
+    const __m256d inv_c = _mm256_i64gather_pd(kRateInvCentre, j, 8);
+    const __m256d log2_c = _mm256_i64gather_pd(kRateLog2Centre, j, 8);
+    const __m256d r = _mm256_mul_pd(_mm256_sub_pd(m, c), inv_c);
+    const __m256d e = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(biased, two52)), bias);
+    const __m256d series = _mm256_mul_pd(
+        r,
+        _mm256_add_pd(
+            c1, _mm256_mul_pd(
+                    r, _mm256_add_pd(
+                           c2, _mm256_mul_pd(
+                                   r, _mm256_add_pd(
+                                          c3, _mm256_mul_pd(
+                                                  r, _mm256_add_pd(
+                                                         c4, _mm256_mul_pd(
+                                                                 r, c5)))))))));
+    __m256d y = _mm256_add_pd(_mm256_add_pd(e, log2_c), series);
+    const __m256i special = _mm256_or_si256(
+        _mm256_cmpeq_epi64(biased, izero),
+        _mm256_cmpgt_epi64(biased, top_normal));
+    const int redo = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_castsi256_pd(special), powered));
+    if (redo != 0) {
+      double xs[4], ys[4];
+      _mm256_storeu_pd(xs, x);
+      _mm256_storeu_pd(ys, y);
+      for (int k = 0; k < 4; ++k)
+        if ((redo >> k) & 1) ys[k] = rate_log2(xs[k]);
+      y = _mm256_loadu_pd(ys);
+    }
+    acc = _mm256_add_pd(acc, _mm256_and_pd(y, powered));
+  }
+  double lane[kSweepLanes];
+  _mm256_storeu_pd(lane, acc);
+  double sum = combine_lanes(lane);
+  for (; i < n; ++i) {
+    const double p = power[i] * scale;
+    power[i] = p;
+    sum += p != 0.0 ? rate_log2(1.0 + p * gain[i]) : 0.0;
+  }
+  return sum;
 }
 
 bool avx2_log2_buckets(const double* gain, std::size_t n, double inv_quantum,
@@ -401,7 +646,10 @@ const Kernels kAvx2Table = {
     avx2_choose_dot_seq, avx2_masked_dot_seq,
     avx2_choose_mul, avx2_butterfly,
     avx2_boxqp_x,    avx2_boxqp_zu,
-    avx2_best_gain_row, avx2_log2_buckets,
+    avx2_best_gain_scan, avx2_power_qp_coeffs,
+    avx2_dpr1_inverse,  avx2_box_start,
+    avx2_box_objective, avx2_scaled_rate,
+    avx2_log2_buckets,
 };
 
 }  // namespace rcr::rt::simd::detail

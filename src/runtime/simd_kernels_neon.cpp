@@ -94,7 +94,10 @@ const Kernels kNeonTable = {
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
     scalar_boxqp_x,    scalar_boxqp_zu,
-    scalar_best_gain_row, scalar_log2_buckets,
+    scalar_best_gain_scan, scalar_power_qp_coeffs,
+    scalar_dpr1_inverse, scalar_box_start,
+    scalar_box_objective, scalar_scaled_rate,
+    scalar_log2_buckets,
 };
 
 }  // namespace rcr::rt::simd::detail

@@ -7,6 +7,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "simd_internal.hpp"
 
@@ -159,25 +160,118 @@ Log2Centres make_log2_centres() {
 
 const Log2Centres kCentres = make_log2_centres();
 
+struct RateCentres {
+  std::array<double, kRateTableSize> log2_c;
+  std::array<double, kRateTableSize> inv_c;
+};
+
+RateCentres make_rate_centres() {
+  RateCentres t;
+  for (std::size_t j = 0; j < kRateTableSize; ++j) {
+    const double c = 1.0 + static_cast<double>(j) * 0x1p-8;
+    t.log2_c[j] = std::log2(c);
+    t.inv_c[j] = 1.0 / c;
+  }
+  return t;
+}
+
+const RateCentres kRateCentres = make_rate_centres();
+
 }  // namespace
 
 const double* const kLog2Centre = kCentres.log2_c.data();
 const double* const kLog2InvCentre = kCentres.inv_c.data();
+const double* const kRateLog2Centre = kRateCentres.log2_c.data();
+const double* const kRateInvCentre = kRateCentres.inv_c.data();
 
-void scalar_best_gain_row(const double* row, std::size_t n, double user,
-                          double* best, double* owner, double* lowest) {
-  // The owner update o + m (user - o) with m in {0, 1} is exact on small
-  // integers and branch-free, so this loop vectorizes at the base ISA.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = row[i];
-    const double b = best[i];
-    const double o = owner[i];
-    const double m = v > b ? 1.0 : 0.0;
-    best[i] = v > b ? v : b;
-    owner[i] = o + m * (user - o);
-    const double l = lowest[i];
-    lowest[i] = v < l ? v : l;
+bool best_gain_columns(const double* gain, std::size_t users,
+                       std::size_t stride, std::size_t i0, std::size_t i1,
+                       std::size_t* owner, double* best) {
+  bool negative = false;
+  for (std::size_t i = i0; i < i1; ++i) {
+    best[i] = gain[i];
+    owner[i] = 0;
+    negative |= gain[i] < 0.0;
   }
+  for (std::size_t u = 1; u < users; ++u) {
+    const double* row = gain + u * stride;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double v = row[i];
+      if (v > best[i]) {
+        best[i] = v;
+        owner[i] = u;
+      }
+      negative |= v < 0.0;
+    }
+  }
+  return negative;
+}
+
+bool scalar_best_gain_scan(const double* gain, std::size_t users,
+                           std::size_t n, std::size_t* owner, double* best) {
+  return best_gain_columns(gain, users, n, 0, n, owner, best);
+}
+
+double scalar_power_qp_coeffs(const double* gain, std::size_t n, double p0,
+                              double* curv, double* slope) {
+  double max_curv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = gain[i];
+    const double denom = 1.0 + g * p0;
+    curv[i] = g * g * kLog2C1 / (denom * denom);
+    slope[i] = -g * kLog2C1 / denom;
+    if (curv[i] > max_curv) max_curv = curv[i];
+  }
+  return max_curv;
+}
+
+double scalar_dpr1_inverse(const double* p_diag, double c, double rho,
+                           double ridge, double* d, double* inv_d,
+                           std::size_t n) {
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = p_diag[i] - c + rho + ridge;
+    ok &= d[i] > 0.0 && d[i] < std::numeric_limits<double>::infinity();
+    inv_d[i] = 1.0 / d[i];
+  }
+  const double sum = lane_sum(n, [&](std::size_t i) { return inv_d[i]; });
+  return ok ? sum : std::numeric_limits<double>::quiet_NaN();
+}
+
+double scalar_box_start(const double* lo, const double* hi, const double* z0,
+                        const double* q, double* z, std::size_t n) {
+  bool ok = true;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ok &= !(lo[i] > hi[i]);
+    // std::clamp's result, written so an inverted box (rejected by the
+    // return value) never reaches std::clamp's precondition.
+    const double v = z0 != nullptr ? z0[i] : 0.0;
+    const double t = v < lo[i] ? lo[i] : v;
+    z[i] = hi[i] < t ? hi[i] : t;
+    norm = std::max(norm, std::abs(q[i]));
+  }
+  return ok ? norm : -1.0;
+}
+
+ObjectiveSums scalar_box_objective(const double* p_diag, double c,
+                                   const double* q, const double* z,
+                                   std::size_t n) {
+  ObjectiveSums sums;
+  sums.quad =
+      lane_sum(n, [&](std::size_t i) { return (p_diag[i] - c) * z[i] * z[i]; });
+  sums.total = lane_sum(n, [&](std::size_t i) { return z[i]; });
+  sums.lin = lane_sum(n, [&](std::size_t i) { return q[i] * z[i]; });
+  return sums;
+}
+
+double scalar_scaled_rate(double scale, double* power, const double* gain,
+                          std::size_t n) {
+  return lane_sum(n, [&](std::size_t i) {
+    const double p = power[i] * scale;
+    power[i] = p;
+    return p != 0.0 ? rate_log2(1.0 + p * gain[i]) : 0.0;
+  });
 }
 
 bool scalar_log2_buckets(const double* gain, std::size_t n,
@@ -198,12 +292,36 @@ const Kernels kScalarTable = {
     scalar_choose_dot_seq, scalar_masked_dot_seq,
     scalar_choose_mul, scalar_butterfly,
     scalar_boxqp_x,    scalar_boxqp_zu,
-    scalar_best_gain_row, scalar_log2_buckets,
+    scalar_best_gain_scan, scalar_power_qp_coeffs,
+    scalar_dpr1_inverse, scalar_box_start,
+    scalar_box_objective, scalar_scaled_rate,
+    scalar_log2_buckets,
 };
 
 }  // namespace rcr::rt::simd::detail
 
 namespace rcr::rt::simd {
+
+double rate_log2(double x) {
+  using namespace detail;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  // One unsigned test catches zero, subnormals, +inf, NaN and the sign bit.
+  const std::uint64_t biased = bits >> 52;
+  if (biased - 1 >= 0x7FE) return std::log2(x);
+  const std::uint64_t mant = bits & 0x000FFFFFFFFFFFFFull;
+  // The mantissa's top 8 bits, rounded: j in 0..256.
+  const std::uint64_t j = (mant + (std::uint64_t{1} << 43)) >> 44;
+  const double m = std::bit_cast<double>(mant | 0x3FF0000000000000ull);
+  const double c = 1.0 + static_cast<double>(j) * 0x1p-8;
+  const double r = (m - c) * kRateInvCentre[j];
+  const double head =
+      static_cast<double>(static_cast<int>(biased) - 1023) +
+      kRateLog2Centre[j];
+  const double series =
+      r * (kLog2C1 + r * (kLog2C2 + r * (kLog2C3 + r * (kLog2C4 +
+                                                        r * kLog2C5))));
+  return head + series;
+}
 
 std::int64_t log2_bucket(double gain, double inv_quantum) {
   using namespace detail;

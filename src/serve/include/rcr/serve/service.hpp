@@ -110,10 +110,10 @@ bool is_head(Served served);
 ///   snapshot         snapshot, shed and quarantine answers in the fan-out;
 ///   report           the serial report pass, watchdog included;
 ///   fanout           the pool fan-out's own cost: the fan-out's wall time
-///                    less the stages the driver thread ran inside it.
-/// Each fan-out group observes its stages once per tick, and the driver its
+///                    less the stages the calling thread ran inside it.
+/// Each fan-out group observes its stages once per tick, and tick() its
 /// own.  At RCR_THREADS=1 the stages sum to the tick's time; with workers,
-/// their stages run beside the driver's and the sum exceeds it.
+/// their stages run beside the calling thread's and the sum exceeds it.
 inline constexpr const char* kTickStages[] = {
     "admission", "assignment", "signature_cache", "head",
     "fallback",  "snapshot",   "report",          "fanout"};
@@ -252,8 +252,8 @@ class AllocationService {
                    const ProblemFn& problem_of);
   /// Solve admitted cell `cell` into current_[cell]: cache lookup under
   /// `sig`, then the fallback chain, breakers, sum rate and cache put.
-  /// Its assignment is already in scratch_[cell]; `clock` takes the
-  /// solve's stage laps.
+  /// Its assignment and assigned gains are already in scratch_[cell];
+  /// `clock` takes the solve's stage laps.
   void solve_cell(const RraProblem& problem, std::size_t cell,
                   std::uint64_t tick, std::uint64_t stamp, std::uint64_t sig,
                   const robust::Deadline& deadline,

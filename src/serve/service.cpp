@@ -13,21 +13,34 @@
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/rt/scratch_arena.hpp"
+#include "rcr/rt/simd.hpp"
 
 namespace rcr::serve {
 
 namespace {
 
-/// Scale `power` so it sums to exactly `budget` (no-op on a zero vector).
-void rescale_to_budget(Vec& power, double budget) {
-  double total = 0.0;
-  for (double& p : power) {
-    if (p < 0.0) p = 0.0;
-    total += p;
+/// Write power[i] = max(0, value(i)) (a NaN stays) and return the factor
+/// that scales `power` to sum to `budget` (1 when it sums to <= 0: nothing
+/// to scale).  The total adds in the four-lane order of
+/// rt::simd::SweepSums; the scaling itself is Kernels::scaled_rate's.
+template <typename Value>
+double budget_scale(double* power, std::size_t n, double budget,
+                    Value value) {
+  const auto clamped = [&](std::size_t i) {
+    const double p = value(i);
+    return power[i] = p < 0.0 ? 0.0 : p;
+  };
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    l0 += clamped(i);
+    l1 += clamped(i + 1);
+    l2 += clamped(i + 2);
+    l3 += clamped(i + 3);
   }
-  if (total <= 0.0) return;
-  const double scale = budget / total;
-  for (double& p : power) p *= scale;
+  double total = (l0 + l1) + (l2 + l3);
+  for (; i < n; ++i) total += clamped(i);
+  return total <= 0.0 ? 1.0 : budget / total;
 }
 
 /// The serve.cell chain's steps, in chain order: a run whose winner is step
@@ -41,26 +54,17 @@ void serve_as(CellAllocation& alloc, Served served) {
   alloc.step = to_string(served);
 }
 
-/// Sum spectral efficiency of an allocation over its per-RB gains.  An
-/// unpowered RB adds nothing, whatever its gain: water-filling gives a NaN
-/// gain zero power, and 0 * NaN must not poison the sum.
-double sum_rate_of(const Vec& gains, const Vec& power) {
-  double rate = 0.0;
-  for (std::size_t rb = 0; rb < gains.size(); ++rb)
-    if (power[rb] != 0.0) rate += std::log2(1.0 + power[rb] * gains[rb]);
-  return rate;
-}
-
 /// True when `v` is finite and positive.
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 /// A serve.cell step's answer.  The assignment is always the cell's
-/// best-gain one, so only the power vector and the head's iteration record
-/// travel through the chain.
+/// best-gain one, so only the power vector, the head's iteration record
+/// and the sum rate the head's finish computed travel through the chain.
 struct StepAnswer {
   Vec power;
   std::size_t iterations = 0;
   opt::WarmUse warm_use = opt::WarmUse::kCold;
+  double sum_rate = 0.0;  ///< Set by the head only.
 };
 
 }  // namespace
@@ -99,8 +103,8 @@ class StageClock {
     last_ = now;
   }
 
-  /// Take `ns` back from `stage` (the fan-out's lap holds the driver's own
-  /// group stages, which observe themselves).
+  /// Take `ns` back from `stage` (the fan-out's lap holds the calling
+  /// thread's own group stages, which observe themselves).
   void discount(Stage stage, double ns) { ns_[stage] -= ns; }
 
   /// Observe every stage that ran; returns their sum.
@@ -123,7 +127,8 @@ class StageClock {
 };
 
 /// The stage time this thread's fan-out groups observed, summed; the
-/// driver subtracts its own groups' share from the fan-out's lap.
+/// thread that called tick() subtracts its own groups' share from the
+/// fan-out's lap.
 thread_local double t_group_stage_ns = 0.0;
 
 }  // namespace detail
@@ -258,7 +263,8 @@ void AllocationService::serve_group(std::size_t c0, std::size_t c1,
     const RraProblem& problem = problem_of(c);
     cell_problems[c - c0] = &problem;
     if (plan.decisions[c] != AdmitDecision::kAdmit) continue;
-    qos::best_gain_assignment(problem, scratch_[c].assignment);
+    qos::best_gain_assignment(problem, scratch_[c].assignment,
+                              scratch_[c].gains);
     problems[keyed] = &problem;
     assignments[keyed] = &scratch_[c].assignment;
     sigs[keyed] = 0;
@@ -309,7 +315,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
   auto arena_scope = rt::tls_arena().scope();
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
-  qos::assigned_gains(problem, work.assignment, work.gains);
+  // work.gains holds the assigned gains from the assignment's scan.
 
   // Power model: second-order Taylor expansion of -sum log2(1 + g p) around
   // the equal split p0 = budget / n, in the step variable d = p - p0:
@@ -351,6 +357,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
     CellScratch& work;
     CellRuntime& rtc;
     detail::StageClock& clock;
+    const rt::simd::Kernels& kernels;
     opt::AdmmWarmState* warm;
     const robust::Deadline& deadline;
     const double* p_diag;
@@ -367,6 +374,7 @@ void AllocationService::solve_cell(const RraProblem& problem,
                     work,
                     runtime_[cell],
                     clock,
+                    rt::simd::active(),
                     config_.warm_start ? &warm_[cell] : nullptr,
                     deadline,
                     p_diag,
@@ -428,11 +436,17 @@ void AllocationService::solve_cell(const RraProblem& problem,
                out.status = r.status;
                return out;
              }
+             // The finish: p = p0 + x, clamped and scaled to the budget,
+             // and its sum rate, in two passes.
              out.value.power.swap(w.power);
              out.value.power.resize(s->n);
-             for (std::size_t rb = 0; rb < s->n; ++rb)
-               out.value.power[rb] = s->p0 + r.x[rb];
-             rescale_to_budget(out.value.power, s->budget);
+             double* power = out.value.power.data();
+             const double* x = r.x.data();
+             const double scale =
+                 budget_scale(power, s->n, s->budget,
+                              [&](std::size_t rb) { return s->p0 + x[rb]; });
+             out.value.sum_rate =
+                 s->kernels.scaled_rate(scale, power, w.gains.data(), s->n);
              out.value.iterations = r.iterations;
              out.value.warm_use = r.warm_use;
              out.status = r.status;
@@ -504,16 +518,25 @@ void AllocationService::solve_cell(const RraProblem& problem,
   // The buffer the answer replaced is the next solve's step buffer.
   if (outcome.value.power.capacity() > work.power.capacity())
     work.power.swap(outcome.value.power);
+  // The head's finish rated its answer; any other is rated here.
+  bool rated = outcome.winner == 0;
   if (config_.watchdog.enabled &&
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
     alloc.power[0] = std::numeric_limits<double>::quiet_NaN();
+    rated = false;
   }
-  alloc.sum_rate = sum_rate_of(work.gains, alloc.power);
+  alloc.sum_rate =
+      rated ? outcome.value.sum_rate
+            : solve.kernels.scaled_rate(1.0, alloc.power.data(),
+                                        work.gains.data(), n);
   clock.lap(outcome.winner == 0 ? detail::kStageHead : detail::kStageFallback);
 
-  // Never cache an answer the watchdog would catch: it owns those.
-  if (config_.cache_enabled && servable(alloc)) {
+  // Cache only what a chain step won, and never an answer the watchdog
+  // would catch (it owns those): a deadline fill replayed as a hit would
+  // pass for a head answer and refresh the snapshot a fill may not.
+  if (config_.cache_enabled && outcome.winner != robust::kNoWinner &&
+      servable(alloc)) {
     detail::store_answer(alloc, work.entry);
     cache_.put(sig, stamp, work.entry);
   }
@@ -545,9 +568,11 @@ CellAllocation AllocationService::serve_from_snapshot(
     qos::best_gain_assignment(problem, alloc.assignment);
     alloc.power.assign(n, budget / static_cast<double>(n));
   }
-  rescale_to_budget(alloc.power, budget);
-  alloc.sum_rate =
-      sum_rate_of(qos::assigned_gains(problem, alloc.assignment), alloc.power);
+  const Vec gains = qos::assigned_gains(problem, alloc.assignment);
+  double* power = alloc.power.data();
+  const double scale = budget_scale(power, n, budget,
+                                    [&](std::size_t rb) { return power[rb]; });
+  alloc.sum_rate = rt::simd::active().scaled_rate(scale, power, gains.data(), n);
 
   // No chain ran for this answer: its records stay kNotRun.
   switch (reason) {

@@ -424,6 +424,39 @@ TEST(AllocationService, ChainsThatFindTheDeadlineGoneFillEveryCell) {
   }
 }
 
+TEST(AllocationService, ADeadlineFillIsNeverReplayedFromTheCache) {
+  // The setup above, twice: the problems do not change between the ticks
+  // (coherence 4), so a cached fill would come back on tick 1 as a cache
+  // hit, counted as a head answer and refreshing the cell's snapshot.  Only
+  // what a chain step won is cached, so tick 1 fills every cell again and
+  // counts it degraded; a fill never refreshes a snapshot, and with no
+  // cache replay nothing else on these ticks can.
+  const WorkloadConfig wc = small_workload();
+  DiurnalWorkload wl(wc);
+  ServiceConfig sc;
+  sc.tick_deadline_s = 0.02;
+  AllocationService service(sc, wc.num_cells);
+  obs::ScopedMetrics metrics;
+  for (std::size_t t = 0; t < 2; ++t) {
+    wl.advance(t);
+    const auto wake =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    const TickReport report =
+        service.tick(t, [&](std::size_t c) -> const RraProblem& {
+          std::this_thread::sleep_until(wake);
+          return wl.cell(c);
+        });
+    EXPECT_EQ(report.cache_hits, 0u) << "tick " << t;
+    EXPECT_EQ(report.deadline_fills, wc.num_cells) << "tick " << t;
+    EXPECT_EQ(report.degraded, wc.num_cells) << "tick " << t;
+    for (std::size_t c = 0; c < wc.num_cells; ++c)
+      EXPECT_EQ(service.allocation(c).served, Served::kDeadlineFill)
+          << "tick " << t << " cell " << c;
+  }
+  EXPECT_EQ(cell_outcomes(Served::kCache), 0.0);
+  EXPECT_EQ(service.cache_stats().insertions, 0u);
+}
+
 TEST(AllocationService, CellOutcomeCounterAddsUpToTheTickReports) {
   // One rcr.serve.cell_outcome increment per cell-tick, labelled by how the
   // cell was served: the labels partition the fleet's cell-ticks the way
