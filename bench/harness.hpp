@@ -138,6 +138,18 @@ class Harness {
     return records_.back();
   }
 
+  /// Record a row measured by the caller's own protocol.
+  Record& add(const std::string& kernel, const std::string& size,
+              double ns_op, double allocs_op) {
+    Record rec;
+    rec.kernel = kernel;
+    rec.size = size;
+    rec.ns_op = ns_op;
+    rec.allocs_op = allocs_op;
+    records_.push_back(std::move(rec));
+    return records_.back();
+  }
+
   const std::vector<Record>& records() const { return records_; }
 
   void print_table() const {

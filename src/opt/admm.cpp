@@ -93,11 +93,12 @@ bool detect_dpr1(const Matrix& p, double rho, double ridge,
   return build_dpr1(p.data().data(), n + 1, n, c, rho, ridge, out);
 }
 
-// Shared tail of both factor builders: record rho, run the
+// Shared tail of both factor builders: record rho and the ridge, run the
 // admm.factor.singular fault site, and map a singular factor to kSingular.
 void finish_factor(robust::Result<BoxQpFactor>& out, double rho,
                    double ridge) {
   out.value.rho = rho;
+  out.value.ridge = ridge;
   if (robust::faults::enabled() &&
       robust::faults::should_inject("admm.factor.singular"))
     out.value.factor.singular = true;
@@ -207,9 +208,65 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 
 namespace {
 
+// OSQP's adaptive rho (Stellato et al., "OSQP: an operator splitting solver
+// for quadratic programs", Math. Prog. Comp. 2020, Sec. 5.2) with OSQP's
+// defaults: every kRhoInterval iterations (4 x its 25-iteration termination
+// check) rho is re-estimated from the balance of the relative primal and
+// dual residuals, and replaced only when the estimate is off by more than
+// kRhoTolerance either way.  kRhoMin/kRhoMax and kDivisionTol are OSQP's
+// RHO_MIN, RHO_MAX and DIVISION_TOL, the guards of the estimate.
+constexpr std::size_t kRhoInterval = 100;
+constexpr double kRhoTolerance = 5.0;
+constexpr double kRhoMin = 1e-6;
+constexpr double kRhoMax = 1e6;
+constexpr double kDivisionTol = 1e-10;
+
+// rho sqrt(prim_rel / dual_rel) for one iteration's iterate, in infinity
+// norms with A = I: x_i = x_pre_i - gamma inv_d_i (the post-gamma x that
+// pass 2 projected; the dense path's gamma = 0 and unit inv_d leave the LU
+// solution as it is), z the projection, y = rho u the unscaled dual.
+//   prim_rel = |x - z| / max(|x|, |z|)
+//   dual_rel = |P x + q + y| / max(|P x|, |y|, |q|)
+// With `p` null P x is the structured (P_ii - c) x_i + c sum_j x_j, the sum
+// ascending; otherwise P's rows, each ascending.  Plain scalar code in a
+// fixed order, so the estimate is the same bits on every dispatch path.  A
+// non-finite iterate's estimate is never used: the sentinel stops first.
+double rho_estimate(double rho, const double* x_pre, double gamma,
+                    const double* inv_d, const double* z, const double* u,
+                    const double* q, double q_norm, const Matrix* p,
+                    const BoxQpFactor::Dpr1& dpr1, std::size_t n) {
+  const auto x_at = [&](std::size_t i) { return x_pre[i] - gamma * inv_d[i]; };
+  double x_sum = 0.0;
+  if (p == nullptr)
+    for (std::size_t i = 0; i < n; ++i) x_sum += x_at(i);
+  double prim = 0.0, x_norm = 0.0, z_norm = 0.0;
+  double dual = 0.0, px_norm = 0.0, y_norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = x_at(i);
+    double pxi = 0.0;
+    if (p == nullptr) {
+      pxi = (dpr1.p_diag[i] - dpr1.c) * xi + dpr1.c * x_sum;
+    } else {
+      for (std::size_t j = 0; j < n; ++j) pxi += (*p)(i, j) * x_at(j);
+    }
+    const double yi = rho * u[i];
+    prim = std::max(prim, std::abs(xi - z[i]));
+    x_norm = std::max(x_norm, std::abs(xi));
+    z_norm = std::max(z_norm, std::abs(z[i]));
+    dual = std::max(dual, std::abs(pxi + q[i] + yi));
+    px_norm = std::max(px_norm, std::abs(pxi));
+    y_norm = std::max(y_norm, std::abs(yi));
+  }
+  const double prim_rel = prim / (std::max(x_norm, z_norm) + kDivisionTol);
+  const double dual_rel =
+      dual / (std::max({px_norm, y_norm, q_norm}) + kDivisionTol);
+  return std::clamp(rho * std::sqrt(prim_rel / (dual_rel + kDivisionTol)),
+                    kRhoMin, kRhoMax);
+}
+
 // The box-QP iteration behind every prefactored entry point, writing every
-// field of `result`.  `p` is read only for a dense factor's objective; a
-// structured factor carries P_ii.
+// field of `result`.  `p` is read for a dense factor's objective and its
+// adaptive refactor; a structured factor carries P_ii.
 void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
                  const Vec& lo, const Vec& hi, const AdmmOptions& options,
                  AdmmWarmState* warm, AdmmResult& result);
@@ -288,6 +345,7 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   obs::Span span("admm.box_qp");
   result.objective = 0.0;
   result.iterations = 0;
+  result.rho_updates = 0;
   result.converged = false;
   // Reset in place, so a reused result keeps its strings' capacity.
   result.status.code = robust::StatusCode::kOk;
@@ -330,6 +388,8 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   // multiplying by 1 and subtracting 0 * 1 = +0 are exact, so pass 1 forms
   // the LU right-hand side and pass 2 projects the LU solution unchanged.
   const double* inv_d = factor.dpr1.inv_d.data();
+  double sum_inv = factor.dpr1.sum_inv;
+  const num::LuDecomposition* lu = &factor.factor;
   double* x = arena.alloc<double>(n);  // pass-2 input
   double* pass1_out = x;
   double* primal_terms = arena.alloc<double>(n);
@@ -347,6 +407,44 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
     pass1_out = rhs.data();
     x = x_dense.data();
   }
+  // The adaptive step refactors for its rho without touching the caller's
+  // factor: a structured one rebuilds d_i, 1/d_i and sum_i 1/d_i in O(n)
+  // through the factor builder's own kernel, into two arena buffers that
+  // alternate (`adapted_d` takes the kernel's d, which the sweep never
+  // reads); a dense one refactors P + rho I into one of two thread-local
+  // LUs, which alternate the same way and keep their storage across
+  // solves.  Either declines, keeping the current rho, when the new
+  // operator is not positive definite (structured) or singular (dense).
+  double rho = options.rho;
+  double* adapted_d = nullptr;
+  double* adapted_inv_d[2] = {nullptr, nullptr};
+  const auto refactor = [&](double next_rho) {
+    if (structured) {
+      if (adapted_d == nullptr) {
+        adapted_d = arena.alloc<double>(n);
+        adapted_inv_d[0] = arena.alloc<double>(n);
+        adapted_inv_d[1] = arena.alloc<double>(n);
+      }
+      double* out = adapted_inv_d[inv_d == adapted_inv_d[0] ? 1 : 0];
+      const double next_sum = kernels.dpr1_inverse(
+          factor.dpr1.p_diag.data(), factor.dpr1.c, next_rho, factor.ridge,
+          adapted_d, out, n);
+      if (!std::isfinite(next_sum)) return false;
+      inv_d = out;
+      sum_inv = next_sum;
+      return true;
+    }
+    thread_local Matrix shifted;
+    thread_local num::LuDecomposition adapted_lu[2];
+    num::LuDecomposition& out = adapted_lu[lu == &adapted_lu[0] ? 1 : 0];
+    shifted = *p;
+    for (std::size_t i = 0; i < n; ++i)
+      shifted(i, i) += next_rho + factor.ridge;
+    num::lu_decompose_into(shifted, out);
+    if (out.singular) return false;
+    lu = &out;
+    return true;
+  };
   const double scale = 1.0 + q_norm;
   const bool faults_on = robust::faults::enabled();
   // The top of iteration `it`: false when the iteration cap or the
@@ -364,22 +462,30 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
   };
   if (ready(0)) {
     double s_inv_b = kernels
-                         .boxqp_x(options.rho, z, u, q.data(), inv_d,
-                                  pass1_out, primal_terms, dual_terms, n)
+                         .boxqp_x(rho, z, u, q.data(), inv_d, pass1_out,
+                                  primal_terms, dual_terms, n)
                          .x;
     for (std::size_t it = 0;; ++it) {
       double gamma = 0.0;
       if (structured)
-        gamma = dpr1_gamma(factor.dpr1.c, factor.dpr1.sum_inv, s_inv_b);
+        gamma = dpr1_gamma(factor.dpr1.c, sum_inv, s_inv_b);
       else
-        factor.factor.solve_into(rhs, x_dense);
+        lu->solve_into(rhs, x_dense);
       if (faults_on && n > 0 &&
           robust::faults::should_inject("admm.iterate.nan"))
         x[0] = std::numeric_limits<double>::quiet_NaN();
       kernels.boxqp_zu(gamma, inv_d, x, lo.data(), hi.data(), z, u, z_next,
                        primal_terms, dual_terms, n);
-      const rt::simd::SweepSums sums =
-          kernels.boxqp_x(options.rho, z_next, u, q.data(), inv_d, pass1_out,
+      // The estimate reads this iteration's x, which the run-ahead pass 1
+      // overwrites; it is acted on only after the exit tests.
+      const bool adapt = (it + 1) % kRhoInterval == 0;
+      const double estimate =
+          adapt ? rho_estimate(rho, x, gamma, inv_d, z_next, u, q.data(),
+                               q_norm, structured ? nullptr : p,
+                               factor.dpr1, n)
+                : rho;
+      rt::simd::SweepSums sums =
+          kernels.boxqp_x(rho, z_next, u, q.data(), inv_d, pass1_out,
                           primal_terms, dual_terms, n);
       result.iterations = it + 1;
 
@@ -395,13 +501,24 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
       std::swap(z, z_next);
       // norm2(x - z) and norm2(z - z_prev): sqrt of the residual sums.
       const double primal = std::sqrt(sums.primal2);
-      const double dual = options.rho * std::sqrt(sums.dual2);
+      const double dual = rho * std::sqrt(sums.dual2);
       if (primal <= options.tolerance * scale &&
           dual <= options.tolerance * scale) {
         result.converged = true;
         break;
       }
       if (!ready(it + 1)) break;
+      // The adaptive step: u keeps y = rho u, and pass 1 re-runs on the
+      // new operator (its residual sums are this iteration's again).
+      if (adapt &&
+          (estimate > rho * kRhoTolerance || estimate < rho / kRhoTolerance) &&
+          refactor(estimate)) {
+        kernels.scale(u, rho / estimate, u, n);
+        rho = estimate;
+        ++result.rho_updates;
+        sums = kernels.boxqp_x(rho, z, u, q.data(), inv_d, pass1_out,
+                               primal_terms, dual_terms, n);
+      }
       s_inv_b = sums.x;
     }
   }
@@ -431,14 +548,20 @@ void box_qp_core(const Matrix* p, const BoxQpFactor& factor, const Vec& q,
     result.objective = 0.5 * num::quad_form(result.x, *p, result.x) +
                        num::dot(q, result.x);
   }
-  // The warm state chains on a clean exit; after a poisoned iterate it is
-  // cleared, so the next solve cold-starts instead of inheriting the
-  // corruption.
-  if (warm != nullptr &&
-      result.status.code == robust::StatusCode::kNumericalFailure)
-    warm->clear();
+  // The warm state chains on a clean exit, its u in the base rho's units
+  // (y / options.rho), so the next solve starts at options.rho from the
+  // same y; after a poisoned iterate it is cleared, so the next solve
+  // cold-starts instead of inheriting the corruption.
+  if (warm != nullptr) {
+    if (result.status.code == robust::StatusCode::kNumericalFailure)
+      warm->clear();
+    else if (rho != options.rho)
+      kernels.scale(u, rho / options.rho, u, n);
+  }
   obs::counter_add("rcr.admm.solves");
   obs::counter_add("rcr.admm.iterations", result.iterations);
+  if (result.rho_updates != 0)
+    obs::counter_add("rcr.admm.rho_updates", result.rho_updates);
   span.attr("iterations", static_cast<double>(result.iterations));
   span.attr("converged", result.converged ? 1.0 : 0.0);
   span.attr("objective", result.objective);

@@ -42,6 +42,7 @@ struct AdmmOptions {
 struct BoxQpFactor {
   num::LuDecomposition factor;  ///< LU of P + rho I (dense path only).
   double rho = 0.0;             ///< The rho the factor was built with.
+  double ridge = 0.0;           ///< The extra diagonal shift beyond rho.
   struct Dpr1 {
     Vec p_diag;           ///< P_ii (the structured objective reads these).
     Vec d;                ///< d_i = P_ii - c + rho + ridge, all > 0.
@@ -101,7 +102,7 @@ bool try_prefactor_dpr1(const double* p_diag, std::size_t n, double c,
 /// it after a numerical failure.
 struct AdmmWarmState {
   Vec z;  ///< Consensus primal iterate.
-  Vec u;  ///< Scaled dual iterate.
+  Vec u;  ///< Scaled dual iterate y / rho, at the solve's options.rho.
 
   bool empty() const { return z.empty() && u.empty(); }
   void clear() {
@@ -115,6 +116,8 @@ struct AdmmResult {
   Vec x;
   double objective = 0.0;
   std::size_t iterations = 0;
+  /// Times the adaptive step replaced rho during the solve.
+  std::size_t rho_updates = 0;
   bool converged = false;
   /// Runtime disposition: kOk on convergence, kNonConverged on iteration
   /// exhaustion, kNumericalFailure when a NaN/Inf iterate was caught (the
@@ -149,6 +152,19 @@ AdmmResult admm_box_qp(const Matrix& p, const Vec& q, const Vec& lo,
 /// the calling thread's rt::tls_arena() without one), and the dual
 /// iterates in the warm state's u, so iterations are allocation-free once
 /// the arena is warm.
+///
+/// rho adapts during the solve by OSQP's rule (Stellato et al., Math. Prog.
+/// Comp. 2020): every 100 iterations that did not stop the solve, the
+/// estimate rho sqrt(prim_rel / dual_rel) of the relative primal and dual
+/// residuals (infinity norms) replaces rho when it is off by more than 5x
+/// either way.  u is rescaled so y = rho u is kept, and the operator is
+/// refactored for the new rho without touching `factor`: in O(n) for a
+/// structured factor (its d_i, 1/d_i and sum 1/d_i), P + rho I for a dense
+/// one.  The solve ends with the warm state's u in options.rho's units, so
+/// a warm state means the same (z, y) whatever rho the solve ended at, and
+/// the next solve starts again at options.rho.  result.rho_updates counts
+/// the replacements.  A solve that stops within 100 iterations runs at
+/// options.rho throughout.
 AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
                        const Vec& q, const Vec& lo, const Vec& hi,
                        const AdmmOptions& options = {});

@@ -230,7 +230,8 @@ class AllocationService {
   /// and the ADMM result; the power buffer the chain's steps write into,
   /// which trades places with current_'s on every solve; and the cache entry
   /// a hit is copied into and a put is staged in.  Touched only by the
-  /// cell's own pool task.
+  /// cell's own pool task, and after the fan-out has joined by the report
+  /// pass's quarantine serve.
   struct CellScratch {
     qos::Assignment assignment;
     Vec gains;
@@ -259,10 +260,11 @@ class AllocationService {
                   const robust::Deadline& deadline,
                   detail::StageClock& clock);
   /// Serve a non-admitted cell from its snapshot (or an equal-power
-  /// rebuild when the snapshot no longer matches the problem shape).
-  CellAllocation serve_from_snapshot(const RraProblem& problem,
-                                     std::size_t cell, AdmitDecision reason,
-                                     bool injected);
+  /// rebuild when the snapshot no longer matches the problem shape) into
+  /// current_[cell], reusing its vectors; the assigned gains go through
+  /// scratch_[cell].gains.
+  void serve_from_snapshot(const RraProblem& problem, std::size_t cell,
+                           AdmitDecision reason, bool injected);
   /// The tick's admission plan, into plan_ (gates_ holds its inputs).
   void build_plan(std::uint64_t tick, bool full_shed, BrownoutState state);
 

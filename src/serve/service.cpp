@@ -284,8 +284,7 @@ void AllocationService::serve_group(std::size_t c0, std::size_t c1,
       solve_cell(problem, c, tick, tick * cells + c, sigs[k++], deadline,
                  clock);
     } else {
-      current_[c] = serve_from_snapshot(problem, c, plan.decisions[c],
-                                        plan.injected[c]);
+      serve_from_snapshot(problem, c, plan.decisions[c], plan.injected[c]);
       clock.lap(detail::kStageSnapshot);
     }
   }
@@ -543,14 +542,22 @@ void AllocationService::solve_cell(const RraProblem& problem,
   clock.lap(detail::kStageSignatureCache);
 }
 
-CellAllocation AllocationService::serve_from_snapshot(
-    const RraProblem& problem, std::size_t cell, AdmitDecision reason,
-    bool injected) {
+void AllocationService::serve_from_snapshot(const RraProblem& problem,
+                                            std::size_t cell,
+                                            AdmitDecision reason,
+                                            bool injected) {
   const CellRuntime& rtc = runtime_[cell];
   const std::size_t n = problem.num_rbs();
   const double budget = problem.total_power;
 
-  CellAllocation alloc;
+  // Every field is overwritten in place, so the cell's vectors keep their
+  // capacity and a steady snapshot serve allocates nothing.
+  CellAllocation& alloc = current_[cell];
+  Vec& gains = scratch_[cell].gains;
+  alloc.iterations = 0;
+  alloc.warm_use = opt::WarmUse::kCold;
+  alloc.records = {};
+  alloc.injected = false;
   // A stale snapshot may predate a population change; only replay it when
   // its shape still matches the current problem.
   bool snapshot_ok =
@@ -564,11 +571,11 @@ CellAllocation AllocationService::serve_from_snapshot(
   if (snapshot_ok) {
     alloc.assignment = rtc.snapshot_assignment;
     alloc.power = rtc.snapshot_power;
+    qos::assigned_gains(problem, alloc.assignment, gains);
   } else {
-    qos::best_gain_assignment(problem, alloc.assignment);
+    qos::best_gain_assignment(problem, alloc.assignment, gains);
     alloc.power.assign(n, budget / static_cast<double>(n));
   }
-  const Vec gains = qos::assigned_gains(problem, alloc.assignment);
   double* power = alloc.power.data();
   const double scale = budget_scale(power, n, budget,
                                     [&](std::size_t rb) { return power[rb]; });
@@ -589,7 +596,6 @@ CellAllocation AllocationService::serve_from_snapshot(
     case AdmitDecision::kAdmit:
       break;
   }
-  return alloc;
 }
 
 void AllocationService::build_plan(std::uint64_t tick, bool full_shed,
@@ -687,8 +693,8 @@ TickReport AllocationService::tick(std::size_t tick_index,
         plan.decisions[c] = AdmitDecision::kQuarantine;
         --plan.admitted;
         ++plan.quarantined;
-        current_[c] = serve_from_snapshot(problem_of(c), c,
-                                          AdmitDecision::kQuarantine, false);
+        serve_from_snapshot(problem_of(c), c, AdmitDecision::kQuarantine,
+                            false);
       }
     }
     const CellAllocation& a = current_[c];

@@ -2,8 +2,10 @@
 // These tests hold it, bit for bit and on every dispatch path, to the
 // iteration written out plainly: the diagonal solve by the reciprocal
 // diagonal inv_d, the x-sum and residual sums in the sweep's four-lane
-// order, the rank-one correction, the std::clamp projection and the dual
-// update.  A second reference runs the Sherman-Morrison solve in
+// order, the rank-one correction, the std::clamp projection, the dual
+// update, and every 100 iterations OSQP's adaptive rho with its O(n)
+// refactor and the exit's u in the base rho's units.  A second reference
+// runs the Sherman-Morrison solve in
 // dpr1_solve's order (divides, one ascending sum), which the sweep matches
 // to rounding.  This file builds with -ffp-contract=off (see
 // tests/CMakeLists.txt) so a global -mfma build cannot contract the
@@ -56,11 +58,42 @@ double ascending_sum(const Vec& v) {
 struct Outcome {
   Vec z, u;
   std::size_t iterations = 0;
+  std::size_t rho_updates = 0;
   bool converged = false;
 };
 
+/// OSQP's residual-balanced estimate for the iterate (x, z, y = rho u):
+/// rho sqrt(prim_rel / dual_rel) in infinity norms, with P x = (P_ii - c) x_i
+/// + c sum_j x_j (the sum ascending), OSQP's 1e-10 division guards and its
+/// [1e-6, 1e6] clamp.
+double osqp_rho_estimate(const BoxQpFactor::Dpr1& f, double rho, const Vec& x,
+                         const Vec& z, const Vec& u, const Vec& q) {
+  const std::size_t n = x.size();
+  const double x_sum = ascending_sum(x);
+  double prim = 0.0, x_norm = 0.0, z_norm = 0.0;
+  double dual = 0.0, px_norm = 0.0, y_norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double px = (f.p_diag[i] - f.c) * x[i] + f.c * x_sum;
+    const double y = rho * u[i];
+    prim = std::max(prim, std::abs(x[i] - z[i]));
+    x_norm = std::max(x_norm, std::abs(x[i]));
+    z_norm = std::max(z_norm, std::abs(z[i]));
+    dual = std::max(dual, std::abs(px + q[i] + y));
+    px_norm = std::max(px_norm, std::abs(px));
+    y_norm = std::max(y_norm, std::abs(y));
+  }
+  const double prim_rel = prim / (std::max(x_norm, z_norm) + 1e-10);
+  const double dual_rel =
+      dual / (std::max({px_norm, y_norm, num::norm_inf(q)}) + 1e-10);
+  return std::clamp(rho * std::sqrt(prim_rel / (dual_rel + 1e-10)), 1e-6,
+                    1e6);
+}
+
 /// The box-QP iteration from the warm start (z, u): x = S^-1 (rho (z - u) -
-/// q), gamma, the correction, projection, dual update and residual sums.
+/// q), gamma, the correction, projection, dual update and residual sums,
+/// then every 100 iterations that did not stop the solve the adaptive step:
+/// when OSQP's estimate is off by more than 5x, rho takes it, u is rescaled
+/// to keep y = rho u, and d, inv_d and sum_inv are rebuilt for the new rho.
 /// `sweep_order` takes S^-1 as a multiply by inv_d with four-lane sums (the
 /// sweep's order); otherwise as dpr1_solve computes it, dividing by d with
 /// ascending sums.
@@ -72,18 +105,17 @@ Outcome reference_solve(const BoxQpFactor& f, const Vec& q, const Vec& lo,
   Vec rhs(n), x(n), z_prev(n), primal_terms(n), dual_terms(n);
   const double scale = 1.0 + num::norm_inf(q);
   const auto sum = sweep_order ? lane_sum : ascending_sum;
+  BoxQpFactor::Dpr1 op = f.dpr1;
+  double rho = options.rho;
   Outcome out;
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    for (std::size_t i = 0; i < n; ++i)
-      rhs[i] = options.rho * (z[i] - u[i]) - q[i];
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = rho * (z[i] - u[i]) - q[i];
     if (sweep_order) {
-      for (std::size_t i = 0; i < n; ++i) x[i] = rhs[i] * f.dpr1.inv_d[i];
-      const double gamma = (f.dpr1.c * lane_sum(x)) /
-                           (1.0 + f.dpr1.c * f.dpr1.sum_inv);
-      for (std::size_t i = 0; i < n; ++i) x[i] -= gamma * f.dpr1.inv_d[i];
+      for (std::size_t i = 0; i < n; ++i) x[i] = rhs[i] * op.inv_d[i];
+      const double gamma = (op.c * lane_sum(x)) / (1.0 + op.c * op.sum_inv);
+      for (std::size_t i = 0; i < n; ++i) x[i] -= gamma * op.inv_d[i];
     } else {
-      dpr1_solve(f.dpr1.d.data(), 0.0, f.dpr1.c, f.dpr1.sum_inv, rhs.data(),
-                 x.data(), n);
+      dpr1_solve(op.d.data(), 0.0, op.c, op.sum_inv, rhs.data(), x.data(), n);
     }
     z_prev = z;
     for (std::size_t i = 0; i < n; ++i)
@@ -97,11 +129,23 @@ Outcome reference_solve(const BoxQpFactor& f, const Vec& q, const Vec& lo,
     }
     out.iterations = it + 1;
     if (std::sqrt(sum(primal_terms)) <= options.tolerance * scale &&
-        options.rho * std::sqrt(sum(dual_terms)) <= options.tolerance * scale) {
+        rho * std::sqrt(sum(dual_terms)) <= options.tolerance * scale) {
       out.converged = true;
       break;
     }
+    if ((it + 1) % 100 != 0 || it + 1 == options.max_iterations) continue;
+    const double estimate = osqp_rho_estimate(op, rho, x, z, u, q);
+    if (!(estimate > 5.0 * rho || estimate < rho / 5.0)) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      op.d[i] = op.p_diag[i] - op.c + estimate;
+      op.inv_d[i] = 1.0 / op.d[i];
+      u[i] *= rho / estimate;
+    }
+    op.sum_inv = lane_sum(op.inv_d);
+    rho = estimate;
+    ++out.rho_updates;
   }
+  for (std::size_t i = 0; i < n; ++i) u[i] *= rho / options.rho;
   out.z = z;
   out.u = u;
   return out;
@@ -129,6 +173,7 @@ Problem random_problem(std::size_t n, num::Rng& rng) {
 
 TEST(AdmmSweep, FusedSweepIsTheReciprocalLaneIterationBitForBit) {
   num::Rng rng(4242);
+  std::size_t adapted = 0;
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 48u, 49u}) {
     const Problem pr = random_problem(n, rng);
     const std::optional<robust::Result<BoxQpFactor>> f =
@@ -156,14 +201,18 @@ TEST(AdmmSweep, FusedSweepIsTheReciprocalLaneIterationBitForBit) {
               admm_box_qp(f->value, pr.q, pr.lo, pr.hi, opts, &warm);
           EXPECT_EQ(r.warm_use, WarmUse::kAccepted);
           EXPECT_EQ(r.iterations, ref.iterations);
+          EXPECT_EQ(r.rho_updates, ref.rho_updates);
           EXPECT_EQ(r.converged, ref.converged);
           expect_bitwise_equal(r.x, ref.z, "z");
           expect_bitwise_equal(warm.z, ref.z, "warm z");
           expect_bitwise_equal(warm.u, ref.u, "warm u");
+          adapted += r.rho_updates;
         }
       }
     }
   }
+  // The 400-iteration trajectories pass three adaptation points.
+  EXPECT_GT(adapted, 0u);
 }
 
 TEST(AdmmSweep, SweepMatchesTheDpr1SolveOrderToRounding) {

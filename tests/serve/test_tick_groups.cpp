@@ -347,5 +347,57 @@ TEST(TickGroups, SteadyWideRefreshTickAllocationsDoNotRise) {
   EXPECT_EQ(allocations, 0u);
 }
 
+TEST(TickGroups, SteadyOverloadTickSnapshotServesDoNotAllocate) {
+  // bench_serve_soak's overload leg: 16 cells x 12 RBs, block fading every
+  // 4 ticks, the full configuration plus admission at half the fleet per
+  // tick, brownout, breakers and the watchdog.  Every tick serves the cells
+  // admission defers from their snapshots, into the answers' own vectors.
+  // The warm-up runs until the cache is full, so its puts recycle the
+  // storage of the entries they evict, and 1000 ticks on, so the pool of
+  // staged puts has met a tick with the whole solve budget's puts.
+  WorkloadConfig wc;
+  wc.num_cells = 16;
+  wc.num_rbs = 12;
+  wc.min_users = 2;
+  wc.peak_users = 8;
+  wc.period_ticks = 128;
+  wc.coherence_ticks = 4;
+  wc.seed = 42;
+  DiurnalWorkload workload(wc);
+  ServiceConfig config;
+  config.admission.enabled = true;
+  config.admission.max_solves_per_tick = wc.num_cells / 2;
+  config.admission.cell_slices = {qos::ServiceClass::kUrllc,
+                                  qos::ServiceClass::kEmbb,
+                                  qos::ServiceClass::kMmtc};
+  config.brownout.enabled = true;
+  config.breaker.enabled = true;
+  config.watchdog.enabled = true;
+  AllocationService service(config, wc.num_cells);
+  rt::ForceSerialGuard serial;
+  std::size_t warm_up = 0;
+  for (; service.cache_stats().size < config.cache_capacity && warm_up < 20000;
+       ++warm_up) {
+    workload.advance(warm_up);
+    service.tick(warm_up, workload);
+  }
+  ASSERT_EQ(service.cache_stats().size, config.cache_capacity);
+  for (const std::size_t end = warm_up + 1000; warm_up < end; ++warm_up) {
+    workload.advance(warm_up);
+    service.tick(warm_up, workload);
+  }
+  std::uint64_t allocations = 0;
+  std::size_t snapshot_serves = 0;
+  for (std::size_t t = warm_up; t < warm_up + 384; ++t) {
+    workload.advance(t);
+    const rt::AllocDelta delta;
+    const TickReport report = service.tick(t, workload);
+    allocations += delta.delta();
+    snapshot_serves += report.deferred + report.shed + report.quarantined;
+  }
+  EXPECT_GT(snapshot_serves, 0u);
+  EXPECT_EQ(allocations, 0u);
+}
+
 }  // namespace
 }  // namespace rcr::serve
